@@ -298,16 +298,14 @@ Result<PatternPieces> BuildSqlPieces(const AnalyzedQuery& aq,
         pieces.event_conds.push_back("1 = 0");
         continue;
       }
-      std::string ids = IdListSql(cit->second);
-      // Constrain both the entity alias and the event-side foreign key;
-      // the latter turns the events access into an index probe (this is
-      // the "adding filters" step of the scheduling algorithm).
+      // Constrain the entity alias (the "adding filters" step of the
+      // scheduling algorithm); the SQL planner seeds the events access
+      // from the constrained alias's join keys.
+      std::string cond = *alias + ".id IN (" + IdListSql(cit->second) + ")";
       if (ref == &p.subject) {
-        pieces.subject_conds.push_back(*alias + ".id IN (" + ids + ")");
-        pieces.event_conds.push_back(evt_alias + ".subject IN (" + ids + ")");
+        pieces.subject_conds.push_back(std::move(cond));
       } else {
-        pieces.object_conds.push_back(*alias + ".id IN (" + ids + ")");
-        pieces.event_conds.push_back(evt_alias + ".object IN (" + ids + ")");
+        pieces.object_conds.push_back(std::move(cond));
       }
     }
   }

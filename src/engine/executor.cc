@@ -174,10 +174,23 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
   size_t n_patterns = query.patterns.size();
   report.pattern_match_counts.assign(n_patterns, 0);
 
-  // "last N" windows resolve against the newest event in the store.
+  // "last N" windows resolve against the newest event in the store; the
+  // scan over every event is paid only by queries that have one.
   audit::Timestamp now = 0;
-  for (const audit::SystemEvent& ev : store_->events()) {
-    now = std::max(now, ev.end_time);
+  auto is_last = [](const tbql::TimeWindow& w) {
+    return w.kind == tbql::WindowKind::kLast;
+  };
+  bool needs_now =
+      std::any_of(query.global_windows.begin(), query.global_windows.end(),
+                  is_last) ||
+      std::any_of(query.patterns.begin(), query.patterns.end(),
+                  [&](const Pattern& p) {
+                    return p.window.has_value() && is_last(*p.window);
+                  });
+  if (needs_now) {
+    for (const audit::SystemEvent& ev : store_->events()) {
+      now = std::max(now, ev.end_time);
+    }
   }
 
   // ---- Scheduling ----------------------------------------------------------

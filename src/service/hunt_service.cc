@@ -1226,15 +1226,11 @@ Result<HuntResponse> HuntService::ExecuteQuery(
         obs::Finish(exec_span);
         return rs.status();
       }
+      // The executor itself adds the scan/probe/filter counters and the
+      // access-path notes to exec_span (SelectOptions::trace).
       if (exec_span != nullptr) {
-        exec_span->Set("base_rows_scanned",
-                       static_cast<int64_t>(stats.base_rows_scanned));
-        exec_span->Set("index_probe_rows",
-                       static_cast<int64_t>(stats.index_probe_rows));
         exec_span->Set("rows_emitted",
                        static_cast<int64_t>(stats.rows_emitted));
-        exec_span->Set("columnar_filter_rows",
-                       static_cast<int64_t>(stats.columnar_filter_rows));
         exec_span->Set("morsels_executed",
                        static_cast<int64_t>(stats.morsels_executed));
         exec_span->Set("morsels_stolen",

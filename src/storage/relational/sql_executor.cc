@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -176,8 +178,9 @@ class Evaluator {
 
 /// A single-table filter compiled against the table's frozen columnar
 /// storage (table.h / storage/columnar.h). Compilation recognizes
-/// `col op literal`, `literal op col` (op mirrored), and non-negated
-/// `col IN (...)` with a type-homogeneous list; anything else — and every
+/// `col op literal`, `literal op col` (op mirrored), non-negated
+/// `col IN (...)` with a type-homogeneous list, and `col [NOT] LIKE
+/// literal` on string shards; anything else — and every
 /// (shard, predicate) pair the frozen column cannot represent exactly
 /// (kMixed columns, double or NULL literals) — keeps Mode::kEval and runs
 /// through the row-path Evaluator unchanged. Modes bind per shard because
@@ -190,6 +193,11 @@ class Evaluator {
 /// dictionary names (same sign as Value's text ordering), and an absent
 /// cell behaves as NULL (smaller than every non-null literal, equal to
 /// nothing).
+///
+/// LIKE matches each distinct dictionary string at most once per query:
+/// verdicts are memoized by dictionary id on first sight, so a row costs
+/// one uint32 read and one byte load. An absent cell keeps the row path's
+/// LikeMatch("NULL", pattern) verdict; int and kMixed shards stay on Eval.
 class ColumnPredicate {
  public:
   /// Compile `f`, a single-table filter of `alias_idx`. Always returns a
@@ -199,6 +207,11 @@ class ColumnPredicate {
     ColumnPredicate p;
     const Table& table = *binder.table(alias_idx);
     p.shards_.resize(table.shard_count());
+    if (f.kind == ExprKind::kBinary &&
+        (f.op == BinaryOp::kLike || f.op == BinaryOp::kNotLike)) {
+      p.CompileLike(f, binder, alias_idx);
+      return p;
+    }
     BinaryOp op = BinaryOp::kEq;
     const Expr* colref = nullptr;
     const Value* lit = nullptr;
@@ -306,6 +319,40 @@ class ColumnPredicate {
     return shards_[shard].mode != Mode::kEval;
   }
 
+  /// True for `col LIKE text` when every shard of the column is
+  /// dictionary-encoded (or empty). Tables freeze every cell and a NULL
+  /// demotes the column, so the dictionary then holds every cell value:
+  /// the matching rows are exactly the index buckets of the dictionary
+  /// entries whose LikeVerdict holds.
+  bool like_covers_column() const {
+    return like_ != nullptr && op_ == BinaryOp::kLike && like_covers_;
+  }
+  int col_idx() const { return col_idx_; }
+  size_t like_dict_size() const {
+    return like_ == nullptr ? 0 : like_->verdicts.size();
+  }
+
+  /// Memoized LikeMatch of dictionary entry `id` (id < like_dict_size()).
+  /// Safe to call concurrently: racing callers compute the same verdict
+  /// and store the same byte.
+  bool LikeVerdict(uint32_t id) const {
+    std::atomic<uint8_t>& slot = like_->verdicts[id];
+    uint8_t v = slot.load(std::memory_order_relaxed);
+    if (v == kUnknown) {
+      bool m = LikeMatch(table_->ColumnDictName(col_idx_, id), like_->pattern);
+      v = m ? kYes : kNo;
+      slot.store(v, std::memory_order_relaxed);
+      like_->evals.fetch_add(1, std::memory_order_relaxed);
+    }
+    return v == kYes;
+  }
+
+  /// Dictionary entries matched against the LIKE pattern so far.
+  size_t like_dict_evals() const {
+    return like_ == nullptr ? 0
+                            : like_->evals.load(std::memory_order_relaxed);
+  }
+
   /// Row-semantics verdict for the cell at `pos` of `shard`.
   /// Precondition: compiled(shard).
   bool Matches(size_t shard, size_t pos) const {
@@ -340,6 +387,11 @@ class ColumnPredicate {
         int r = table_->ColumnDictName(col_idx_, id).compare(str_lit_);
         return CmpHolds(op_, r < 0 ? -1 : (r > 0 ? 1 : 0));
       }
+      case Mode::kDictLike: {
+        uint32_t id = ps.col->DictAt(pos);
+        bool m = id == kNullDictId ? like_->null_match : LikeVerdict(id);
+        return m != (op_ == BinaryOp::kNotLike);
+      }
       case Mode::kEval:
         break;
     }
@@ -348,6 +400,45 @@ class ColumnPredicate {
 
  private:
   static constexpr uint32_t kNullDictId = storage::kNullDictId;
+  static constexpr uint8_t kUnknown = 0, kNo = 1, kYes = 2;
+
+  /// Per-query LIKE verdicts by dictionary id (kUnknown until first seen),
+  /// shared by every worker evaluating this predicate.
+  struct LikeMemo {
+    LikeMemo(std::string pat, size_t dict_size)
+        : pattern(std::move(pat)),
+          null_match(LikeMatch("NULL", pattern)),
+          verdicts(dict_size) {}
+    std::string pattern;
+    bool null_match;  // the row path renders an absent cell as "NULL"
+    std::vector<std::atomic<uint8_t>> verdicts;
+    std::atomic<size_t> evals{0};
+  };
+
+  /// `col [NOT] LIKE literal`: string shards read the memo, the rest Eval.
+  void CompileLike(const Expr& f, const Binder& binder, int alias_idx) {
+    if (f.lhs->kind != ExprKind::kColumnRef ||
+        f.rhs->kind != ExprKind::kLiteral) {
+      return;
+    }
+    auto bc = binder.Resolve(*f.lhs);
+    if (!bc.ok() || bc.value().alias_idx != alias_idx) return;
+    table_ = binder.table(alias_idx);
+    col_idx_ = bc.value().col_idx;
+    op_ = f.op;
+    like_ = std::make_unique<LikeMemo>(f.rhs->literal.ToString(),
+                                       table_->ColumnDictSize(col_idx_));
+    like_covers_ = true;
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      const storage::Column& col = table_->ColumnSlice(s, col_idx_);
+      shards_[s].col = &col;
+      if (col.kind() == storage::Column::Kind::kString) {
+        shards_[s].mode = Mode::kDictLike;
+      } else if (col.kind() != storage::Column::Kind::kUnset) {
+        like_covers_ = false;  // int or mixed cells the dictionary misses
+      }
+    }
+  }
 
   enum class Mode : uint8_t {
     kEval,    // not compiled for this shard: row-path Evaluator
@@ -359,6 +450,7 @@ class ColumnPredicate {
     kDictNe,  // string column != interned dictionary id
     kDictIn,  // string column IN hashed dictionary-id set
     kStrCmp,  // string column `op` text literal via dictionary names
+    kDictLike,  // string column [NOT] LIKE pattern via memoized verdicts
   };
 
   struct PerShard {
@@ -404,6 +496,8 @@ class ColumnPredicate {
   std::string_view str_lit_;  // borrowed from the statement's literal
   std::unordered_set<int64_t> int_set_;
   std::unordered_set<uint32_t> dict_set_;
+  std::unique_ptr<LikeMemo> like_;
+  bool like_covers_ = false;
   std::vector<PerShard> shards_;
 };
 
@@ -447,6 +541,127 @@ struct Conjunct {
   std::set<int> aliases;
   bool applied = false;
 };
+
+/// The index column and probe values of an `indexed_col = literal` (either
+/// side) or `indexed_col IN (...)` conjunct on alias `a`; col < 0 when `f`
+/// has another shape.
+std::pair<int, std::span<const Value>> IndexProbe(const Expr& f,
+                                                  const Binder& binder,
+                                                  size_t a) {
+  const Expr* col = nullptr;
+  std::span<const Value> keys;
+  if (f.kind == ExprKind::kBinary && f.op == BinaryOp::kEq) {
+    col = f.lhs.get();
+    const Expr* lit = f.rhs.get();
+    if (col->kind != ExprKind::kColumnRef) std::swap(col, lit);
+    if (col->kind != ExprKind::kColumnRef || lit->kind != ExprKind::kLiteral) {
+      return {-1, {}};
+    }
+    keys = std::span<const Value>(&lit->literal, 1);
+  } else if (f.kind == ExprKind::kInList && !f.negated &&
+             f.lhs->kind == ExprKind::kColumnRef) {
+    col = f.lhs.get();
+    keys = f.in_list;
+  } else {
+    return {-1, {}};
+  }
+  auto bc = binder.Resolve(*col);
+  if (!bc.ok() || bc.value().alias_idx != static_cast<int>(a) ||
+      !binder.table(a)->HasIndex(bc.value().col_idx)) {
+    return {-1, {}};
+  }
+  return {bc.value().col_idx, keys};
+}
+
+/// How one alias's base rows are fetched: probe index column `col` with
+/// each of `keys` (col < 0: scan every row). `count` is the summed
+/// Table::ProbeCount the candidates are ranked by.
+struct AccessPath {
+  std::string kind;  // "index", "like-dict" or "join-seed"
+  int col = -1;
+  std::vector<Value> keys;
+  size_t count = static_cast<size_t>(-1);
+};
+
+/// Cheapest access path of alias `a`, ranked by per-shard index
+/// cardinalities the store already keeps (no rows are materialized):
+///  * index: an equality / IN conjunct on an indexed column (IN sums its
+///    per-value counts, an upper bound on the deduplicated union);
+///  * like-dict: `col LIKE text` on an indexed column whose dictionary
+///    covers it (ColumnPredicate::like_covers_column) and is smaller than
+///    the best count so far — match the whole dictionary, probe the hits;
+///  * join-seed (the driving alias only): an indexed column equi-joined
+///    to an alias already filtered, probed with that alias's distinct key
+///    values.
+/// The last two must also beat a full scan. Every conjunct still applies
+/// afterwards, so the choice never changes which rows qualify.
+AccessPath ChooseAccessPath(size_t a, const std::vector<const Expr*>& filters,
+                            const std::vector<ColumnPredicate>& compiled,
+                            const std::vector<Conjunct>& conjuncts,
+                            const Binder& binder,
+                            const std::vector<std::vector<RowId>>& candidates) {
+  const Table* table = binder.table(a);
+  AccessPath best;
+  for (const Expr* f : filters) {
+    auto [col, keys] = IndexProbe(*f, binder, a);
+    if (col < 0) continue;
+    size_t count = 0;
+    for (const Value& v : keys) count += table->ProbeCount(col, v);
+    if (count < best.count) {
+      best = {"index", col, {keys.begin(), keys.end()}, count};
+    }
+  }
+  auto bound = [&] { return std::min(best.count, table->row_count()); };
+  for (const ColumnPredicate& p : compiled) {
+    if (!p.like_covers_column() || !table->HasIndex(p.col_idx()) ||
+        p.like_dict_size() >= bound()) {
+      continue;
+    }
+    std::vector<Value> keys;
+    size_t count = 0;
+    for (uint32_t id = 0; id < p.like_dict_size() && count < bound(); ++id) {
+      if (!p.LikeVerdict(id)) continue;
+      keys.emplace_back(std::string(table->ColumnDictName(p.col_idx(), id)));
+      count += table->ProbeCount(p.col_idx(), keys.back());
+    }
+    if (count < bound()) {
+      best = {"like-dict", p.col_idx(), std::move(keys), count};
+    }
+  }
+  if (a != 0) return best;
+  for (const Conjunct& c : conjuncts) {
+    const Expr& e = *c.expr;
+    if (c.aliases.size() != 2 || e.kind != ExprKind::kBinary ||
+        e.op != BinaryOp::kEq || e.lhs->kind != ExprKind::kColumnRef ||
+        e.rhs->kind != ExprKind::kColumnRef) {
+      continue;
+    }
+    auto l = binder.Resolve(*e.lhs);
+    auto r = binder.Resolve(*e.rhs);
+    if (!l.ok() || !r.ok()) continue;
+    BoundColumn own = l.value(), other = r.value();
+    if (other.alias_idx == 0) std::swap(own, other);
+    if (own.alias_idx != 0 || !table->HasIndex(own.col_idx)) continue;
+    const std::vector<RowId>& rows = candidates[other.alias_idx];
+    // Collecting the keys costs one pass over the other side's rows, so
+    // only try when that alone undercuts the best path.
+    if (rows.size() >= bound()) continue;
+    std::unordered_set<Value, ValueHash, ValueEq> seen;
+    std::vector<Value> keys;
+    size_t count = 0;
+    const Table* other_table = binder.table(other.alias_idx);
+    for (size_t i = 0; i < rows.size() && count < bound(); ++i) {
+      const Value& v = other_table->row(rows[i])[other.col_idx];
+      if (!seen.insert(v).second) continue;
+      keys.push_back(v);
+      count += table->ProbeCount(own.col_idx, v);
+    }
+    if (count < bound()) {
+      best = {"join-seed", own.col_idx, std::move(keys), count};
+    }
+  }
+  return best;
+}
 
 /// Hash-join build storage: per-key row ids chained through fixed-size
 /// chunks allocated from one arena, instead of one heap vector per key.
@@ -861,6 +1076,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
                                            ExecStats* stats) {
   ExecStats local_stats;
   if (stats == nullptr) stats = &local_stats;
+  const ExecStats before = *stats;
 
   // Bind all table refs (FROM list then JOINs, left-deep order).
   std::vector<std::string> aliases;
@@ -909,8 +1125,9 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
                     (!stmt.distinct || streaming_distinct);
 
   // --- Base-table filtering -------------------------------------------------
-  // For each alias, gather its single-table conjuncts; try index probes for
-  // equality / IN conjuncts on indexed columns, then filter the candidates.
+  // For each alias, gather its single-table conjuncts, fetch its rows
+  // through the cheapest access path (ChooseAccessPath), then filter the
+  // candidates.
   // With LIMIT pushed down, the first table's filtering is deferred into
   // the pipeline so its scan stops early; later tables always materialize
   // (hash-join build sides and cross products iterate them repeatedly).
@@ -940,90 +1157,32 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
   std::vector<RowId> lazy0_seed;
   bool lazy0 = false;
   bool lazy0_scan_all = false;
-  for (size_t a = 0; a < n_aliases; ++a) {
+  // The driving alias (FROM position 0) is planned last, so its access
+  // path can seed from the join keys of aliases already filtered.
+  for (size_t k = 0; k < n_aliases; ++k) {
+    size_t a = (k + 1) % n_aliases;
     const Table* table = tables[a];
-    // Index selection: rank every probe-able equality / IN conjunct on
-    // this alias by its aggregate per-shard cardinality (Table::ProbeCount,
-    // no materialization), then materialize only the winner — the same
-    // cheapest-access-path choice the graph matcher makes through
-    // ProbeCountNodes. (For IN probes the rank sums per-value counts, an
-    // upper bound on the deduplicated union.)
+    AccessPath path =
+        ChooseAccessPath(a, filters[a], compiled[a], conjuncts, binder,
+                         candidates);
+    obs::Note(options.trace, "access." + aliases[a],
+              path.col < 0 ? std::string("scan")
+                           : path.kind + ":" +
+                                 table->schema().column(path.col).name);
     std::vector<RowId> seed;
-    bool seeded = false;
-    int best_col = -1;
-    const Value* best_eq = nullptr;
-    const std::vector<Value>* best_in = nullptr;
-    size_t best_count = static_cast<size_t>(-1);
-    for (const Expr* f : filters[a]) {
-      int col_idx = -1;
-      const Value* eq = nullptr;
-      const std::vector<Value>* in = nullptr;
-      if (f->kind == ExprKind::kBinary && f->op == BinaryOp::kEq) {
-        const Expr* col = nullptr;
-        const Expr* lit = nullptr;
-        if (f->lhs->kind == ExprKind::kColumnRef &&
-            f->rhs->kind == ExprKind::kLiteral) {
-          col = f->lhs.get();
-          lit = f->rhs.get();
-        } else if (f->rhs->kind == ExprKind::kColumnRef &&
-                   f->lhs->kind == ExprKind::kLiteral) {
-          col = f->rhs.get();
-          lit = f->lhs.get();
-        }
-        if (col != nullptr) {
-          auto bc = binder.Resolve(*col);
-          if (bc.ok() && bc.value().alias_idx == static_cast<int>(a) &&
-              table->HasIndex(bc.value().col_idx)) {
-            col_idx = bc.value().col_idx;
-            eq = &lit->literal;
-          }
-        }
-      } else if (f->kind == ExprKind::kInList && !f->negated &&
-                 f->lhs->kind == ExprKind::kColumnRef) {
-        auto bc = binder.Resolve(*f->lhs);
-        if (bc.ok() && bc.value().alias_idx == static_cast<int>(a) &&
-            table->HasIndex(bc.value().col_idx)) {
-          col_idx = bc.value().col_idx;
-          in = &f->in_list;
-        }
-      }
-      if (col_idx < 0) continue;
-      size_t count = 0;
-      if (eq != nullptr) {
-        count = table->ProbeCount(col_idx, *eq);
-      } else {
-        for (const Value& v : *in) count += table->ProbeCount(col_idx, v);
-      }
-      if (count < best_count) {
-        best_count = count;
-        best_col = col_idx;
-        best_eq = eq;
-        best_in = in;
-      }
-    }
-    if (best_col >= 0) {
+    bool seeded = path.col >= 0;
+    if (seeded) {
       // Materialize the winner: union of its per-shard buckets, re-sorted
-      // into global row order (buckets are disjoint across shards; IN
-      // probes additionally dedup across values).
-      if (best_eq != nullptr) {
+      // into global row order (buckets of distinct values are disjoint;
+      // duplicate IN values are dropped by the unique pass).
+      for (const Value& v : path.keys) {
         for (size_t s = 0; s < table->shard_count(); ++s) {
-          const std::vector<RowId>& bucket =
-              table->Probe(best_col, *best_eq, s);
+          const std::vector<RowId>& bucket = table->Probe(path.col, v, s);
           seed.insert(seed.end(), bucket.begin(), bucket.end());
         }
-      } else {
-        std::unordered_set<RowId> merged;
-        for (const Value& v : *best_in) {
-          for (size_t s = 0; s < table->shard_count(); ++s) {
-            for (RowId rid : table->Probe(best_col, v, s)) {
-              merged.insert(rid);
-            }
-          }
-        }
-        seed.assign(merged.begin(), merged.end());
       }
       std::sort(seed.begin(), seed.end());
-      seeded = true;
+      seed.erase(std::unique(seed.begin(), seed.end()), seed.end());
       stats->index_probe_rows += seed.size();
     }
     if (a == 0 && push_limit) {
@@ -1372,6 +1531,22 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       }
     }
   }
+  for (const std::vector<ColumnPredicate>& preds : compiled) {
+    for (const ColumnPredicate& p : preds) {
+      stats->like_dict_evals += p.like_dict_evals();
+    }
+  }
+  if (options.trace != nullptr) {
+    auto add = [&](const char* name, size_t now, size_t was) {
+      options.trace->Add(name, static_cast<int64_t>(now - was));
+    };
+    add("index_probe_rows", stats->index_probe_rows, before.index_probe_rows);
+    add("base_rows_scanned", stats->base_rows_scanned,
+        before.base_rows_scanned);
+    add("columnar_filter_rows", stats->columnar_filter_rows,
+        before.columnar_filter_rows);
+    add("like_dict_evals", stats->like_dict_evals, before.like_dict_evals);
+  }
   if (options.cancel != nullptr &&
       options.cancel->load(std::memory_order_relaxed)) {
     return Status::Cancelled("sql query cancelled");
@@ -1476,48 +1651,13 @@ double EstimateSelectCost(const SelectStmt& stmt, const Catalog& catalog) {
   std::vector<double> est(n_aliases, 0.0);
   for (size_t a = 0; a < n_aliases; ++a) est[a] = static_cast<double>(tables[a]->row_count());
   for (const Expr* f : raw_conjuncts) {
-    int col_idx = -1;
-    int alias_idx = -1;
-    const Value* eq = nullptr;
-    const std::vector<Value>* in = nullptr;
-    if (f->kind == ExprKind::kBinary && f->op == BinaryOp::kEq) {
-      const Expr* col = nullptr;
-      const Expr* lit = nullptr;
-      if (f->lhs->kind == ExprKind::kColumnRef &&
-          f->rhs->kind == ExprKind::kLiteral) {
-        col = f->lhs.get();
-        lit = f->rhs.get();
-      } else if (f->rhs->kind == ExprKind::kColumnRef &&
-                 f->lhs->kind == ExprKind::kLiteral) {
-        col = f->rhs.get();
-        lit = f->lhs.get();
-      }
-      if (col != nullptr) {
-        auto bc = binder.Resolve(*col);
-        if (bc.ok() && tables[bc.value().alias_idx]->HasIndex(bc.value().col_idx)) {
-          alias_idx = bc.value().alias_idx;
-          col_idx = bc.value().col_idx;
-          eq = &lit->literal;
-        }
-      }
-    } else if (f->kind == ExprKind::kInList && !f->negated &&
-               f->lhs->kind == ExprKind::kColumnRef) {
-      auto bc = binder.Resolve(*f->lhs);
-      if (bc.ok() && tables[bc.value().alias_idx]->HasIndex(bc.value().col_idx)) {
-        alias_idx = bc.value().alias_idx;
-        col_idx = bc.value().col_idx;
-        in = &f->in_list;
-      }
+    for (size_t a = 0; a < n_aliases; ++a) {
+      auto [col, keys] = IndexProbe(*f, binder, a);
+      if (col < 0) continue;
+      size_t count = 0;
+      for (const Value& v : keys) count += tables[a]->ProbeCount(col, v);
+      est[a] = std::min(est[a], static_cast<double>(count));
     }
-    if (col_idx < 0) continue;
-    const Table* table = tables[alias_idx];
-    size_t count = 0;
-    if (eq != nullptr) {
-      count = table->ProbeCount(col_idx, *eq);
-    } else {
-      for (const Value& v : *in) count += table->ProbeCount(col_idx, v);
-    }
-    est[alias_idx] = std::min(est[alias_idx], static_cast<double>(count));
   }
 
   // The driving alias threads every candidate through the whole left-deep

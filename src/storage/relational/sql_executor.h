@@ -3,8 +3,11 @@
 // The plan is intentionally PostgreSQL-like in miniature:
 //  * WHERE/ON conjuncts are classified into single-table pushdown filters,
 //    equi-join predicates, and residual (cross-pattern) predicates;
-//  * base tables are filtered first, using hash indexes for equality and
-//    IN probes where available;
+//  * base tables are filtered first, each fetched through its cheapest
+//    access path ranked by index cardinalities: an equality / IN probe, a
+//    LIKE matched over the column's dictionary and then probed, or — for
+//    the driving FROM alias, planned last — a probe of its equi-join
+//    column with the distinct keys of an alias already filtered;
 //  * joins are left-deep in FROM order, hash joins on available equi-join
 //    keys, nested-loop otherwise — executed as a streaming pipeline that
 //    threads one tuple through the levels instead of materializing a tuple
@@ -37,8 +40,9 @@
 //  * single-table filters of the shape `col op literal` / `col IN (...)`
 //    compile against the table's frozen columnar storage (table.h /
 //    storage/columnar.h): int comparisons read the SoA int vector
-//    directly and string equality compares dictionary ids as uint32s,
-//    skipping per-row Value variant dispatch. Filters that cannot be
+//    directly, string equality compares dictionary ids as uint32s, and
+//    LIKE reads a per-query memo of verdicts by dictionary id, skipping
+//    per-row Value variant dispatch. Filters that cannot be
 //    represented exactly (doubles, NULLs, mixed-type columns, complex
 //    expressions) stay on the row-path evaluator per predicate, and
 //    columnar_scan = false disables the fast path entirely for the
@@ -101,6 +105,7 @@ struct ExecStats {
   size_t join_output_tuples = 0;    // tuples produced across all joins
   size_t rows_emitted = 0;          // result rows produced
   size_t columnar_filter_rows = 0;  // predicate checks served by frozen columns
+  size_t like_dict_evals = 0;       // dictionary entries matched by LIKE
   size_t morsels_executed = 0;      // scan morsels run by the parallel driver
   size_t morsels_stolen = 0;        // of those, taken from another worker
 };
@@ -117,10 +122,12 @@ struct SelectOptions {
   /// Off = legacy final dedup pass over the materialized result.
   bool streaming_distinct = true;
   /// Evaluate eligible single-table filters against the frozen columnar
-  /// storage (dictionary-encoded string equality, direct int reads). Off =
-  /// row-path Value evaluation for every filter, kept for the differential
-  /// harness. Results are identical either way; predicates a column cannot
-  /// represent exactly fall back to the row path individually.
+  /// storage (dictionary-encoded string equality, memoized LIKE verdicts,
+  /// direct int reads), and let a LIKE matched over a column dictionary
+  /// serve as an access path. Off = row-path Value evaluation for every
+  /// filter, kept for the differential harness. Results are identical
+  /// either way; predicates a column cannot represent exactly fall back
+  /// to the row path individually.
   bool columnar_scan = true;
   /// Parallel scheduler: carve the base scan into morsel_size chunks on
   /// per-worker work-stealing deques. Off = legacy one worker per storage
@@ -156,9 +163,12 @@ struct SelectOptions {
   storage::QueryResultCache<BlockResultSet>* result_cache = nullptr;
   /// EXPLAIN ANALYZE hook: when non-null, the parallel drivers hang one
   /// timed child span per shard run / morsel worker under it (scan, probe,
-  /// and steal counters included) and QueryBlocks records subresult cache
-  /// hits. Null (the default) costs one pointer test per query. Must
-  /// outlive the call.
+  /// and steal counters included), the executor adds the statement's
+  /// index_probe_rows / base_rows_scanned / columnar_filter_rows /
+  /// like_dict_evals counters and one `access.<alias>` note per alias
+  /// (`index:<col>`, `like-dict:<col>`, `join-seed:<col>` or `scan`), and
+  /// QueryBlocks records subresult cache hits. Null (the default) costs
+  /// one pointer test per query. Must outlive the call.
   obs::TraceSpan* trace = nullptr;
 };
 

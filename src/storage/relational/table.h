@@ -132,6 +132,12 @@ class Table {
     return col_dicts_[column_idx].Name(dict_id);
   }
 
+  /// Distinct strings ever frozen into column `column_idx`; dictionary ids
+  /// are dense in [0, ColumnDictSize).
+  size_t ColumnDictSize(int column_idx) const {
+    return col_dicts_[column_idx].size();
+  }
+
  private:
   // Keyed directly on Value with a Compare()-consistent hash, so inserts
   // and probes never render the cell to a string.

@@ -3,9 +3,11 @@
 // scans, and crossed with the three execution schedules (serial, static
 // per-shard fan-out, morsel work-stealing with tiny morsels; the fan-out
 // thresholds are zeroed so even these tiny fixtures exercise the parallel
-// drivers) — must agree with the reference configuration on a catalog of
-// Cypher and SQL queries over randomized small graphs/tables built from
-// the shared synthetic-graph fixture.
+// drivers) — must agree with a reference on a catalog of Cypher and SQL
+// queries over randomized small graphs/tables. Cypher results are checked
+// against the reference configuration over the shared synthetic-graph
+// fixture; SQL results against the brute-force evaluator in
+// tests/oracle/sql_oracle.h.
 //
 // Queries without LIMIT must return identical (order-normalized) result
 // multisets. Queries with LIMIT may legitimately return different subsets
@@ -24,14 +26,17 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "obs/trace.h"
 #include "storage/graphdb/cypher_executor.h"
 #include "storage/relational/database.h"
 #include "tests/fixtures/synthetic_graph.h"
+#include "tests/oracle/sql_oracle.h"
 
 namespace raptor {
 namespace {
@@ -236,74 +241,209 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CypherDifferentialTest,
                          ::testing::Values(0u, 1u, 2u, 3u, 4u, 5u));
 
 // ------------------------------------------------------------------ SQL
+//
+// The SQL reference is tests/oracle/sql_oracle.h: brute-force nested loops
+// with no indexes, columns or threads. Fixtures mirror the relational
+// backend's shape (entities / events plus a tags table with duplicate
+// keys) on 1 or 4 shards, with a text column demoted to kMixed on some
+// shards, and a catalog that covers the planner's access paths: index
+// probes, LIKE evaluated over a column dictionary, and join-seeded
+// driving aliases.
 
 class SqlDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(SqlDifferentialTest, AllToggleCombosAgree) {
+TEST_P(SqlDifferentialTest, AllToggleCombosAgreeWithOracle) {
   uint64_t seed = GetParam();
   Rng rng(seed * 977 + 13);
+  const size_t shards = seed % 2 == 0 ? 4 : 1;
 
-  sql::Database db;
-  ASSERT_TRUE(db.CreateTable("t", sql::Schema({{"id", sql::ColumnType::kInt64},
-                                               {"name", sql::ColumnType::kText},
-                                               {"score",
-                                                sql::ColumnType::kInt64}}))
+  sql::Database db(shards);
+  ASSERT_TRUE(db.CreateTable("entities",
+                             sql::Schema({{"id", sql::ColumnType::kInt64},
+                                          {"type", sql::ColumnType::kText},
+                                          {"name", sql::ColumnType::kText},
+                                          {"exename", sql::ColumnType::kText},
+                                          {"misc", sql::ColumnType::kText}}))
                   .ok());
-  ASSERT_TRUE(db.CreateTable("u", sql::Schema({{"id", sql::ColumnType::kInt64},
-                                               {"tid", sql::ColumnType::kInt64},
-                                               {"tag", sql::ColumnType::kText}}))
+  ASSERT_TRUE(db.CreateTable("events",
+                             sql::Schema({{"id", sql::ColumnType::kInt64},
+                                          {"subject", sql::ColumnType::kInt64},
+                                          {"object", sql::ColumnType::kInt64},
+                                          {"op", sql::ColumnType::kText},
+                                          {"start_time",
+                                           sql::ColumnType::kInt64}}))
                   .ok());
-  static const char* kNames[] = {"/bin/tar", "/bin/cat", "/tmp/x.sh",
-                                 "/etc/passwd"};
-  static const char* kTags[] = {"x", "y", "z"};
-  const int t_rows = 30 + static_cast<int>(seed % 3) * 10;
-  for (int i = 0; i < t_rows; ++i) {
-    ASSERT_TRUE(db.Insert("t", {sql::Value(static_cast<int64_t>(i)),
-                                sql::Value(kNames[rng.Uniform(4)]),
-                                sql::Value(static_cast<int64_t>(
-                                    rng.Uniform(100)))})
+  ASSERT_TRUE(db.CreateTable("tags",
+                             sql::Schema({{"id", sql::ColumnType::kInt64},
+                                          {"tid", sql::ColumnType::kInt64},
+                                          {"label", sql::ColumnType::kText}}))
+                  .ok());
+  // Literal '%' and '_' in the data check that only the pattern's
+  // wildcards are wildcards.
+  static const char* kExes[] = {"/bin/tar", "/bin/cat", "/usr/bin/vim",
+                                "/bin/bash", "/tmp/x_sh", "/tmp/x%sh"};
+  static const char* kFiles[] = {"/etc/passwd", "/etc/shadow", "/tmp/out.tar",
+                                 "/home/u/notes.txt", "/etc/pa_swd"};
+  static const char* kOps[] = {"read", "write", "execute", "send"};
+  static const char* kLabels[] = {"x", "y", "/bin/tar", "/bin/cat"};
+  const int n_ent = 24 + static_cast<int>(seed % 3) * 8;
+  auto entity = [&](int64_t id, const char* type, std::string name,
+                    std::string exe, sql::Value misc) {
+    ASSERT_TRUE(db.Insert("entities",
+                          {sql::Value(id), sql::Value(type),
+                           sql::Value(std::move(name)),
+                           sql::Value(std::move(exe)), std::move(misc)})
                     .ok());
-  }
-  for (int i = 0; i < 25; ++i) {
-    ASSERT_TRUE(db.Insert("u", {sql::Value(static_cast<int64_t>(i)),
-                                sql::Value(static_cast<int64_t>(
-                                    rng.Uniform(t_rows))),
-                                sql::Value(kTags[rng.Uniform(3)])})
-                    .ok());
-  }
-  if (seed % 2 == 0) {
-    ASSERT_TRUE(db.CreateIndex("t", "name").ok());
-  }
-  if (seed % 3 != 1) {
-    ASSERT_TRUE(db.CreateIndex("u", "tid").ok());
-  }
-
-  const CatalogQuery catalog[] = {
-      {"SELECT id FROM t WHERE score > 40", false},
-      {"SELECT DISTINCT name FROM t", true},
-      {"SELECT id FROM t WHERE name IN ('/bin/tar', '/tmp/x.sh', '/none')",
-       false},
-      {"SELECT t.id, u.tag FROM t, u WHERE t.id = u.tid", false},
-      {"SELECT t.id, u.tag FROM t, u WHERE t.id = u.tid AND u.tag = 'x' "
-       "AND t.score > 20",
-       false},
-      {"SELECT DISTINCT u.tag FROM t, u WHERE t.id = u.tid", true},
-      {"SELECT id FROM t ORDER BY id DESC", false, /*ordered=*/true},
-      {"SELECT name, score FROM t WHERE score > 10 AND name LIKE '/bin/%'",
-       false},
   };
+  for (int i = 0; i < n_ent; ++i) {
+    // Rows 5 and 6 land on different shards of the 4-shard layout and
+    // demote `misc` there (NULL, int); the other shards stay dictionary-
+    // encoded.
+    sql::Value misc = i == 5   ? sql::Value::Null()
+                      : i == 6 ? sql::Value(static_cast<int64_t>(7))
+                               : sql::Value("m" + std::to_string(i % 4));
+    if (i % 3 == 0) {
+      std::string exe = kExes[rng.Uniform(6)];
+      entity(i, "proc", exe, exe, std::move(misc));
+    } else if (i % 3 == 1) {
+      entity(i, "file", kFiles[rng.Uniform(5)], "", std::move(misc));
+    } else {
+      entity(i, "ip", "10.0.0." + std::to_string(i), "", std::move(misc));
+    }
+  }
+  // Planted attack: the only proc under /opt/evil/ reads the only file
+  // under /secret/ once (event 1000), and also writes a decoy.
+  const int64_t evil = n_ent, secret = n_ent + 1, decoy = n_ent + 2;
+  entity(evil, "proc", "/opt/evil/tar_x", "/opt/evil/tar_x", sql::Value("m0"));
+  entity(secret, "file", "/secret/pass_wd.db", "", sql::Value("m1"));
+  entity(decoy, "file", "/secret/decoy", "", sql::Value("m2"));
 
+  auto event = [&](int64_t id, int64_t subj, int64_t obj, const char* op,
+                   int64_t ts) {
+    ASSERT_TRUE(db.Insert("events", {sql::Value(id), sql::Value(subj),
+                                     sql::Value(obj), sql::Value(op),
+                                     sql::Value(ts)})
+                    .ok());
+  };
+  const int n_ev = 60 + static_cast<int>(seed % 3) * 20;
+  for (int i = 0; i < n_ev; ++i) {
+    int64_t subj = 3 * static_cast<int64_t>(rng.Uniform((n_ent + 2) / 3));
+    if (rng.Uniform(10) == 0) subj = 999;  // dangling: joins nothing
+    event(i, subj, static_cast<int64_t>(rng.Uniform(n_ent)),
+          kOps[rng.Uniform(4)], static_cast<int64_t>(rng.Uniform(200)));
+  }
+  event(1000, evil, secret, "read", 150);
+  event(1001, evil, decoy, "write", 160);
+  event(1002, evil, secret, "write", 170);
+
+  // Empty on every third seed: joins against it have an empty side.
+  const int n_tags = seed % 3 == 2 ? 0 : 20;
+  for (int i = 0; i < n_tags; ++i) {
+    ASSERT_TRUE(db.Insert("tags", {sql::Value(static_cast<int64_t>(i)),
+                                   sql::Value(static_cast<int64_t>(
+                                       rng.Uniform(n_ent))),
+                                   sql::Value(kLabels[rng.Uniform(4)])})
+                    .ok());
+  }
+
+  ASSERT_TRUE(db.CreateIndex("entities", "id").ok());
+  ASSERT_TRUE(db.CreateIndex("entities", "type").ok());
+  if (seed % 3 != 1) {
+    ASSERT_TRUE(db.CreateIndex("entities", "name").ok());
+    ASSERT_TRUE(db.CreateIndex("entities", "exename").ok());
+    ASSERT_TRUE(db.CreateIndex("entities", "misc").ok());
+  }
+  if (seed != 3) {
+    ASSERT_TRUE(db.CreateIndex("events", "subject").ok());
+    ASSERT_TRUE(db.CreateIndex("events", "object").ok());
+  }
+  if (seed % 3 != 2) {
+    ASSERT_TRUE(db.CreateIndex("events", "op").ok());
+  }
+  if (seed % 2 == 1) {
+    ASSERT_TRUE(db.CreateIndex("tags", "tid").ok());
+    ASSERT_TRUE(db.CreateIndex("tags", "label").ok());
+  }
+
+#define RAPTOR_EVENT_PATTERN                                              \
+  "SELECT e.id, e.subject, e.object, e.start_time FROM events e "         \
+  "JOIN entities s ON e.subject = s.id JOIN entities o ON e.object = o.id " \
+  "WHERE s.type = 'proc' AND "
+  const char* kPlanted =
+      "SELECT e.id, s.exename, o.name FROM events e "
+      "JOIN entities s ON e.subject = s.id JOIN entities o ON e.object = o.id "
+      "WHERE s.type = 'proc' AND s.exename LIKE '%/evil/%' "
+      "AND o.type = 'file' AND o.name LIKE '/secret/pass_wd%' "
+      "AND e.op = 'read'";
+  const CatalogQuery catalog[] = {
+      {"SELECT id FROM events WHERE start_time > 40", false},
+      {"SELECT DISTINCT name FROM entities", true},
+      {"SELECT id FROM entities WHERE name IN ('/etc/passwd', '/tmp/out.tar', "
+       "'/none')",
+       false},
+      {"SELECT id FROM events ORDER BY id DESC", false, /*ordered=*/true},
+      // LIKE shapes: leading, trailing and interior '%', '_', match-all.
+      {RAPTOR_EVENT_PATTERN "s.exename LIKE '%tar%' AND o.type = 'file' "
+                            "AND o.name LIKE '/etc/%' AND e.op = 'read'",
+       false},
+      {RAPTOR_EVENT_PATTERN "s.exename LIKE '/bin/%a%' AND o.name LIKE "
+                            "'/etc/pa_swd'",
+       false},
+      {RAPTOR_EVENT_PATTERN "s.exename LIKE '%%' AND o.name LIKE '%%' AND "
+                            "e.op = 'write'",
+       false},
+      {RAPTOR_EVENT_PATTERN "s.exename LIKE '/tmp/x_sh' AND e.start_time < 150",
+       false},
+      {RAPTOR_EVENT_PATTERN "s.exename NOT LIKE '%bin%'", false},
+      // An empty join side.
+      {RAPTOR_EVENT_PATTERN "s.exename LIKE 'zzz%'", false},
+      // Propagated-domain shape: IN on the entity alias only.
+      {RAPTOR_EVENT_PATTERN "s.id IN (0, 3, 9, 12, 999) AND o.type = 'file' "
+                            "AND e.op IN ('read', 'write')",
+       false},
+      {"SELECT DISTINCT s.exename FROM events e JOIN entities s ON "
+       "e.subject = s.id WHERE e.op = 'read' AND s.exename LIKE '/bin/%'",
+       true},
+      // `misc` is kMixed on some shards (a NULL and an int cell).
+      {"SELECT id, misc FROM entities WHERE misc LIKE 'm%'", false},
+      {"SELECT id, misc FROM entities WHERE misc NOT LIKE 'm_'", false},
+      {"SELECT id FROM entities WHERE misc LIKE '7'", false},
+      {"SELECT id FROM entities WHERE misc LIKE 'N%'", false},
+      // LIKE on int columns.
+      {"SELECT id FROM events WHERE start_time LIKE '1%'", false},
+      {"SELECT id, name FROM entities WHERE id LIKE '%3' OR name LIKE '%x%'",
+       false},
+      {"SELECT id FROM entities WHERE NOT (type = 'proc') AND name LIKE '%e%'",
+       false},
+      // Duplicate join keys on either side; the tags table may be empty.
+      {"SELECT g.id, s.id FROM tags g JOIN entities s ON g.label = s.exename",
+       false},
+      {"SELECT e.id, g.label FROM events e JOIN tags g ON e.subject = g.tid "
+       "WHERE g.label IN ('x', '/bin/tar')",
+       false},
+      {"SELECT g.label, e.id FROM tags g, events e WHERE g.tid = e.subject "
+       "AND e.op = 'write'",
+       false},
+      {kPlanted, false},
+  };
+#undef RAPTOR_EVENT_PATTERN
+
+  // Access paths the serial columnar runs chose, from their trace notes.
+  std::set<std::string> access_kinds;
   for (const CatalogQuery& q : catalog) {
-    // Reference: default configuration, no LIMIT, serial.
-    db.options() = sql::SelectOptions{};
-    db.options().parallel_shards = 1;
-    auto full_rs = db.Query(q.text);
-    ASSERT_TRUE(full_rs.ok()) << q.text << ": " << full_rs.status().ToString();
-    // Ordered queries compare positionally (no sort normalization).
+    auto stmt = sql::ParseSelect(q.text);
+    ASSERT_TRUE(stmt.ok()) << q.text << ": " << stmt.status().ToString();
+    auto oracle_rows = oracle::SqlOracle::Run(stmt.value(), db);
+    ASSERT_TRUE(oracle_rows.ok())
+        << q.text << ": " << oracle_rows.status().ToString();
     std::vector<std::string> full_ordered =
-        RenderRowsOrdered(full_rs.value().rows);
+        RenderRowsOrdered(oracle_rows.value());
     std::vector<std::string> full = full_ordered;
     std::sort(full.begin(), full.end());
+    if (std::string(q.text) == kPlanted) {
+      EXPECT_EQ(full, ExpectedRows({{"1000", "/opt/evil/tar_x",
+                                     "/secret/pass_wd.db"}}));
+    }
 
     for (long long limit : kLimits) {
       std::string text = WithLimit(q, limit);
@@ -320,10 +460,15 @@ TEST_P(SqlDifferentialTest, AllToggleCombosAgree) {
           opts.morsel_scheduling = sched == 2;
           opts.morsel_size = 3;
           opts.parallel_min_rows = 0;  // fan out even on these tiny tables
+          obs::TraceSpan span("sql");
+          if (combo == 4 && sched == 0) opts.trace = &span;
           db.options() = opts;
 
           auto rs = db.Query(text);
           ASSERT_TRUE(rs.ok()) << text << ": " << rs.status().ToString();
+          for (const auto& [key, value] : span.notes()) {
+            access_kinds.insert(value.substr(0, value.find(':')));
+          }
           if (q.ordered) {
             // Deterministic order: the LIMIT prefix must match exactly.
             std::vector<std::string> got = RenderRowsOrdered(rs.value().rows);
@@ -356,6 +501,11 @@ TEST_P(SqlDifferentialTest, AllToggleCombosAgree) {
     }
   }
   db.options() = sql::SelectOptions{};
+  // The catalog reaches every access path its indexes allow.
+  EXPECT_TRUE(access_kinds.count("index"));
+  EXPECT_TRUE(access_kinds.count("scan"));
+  EXPECT_EQ(access_kinds.count("like-dict"), seed % 3 != 1 ? 1u : 0u);
+  EXPECT_TRUE(access_kinds.count("join-seed"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlDifferentialTest,

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,8 +43,10 @@ HuntRequest Req(std::string text,
 
 /// A store big enough that hunts take real time: `procs` processes each
 /// reading `files_per_proc` distinct files (reduction disabled so every
-/// event survives). proc i is "/bin/svc<i>", file (i,j) is "/data/d<i>_<j>".
-std::unique_ptr<ThreatRaptor> BuildWideStore(int procs, int files_per_proc) {
+/// event survives). proc i is "/bin/svc<i>" (or "/bin/svc<i % exe_kinds>"
+/// when exe_kinds is positive), file (i,j) is "/data/d<i>_<j>".
+std::unique_ptr<ThreatRaptor> BuildWideStore(int procs, int files_per_proc,
+                                             int exe_kinds = 0) {
   ThreatRaptorOptions options;
   options.store.enable_reduction = false;
   auto tr = std::make_unique<ThreatRaptor>(options);
@@ -51,7 +54,9 @@ std::unique_ptr<ThreatRaptor> BuildWideStore(int procs, int files_per_proc) {
   audit::Timestamp ts = 1'000'000;
   for (int i = 0; i < procs; ++i) {
     audit::EntityId p =
-        log.entities.InternProcess("/bin/svc" + std::to_string(i), 100 + i);
+        log.entities.InternProcess(
+            "/bin/svc" + std::to_string(exe_kinds > 0 ? i % exe_kinds : i),
+            100 + i);
     for (int j = 0; j < files_per_proc; ++j) {
       audit::EntityId f = log.entities.InternFile(
           "/data/d" + std::to_string(i) + "_" + std::to_string(j));
@@ -903,6 +908,34 @@ TEST(HuntServiceObsTest, TbqlProfileCarriesPatternAndPhaseSpans) {
   for (const obs::TraceSpan* p : patterns) {
     EXPECT_LE(p->duration_micros(), root.duration_micros() + 1000);
   }
+}
+
+TEST(HuntServiceObsTest, TbqlPatternSpanShowsSqlAccessPaths) {
+  // 40 processes over 4 executables, 5 files each: the subject's LIKE
+  // matches 10 processes through a 5-entry dictionary, which undercuts
+  // the 40-row type probe, and their 50 events undercut the 200 reads.
+  auto tr = BuildWideStore(40, 5, /*exe_kinds=*/4);
+  HuntService service(tr->store());
+  HuntRequest request = Req("proc p[\"%svc1%\"] read file f return p, f");
+  request.profile = true;
+  auto response = service.Run(std::move(request));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().report.results.rows.size(), 50u);
+  ASSERT_NE(response.value().profile, nullptr);
+
+  std::vector<const obs::TraceSpan*> patterns;
+  CollectSpans(*response.value().profile, "pattern[", &patterns);
+  ASSERT_EQ(patterns.size(), 1u);
+  const obs::TraceSpan& p = *patterns[0];
+  std::map<std::string, std::string> notes;
+  for (const auto& [k, v] : p.notes()) notes[k] = v;
+  EXPECT_EQ(notes["access.s"], "like-dict:exename");
+  EXPECT_EQ(notes["access.o"], "index:type");
+  EXPECT_EQ(notes["access.e"], "join-seed:subject");
+  EXPECT_EQ(p.counter("like_dict_evals"), 5);
+  // 10 subjects + 200 files + the subjects' 50 events.
+  EXPECT_EQ(p.counter("index_probe_rows"), 260);
+  EXPECT_EQ(p.counter("base_rows_scanned"), 260);
 }
 
 TEST(HuntServiceObsTest, StorageScanSpansCarryWorkCounters) {
