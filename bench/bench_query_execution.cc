@@ -10,21 +10,19 @@
 // A second section measures the indexed/interned graph hot path on the
 // shared synthetic large provenance graph fixture (BENCH_LARGE_NODES nodes
 // / BENCH_LARGE_EDGES edges, default 100k/500k): typed expansion through
-// the per-type adjacency groups plus hashed IN-list probing, versus the
-// legacy full-edge-scan + linear IN-scan code path (MatchOptions toggles).
-// A third section measures LIMIT/DISTINCT pushdown on the same graph:
-// streaming early-exit versus the legacy materialize-then-truncate path.
+// the per-type adjacency groups plus hashed IN-list probing, and an inline
+// equality constraint served from the frozen dictionary-encoded columns.
+// A third section measures LIMIT/DISTINCT pushdown on the same graph: the
+// time and seed visits of the streaming early exit.
 // A fourth section measures shard-parallel execution on both backends:
 // whole-graph Cypher matching and SQL scans/joins fanned out over the
 // storage shards versus the forced-serial path, plus the LIMIT 1 guard
 // (small pushed limits must bypass the fan-out and stay on the serial
-// fast path). It also covers the columnar scan representation (frozen
-// dictionary-encoded columns vs the legacy PropertyMap row path, on both
-// backends), the morsel work-stealing scheduler versus the static
-// one-worker-per-shard fan-out — including a deliberately skewed graph
-// where one shard holds ~half the expansion work — and the zero-copy
-// merge counters of DISTINCT queries (partition adoption; any per-row
-// push fails the bench).
+// fast path). It also covers columnar SQL filters, the morsel
+// work-stealing scheduler — including a deliberately skewed graph where
+// one shard holds ~half the expansion work — and the zero-copy merge
+// counters of DISTINCT queries (partition adoption; any per-row push fails
+// the bench).
 // A fifth section measures inter-query concurrency: N identical TBQL
 // hunts submitted through service::HuntService at 1/2/4 in-flight
 // (throughput in hunts/sec), plus the zero-copy merge counters of a
@@ -67,8 +65,7 @@ using namespace raptor;
 namespace {
 
 /// LIMIT/DISTINCT pushdown on the fixture graph: the streaming pipeline
-/// stops seed iteration once LIMIT rows exist, while the legacy path
-/// materializes every binding and truncates at the end.
+/// stops seed iteration once LIMIT rows exist.
 void RunLimitPushdownWorkload(graphdb::GraphDatabase& db,
                               bench::BenchReport* report) {
   struct Workload {
@@ -83,53 +80,35 @@ void RunLimitPushdownWorkload(graphdb::GraphDatabase& db,
       {"distinct_limit10",
        "MATCH (p:proc)-[e:op3]->(f:file) RETURN DISTINCT p.exename LIMIT 10"},
   };
-  std::printf("\nLIMIT/DISTINCT pushdown (streaming vs legacy):\n");
+  std::printf("\nLIMIT/DISTINCT pushdown:\n");
 
   int rounds = bench::Rounds(5);
-  auto measure = [&](const std::string& query, bool streaming,
-                     size_t* seeds_out) {
-    db.options().push_limit = streaming;
-    db.options().streaming_distinct = streaming;
-    db.options().binding_frames = streaming;
-    // Serial on both sides: this workload isolates the streaming pushdown
-    // (RunParallelMatchWorkload measures the shard fan-out).
-    db.options().parallel_shards = 1;
+  // Serial: this workload isolates the streaming pushdown
+  // (RunParallelMatchWorkload measures the shard fan-out).
+  db.options().parallel_shards = 1;
+  for (const Workload& w : workloads) {
     std::vector<double> times;
+    size_t seeds = 0;
     Stopwatch timer;
     for (int i = 0; i < rounds; ++i) {
       graphdb::MatchStats stats;
       timer.Restart();
-      auto rs = db.Query(query, &stats);
+      auto rs = db.Query(w.query, &stats);
       times.push_back(timer.ElapsedSeconds());
       if (!rs.ok()) {
         std::fprintf(stderr, "query failed: %s\n",
                      rs.status().ToString().c_str());
         std::exit(1);
       }
-      *seeds_out = stats.seed_candidates;
+      seeds = stats.seed_candidates;
     }
-    return bench::Mean(times);
-  };
-
-  for (const Workload& w : workloads) {
-    size_t streaming_seeds = 0, legacy_seeds = 0;
-    double streaming = measure(w.query, /*streaming=*/true, &streaming_seeds);
-    double legacy = measure(w.query, /*streaming=*/false, &legacy_seeds);
-    double speedup = streaming > 0 ? legacy / streaming : 0;
-    std::printf(
-        "  %s: streaming %.6f s (%zu seeds visited), legacy %.6f s "
-        "(%zu seeds visited), speedup %.1fx\n",
-        w.key, streaming, streaming_seeds, legacy, legacy_seeds, speedup);
+    double seconds = bench::Mean(times);
+    std::printf("  %s: %.6f s (%zu seeds visited)\n", w.key, seconds, seeds);
     report->Metric("limit_pushdown",
-                   std::string(w.key) + "_streaming_seconds", streaming);
-    report->Metric("limit_pushdown", std::string(w.key) + "_legacy_seconds",
-                   legacy);
-    report->Metric("limit_pushdown", std::string(w.key) + "_speedup", speedup);
+                   std::string(w.key) + "_streaming_seconds", seconds);
     report->Metric("limit_pushdown",
                    std::string(w.key) + "_streaming_seeds",
-                   static_cast<double>(streaming_seeds));
-    report->Metric("limit_pushdown", std::string(w.key) + "_legacy_seeds",
-                   static_cast<double>(legacy_seeds));
+                   static_cast<double>(seeds));
   }
   db.options() = graphdb::MatchOptions{};
 }
@@ -258,13 +237,12 @@ void RunParallelMatchWorkload(graphdb::GraphDatabase& db,
   db.options() = graphdb::MatchOptions{};
 }
 
-/// Morsel work-stealing vs the static one-worker-per-shard fan-out on a
-/// deliberately skewed graph: half the edge draws pin their source to the
-/// hot subset (ids ≡ 0 mod shard count, i.e. one storage shard), so the
-/// static schedule's wall clock is the straggler shard while the other
-/// workers idle; the morsel scheduler splits that shard's seed list into
-/// stealable chunks. On the 1-core dev container both report ~1x — the
-/// speedup (and a non-zero stolen count) shows on CI's multicore runners.
+/// Morsel work-stealing vs the serial matcher on a deliberately skewed
+/// graph: half the edge draws pin their source to the hot subset (ids ≡ 0
+/// mod shard count, i.e. one storage shard); the morsel scheduler splits
+/// that shard's seed list into stealable chunks so the straggler shard's
+/// work spreads over every worker. On a 1-core machine it reports ~1x —
+/// the speedup (and a non-zero stolen count) shows on multicore runners.
 void RunSkewedMorselWorkload(bench::BenchReport* report) {
   fixtures::SyntheticGraphSpec spec;
   spec.nodes = std::max(2LL, bench::EnvLong("BENCH_LARGE_NODES", 100'000));
@@ -284,11 +262,10 @@ void RunSkewedMorselWorkload(bench::BenchReport* report) {
       "MATCH (p:proc)-[e:op7]->(f:file) WHERE f.name CONTAINS '9' "
       "RETURN p.exename, f.name";
   int rounds = bench::Rounds(5);
-  auto measure = [&](int shards, bool morsel, graphdb::GraphResultSet* out,
+  auto measure = [&](int shards, graphdb::GraphResultSet* out,
                      graphdb::MatchStats* stats_out) {
     db.options() = graphdb::MatchOptions{};
     db.options().parallel_shards = shards;
-    db.options().morsel_scheduling = morsel;
     std::vector<double> times;
     Stopwatch timer;
     for (int i = 0; i < rounds; ++i) {
@@ -307,30 +284,24 @@ void RunSkewedMorselWorkload(bench::BenchReport* report) {
     return bench::Mean(times);
   };
 
-  graphdb::GraphResultSet rs_serial, rs_static, rs_morsel;
-  graphdb::MatchStats st_serial, st_static, st_morsel;
-  double serial = measure(1, false, &rs_serial, &st_serial);
-  double per_shard = measure(4, false, &rs_static, &st_static);
-  double morsel = measure(4, true, &rs_morsel, &st_morsel);
-  if (rs_static.rows != rs_serial.rows || rs_morsel.rows != rs_serial.rows) {
+  graphdb::GraphResultSet rs_serial, rs_morsel;
+  graphdb::MatchStats st_serial, st_morsel;
+  double serial = measure(1, &rs_serial, &st_serial);
+  double morsel = measure(4, &rs_morsel, &st_morsel);
+  if (rs_morsel.rows != rs_serial.rows) {
     std::fprintf(stderr, "skewed workload: schedules disagree on rows\n");
     std::exit(1);
   }
-  double vs_static = morsel > 0 ? per_shard / morsel : 0;
   double vs_serial = morsel > 0 ? serial / morsel : 0;
   std::printf(
-      "  skewed_match: serial %.6f s, per-shard %.6f s, morsel %.6f s "
-      "(%zu rows; %zu morsels, %zu stolen)\n"
-      "  morsel speedup: %.2fx vs per-shard, %.2fx vs serial\n",
-      serial, per_shard, morsel, rs_morsel.rows.size(),
-      st_morsel.morsels_executed, st_morsel.morsels_stolen, vs_static,
-      vs_serial);
+      "  skewed_match: serial %.6f s, morsel %.6f s (%zu rows; %zu morsels, "
+      "%zu stolen), %.2fx vs serial\n",
+      serial, morsel, rs_morsel.rows.size(), st_morsel.morsels_executed,
+      st_morsel.morsels_stolen, vs_serial);
   report->Param("skew_hot_percent",
                 static_cast<long long>(spec.skew_hot_fraction * 100));
   report->Metric("skewed", "match_serial_seconds", serial);
-  report->Metric("skewed", "match_per_shard_seconds", per_shard);
   report->Metric("skewed", "match_morsel_seconds", morsel);
-  report->Metric("skewed", "morsel_vs_per_shard_speedup", vs_static);
   report->Metric("skewed", "morsel_vs_serial_speedup", vs_serial);
   report->Metric("skewed", "morsels_executed",
                  static_cast<double>(st_morsel.morsels_executed));
@@ -747,12 +718,9 @@ void RunParallelSelectWorkload(long long rows_n,
 
   int rounds = bench::Rounds(5);
   sql::ExecStats last_stats;
-  auto measure_opts = [&](const char* query, int shards, bool columnar,
-                          bool morsel) {
+  auto measure = [&](const char* query, int shards) {
     db.options() = sql::SelectOptions{};
     db.options().parallel_shards = shards;
-    db.options().columnar_scan = columnar;
-    db.options().morsel_scheduling = morsel;
     std::vector<double> times;
     Stopwatch timer;
     for (int i = 0; i < rounds; ++i) {
@@ -768,9 +736,6 @@ void RunParallelSelectWorkload(long long rows_n,
       last_stats = stats;
     }
     return bench::Mean(times);
-  };
-  auto measure = [&](const char* query, int shards) {
-    return measure_opts(query, shards, /*columnar=*/true, /*morsel=*/true);
   };
 
   const char* scan_query =
@@ -796,47 +761,31 @@ void RunParallelSelectWorkload(long long rows_n,
   report->Metric("parallel", "join_sharded_seconds", join_sharded);
   report->Metric("parallel", "join_speedup", join_speedup);
 
-  // Columnar filter compilation vs the legacy PropertyMap row path,
-  // serial so only the scan representation differs: `score > 50` compiles
-  // to an int-vector compare on the frozen columns (the LIKE conjunct
-  // still evaluates row-wise either way).
-  double col_on = measure_opts(scan_query, 1, /*columnar=*/true,
-                               /*morsel=*/true);
+  // Columnar filter compilation, serial: `score > 50` compiles to an
+  // int-vector compare on the frozen columns (the LIKE conjunct reads the
+  // per-query dictionary verdict memo).
+  double col_on = measure(scan_query, 1);
   size_t columnar_rows = last_stats.columnar_filter_rows;
-  double col_off = measure_opts(scan_query, 1, /*columnar=*/false,
-                                /*morsel=*/true);
-  double col_speedup = col_on > 0 ? col_off / col_on : 0;
   std::printf(
-      "  columnar_select: columnar %.6f s (%zu predicate rows served from "
-      "columns), row path %.6f s, speedup %.2fx\n",
-      col_on, columnar_rows, col_off, col_speedup);
+      "  columnar_select: %.6f s (%zu predicate rows served from columns)\n",
+      col_on, columnar_rows);
   if (columnar_rows == 0) {
     std::fprintf(stderr, "columnar filter compilation did not engage\n");
     std::exit(1);
   }
   report->Metric("columnar", "select_columnar_seconds", col_on);
-  report->Metric("columnar", "select_row_path_seconds", col_off);
-  report->Metric("columnar", "select_speedup", col_speedup);
   report->Metric("columnar", "select_filter_rows",
                  static_cast<double>(columnar_rows));
 
-  // Morsel scheduler vs the static per-shard fan-out on the sharded scan
-  // (uniform data, so this measures scheduler overhead; the skewed-graph
-  // workload measures the stealing win).
-  double sel_morsel = measure_opts(scan_query, 4, /*columnar=*/true,
-                                   /*morsel=*/true);
+  // Morsel scheduler on the sharded scan (uniform data, so this measures
+  // scheduler overhead; the skewed-graph workload measures the stealing
+  // win).
+  double sel_morsel = measure(scan_query, 4);
   size_t sel_morsels = last_stats.morsels_executed;
   size_t sel_stolen = last_stats.morsels_stolen;
-  double sel_static = measure_opts(scan_query, 4, /*columnar=*/true,
-                                   /*morsel=*/false);
-  double sel_ratio = sel_morsel > 0 ? sel_static / sel_morsel : 0;
-  std::printf(
-      "  morsel_select: morsel %.6f s (%zu morsels, %zu stolen), per-shard "
-      "%.6f s, ratio %.2fx\n",
-      sel_morsel, sel_morsels, sel_stolen, sel_static, sel_ratio);
+  std::printf("  morsel_select: %.6f s (%zu morsels, %zu stolen)\n",
+              sel_morsel, sel_morsels, sel_stolen);
   report->Metric("morsel", "select_morsel_seconds", sel_morsel);
-  report->Metric("morsel", "select_per_shard_seconds", sel_static);
-  report->Metric("morsel", "select_ratio", sel_ratio);
   report->Metric("morsel", "select_morsels_executed",
                  static_cast<double>(sel_morsels));
   report->Metric("morsel", "select_morsels_stolen",
@@ -849,8 +798,7 @@ void RunLargeGraphWorkload(bench::BenchReport* report) {
   // >= 2 so both node populations are non-empty (Rng::Uniform needs n > 0).
   spec.nodes = std::max(2LL, bench::EnvLong("BENCH_LARGE_NODES", 100'000));
   spec.edges = bench::EnvLong("BENCH_LARGE_EDGES", 500'000);
-  // Propagated entity-id IN domains reach thousands of ids on large logs;
-  // the legacy path scans the whole list per candidate row.
+  // Propagated entity-id IN domains reach thousands of ids on large logs.
   const int n_in_list = 2048;
 
   std::printf(
@@ -870,20 +818,18 @@ void RunLargeGraphWorkload(bench::BenchReport* report) {
                       fixtures::RandomFileNameInList(spec, sg, rng, n_in_list) +
                       "] RETURN p.exename, f.name";
 
+  // Serial: this workload isolates the indexed/interned hot path
+  // (RunParallelMatchWorkload measures the shard fan-out).
+  db.options().parallel_shards = 1;
   int rounds = bench::Rounds(5);
-  auto measure = [&](bool typed, bool hashed) {
-    db.options().typed_adjacency = typed;
-    db.options().hashed_in_lists = hashed;
-    // Serial on both sides: this workload isolates the indexed/interned
-    // hot path (RunParallelMatchWorkload measures the shard fan-out).
-    db.options().parallel_shards = 1;
+  auto measure = [&](const std::string& q, const char* label) {
     std::vector<double> times;
     size_t rows = 0, edges_traversed = 0;
     Stopwatch timer;
     for (int i = 0; i < rounds; ++i) {
       graphdb::MatchStats stats;
       timer.Restart();
-      auto rs = db.Query(query, &stats);
+      auto rs = db.Query(q, &stats);
       times.push_back(timer.ElapsedSeconds());
       if (!rs.ok()) {
         std::fprintf(stderr, "query failed: %s\n",
@@ -893,67 +839,30 @@ void RunLargeGraphWorkload(bench::BenchReport* report) {
       rows = rs.value().rows.size();
       edges_traversed = stats.edges_traversed;
     }
-    std::printf(
-        "  typed_adjacency=%d hashed_in_lists=%d: %s s (%zu rows, %zu edges "
-        "traversed)\n",
-        typed, hashed, bench::MeanStd(times).c_str(), rows, edges_traversed);
+    std::printf("  %s: %s s (%zu rows, %zu edges traversed)\n", label,
+                bench::MeanStd(times).c_str(), rows, edges_traversed);
     return bench::Mean(times);
   };
 
-  double fast = measure(/*typed=*/true, /*hashed=*/true);
-  double legacy = measure(/*typed=*/false, /*hashed=*/false);
-  db.options().typed_adjacency = true;
-  db.options().hashed_in_lists = true;
-  double speedup = fast > 0 ? legacy / fast : 0;
-  std::printf(
-      "  build: %.3f s; speedup (legacy / indexed+interned): %.1fx\n",
-      build_seconds, speedup);
+  double indexed = measure(query, "typed + hashed IN");
+  std::printf("  build: %.3f s\n", build_seconds);
 
-  // Columnar predicate evaluation vs the legacy PropertyMap row path:
-  // an inline equality constraint on the expansion target compiles to a
+  // An inline equality constraint on the expansion target compiles to a
   // dictionary-id compare against the frozen column (one uint32 per
-  // candidate) instead of a per-node map probe plus string compare. Same
-  // query, serial, typed+hashed on both sides.
+  // candidate) instead of a per-node map probe plus string compare.
   std::string eq_query = "MATCH (p:proc)-[e:op7]->(f:file {name: '" +
                          fixtures::RandomFileName(spec, sg, rng) +
                          "'}) RETURN p.exename";
+  double columnar = measure(eq_query, "columnar_match");
   db.options() = graphdb::MatchOptions{};
-  auto measure_columnar = [&](bool columnar) {
-    db.options().columnar_scan = columnar;
-    db.options().parallel_shards = 1;
-    std::vector<double> times;
-    Stopwatch timer;
-    for (int i = 0; i < rounds; ++i) {
-      timer.Restart();
-      auto rs = db.Query(eq_query);
-      times.push_back(timer.ElapsedSeconds());
-      if (!rs.ok()) {
-        std::fprintf(stderr, "query failed: %s\n",
-                     rs.status().ToString().c_str());
-        std::exit(1);
-      }
-    }
-    return bench::Mean(times);
-  };
-  double columnar_on = measure_columnar(true);
-  double columnar_off = measure_columnar(false);
-  db.options() = graphdb::MatchOptions{};
-  double columnar_speedup = columnar_on > 0 ? columnar_off / columnar_on : 0;
-  std::printf("  columnar_match: columnar %.6f s, row path %.6f s, "
-              "speedup %.2fx\n",
-              columnar_on, columnar_off, columnar_speedup);
 
   report->Param("large_nodes", spec.nodes);
   report->Param("large_edges", spec.edges);
   report->Param("large_edge_types", spec.edge_types);
   report->Param("large_in_list", n_in_list);
   report->Metric("large_graph", "build_seconds", build_seconds);
-  report->Metric("large_graph", "indexed_seconds", fast);
-  report->Metric("large_graph", "legacy_seconds", legacy);
-  report->Metric("large_graph", "speedup", speedup);
-  report->Metric("columnar", "match_columnar_seconds", columnar_on);
-  report->Metric("columnar", "match_row_path_seconds", columnar_off);
-  report->Metric("columnar", "match_speedup", columnar_speedup);
+  report->Metric("large_graph", "indexed_seconds", indexed);
+  report->Metric("columnar", "match_columnar_seconds", columnar);
 
   RunLimitPushdownWorkload(db, report);
   RunParallelMatchWorkload(db, report);

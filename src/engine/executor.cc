@@ -288,18 +288,15 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     }
   };
 
-  // Compile and execute pattern `idx`. Constrained mode (the DAG
-  // schedules) reads the propagated domains before compiling and
-  // intersects its matched ids back afterwards; unconstrained mode
-  // (speculative execution) does neither — the serial domain replay
-  // below re-applies both post-hoc.
-  auto run_pattern = [&](size_t idx, bool constrained) -> Status {
+  // Compile and execute pattern `idx`: read the propagated domains before
+  // compiling and intersect its matched ids back afterwards.
+  auto run_pattern = [&](size_t idx) -> Status {
     RAPTOR_RETURN_NOT_OK(check_interrupt());
     auto pattern_start = obs::TraceSpan::Clock::now();
     obs::TraceSpan* pspan =
         obs::Child(options.trace, "pattern[" + std::to_string(idx) + "]");
     EntityConstraints relevant;
-    if (options.propagate_constraints && constrained) {
+    if (options.propagate_constraints) {
       const Pattern& p = query.patterns[idx];
       std::lock_guard<std::mutex> lock(constraints_mu);
       for (const std::string& id : {p.subject.id, p.object.id}) {
@@ -315,7 +312,6 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
         domain_ids += static_cast<int64_t>(ids.size());
       }
       pspan->Set("constraint_domain_ids", domain_ids);
-      pspan->Note("constrained", constrained ? "true" : "false");
     }
     auto dq = CompilePattern(aq, idx, relevant, now);
     if (!dq.ok()) return dq.status();
@@ -370,7 +366,7 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     }
     report.pattern_match_counts[idx] = out.size();
 
-    if (options.propagate_constraints && constrained) {
+    if (options.propagate_constraints) {
       auto prop_start = obs::TraceSpan::Clock::now();
       propagate_ids(idx);
       if (pspan != nullptr) {
@@ -387,52 +383,8 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     return Status::OK();
   };
 
-  bool parallel_patterns = options.parallel_patterns && n_patterns > 1 &&
-                           options.max_pattern_workers > 1;
-  bool speculative = options.speculative_patterns && parallel_patterns &&
-                     options.propagate_constraints;
-  if (!parallel_patterns) {
-    for (size_t idx : order) RAPTOR_RETURN_NOT_OK(run_pattern(idx, true));
-  } else if (speculative) {
-    // Speculative schedule: every pattern runs unconstrained in parallel
-    // (DAG edges ignored), then a serial replay in scheduler order filters
-    // each pattern's speculative matches by the domains accumulated so far
-    // and intersects the filtered ids back. A propagated constraint only
-    // appends restrictive `id IN (domain)` conjuncts to a data query, so
-    // the replay reproduces the serial schedule's domains, match lists,
-    // and match counts exactly — only the executed query texts differ.
-    std::vector<Status> results(n_patterns, Status::OK());
-    size_t workers = std::min<size_t>(
-        static_cast<size_t>(options.max_pattern_workers), n_patterns);
-    ThreadPool::Shared().ParallelFor(n_patterns, workers, [&](size_t i) {
-      results[i] = run_pattern(order[i], /*constrained=*/false);
-    });
-    for (const Status& st : results) RAPTOR_RETURN_NOT_OK(st);
-    for (size_t idx : order) {
-      const Pattern& p = query.patterns[idx];
-      auto sit = joinable(p.subject.id) ? constraints.find(p.subject.id)
-                                        : constraints.end();
-      auto oit = joinable(p.object.id) ? constraints.find(p.object.id)
-                                       : constraints.end();
-      if (sit != constraints.end() || oit != constraints.end()) {
-        std::vector<PatternMatch> kept;
-        kept.reserve(matches[idx].size());
-        for (const PatternMatch& m : matches[idx]) {
-          if (sit != constraints.end() &&
-              sit->second.count(m.subject_id) == 0) {
-            continue;
-          }
-          if (oit != constraints.end() &&
-              oit->second.count(m.object_id) == 0) {
-            continue;
-          }
-          kept.push_back(m);
-        }
-        matches[idx] = std::move(kept);
-        report.pattern_match_counts[idx] = matches[idx].size();
-      }
-      propagate_ids(idx);
-    }
+  if (n_patterns <= 1 || options.max_pattern_workers <= 1) {
+    for (size_t idx : order) RAPTOR_RETURN_NOT_OK(run_pattern(idx));
   } else {
     // Dataflow ready-queue over the DAG on the shared pool: workers claim
     // ready patterns, and each completion unlocks its dependents. The
@@ -469,7 +421,7 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
           idx = ready.front();
           ready.pop_front();
         }
-        Status st = run_pattern(idx, /*constrained=*/true);
+        Status st = run_pattern(idx);
         {
           std::lock_guard<std::mutex> lock(mu);
           if (!st.ok()) {

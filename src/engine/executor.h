@@ -19,13 +19,9 @@
 // and execute concurrently on the shared worker pool through a dataflow
 // ready queue. Because dependencies serialize exactly the pattern pairs
 // that interact through the constraint domains, the concurrent schedule
-// produces byte-identical reports to the serial one. Speculative mode
-// (ExecOptions::speculative_patterns) drops even those edges: dependent
-// patterns run unconstrained in parallel and a serial replay re-validates
-// the domains post-hoc, preserving result identity at the cost of
-// potentially wasted scan work. Cooperative cancellation and deadlines
-// (HuntService tickets) are polled at pattern boundaries and inside the
-// storage executors' scan loops.
+// produces byte-identical reports to the serial one. Cooperative
+// cancellation and deadlines (HuntService tickets) are polled at pattern
+// boundaries and inside the storage executors' scan loops.
 #pragma once
 
 #include <atomic>
@@ -51,25 +47,11 @@ struct ExecOptions {
   bool use_scheduler = true;
   /// Propagate matched entity ids into dependent data queries.
   bool propagate_constraints = true;
-  /// Execute independent patterns (no constraint-propagation edge between
-  /// them) concurrently on the shared worker pool. false: strictly
-  /// sequential in scheduler order (the differential baseline).
-  bool parallel_patterns = true;
-  /// Speculative pattern execution: ignore the constraint-propagation DAG
-  /// and run every pattern unconstrained in parallel — including pairs
-  /// that share an entity id — then replay the scheduler order serially,
-  /// filtering each pattern's speculative matches by the accumulated
-  /// domains and intersecting the filtered ids back. Because a propagated
-  /// constraint only appends restrictive `id IN (domain)` conjuncts to a
-  /// pattern's data query, the replay reproduces the serial schedule's
-  /// domains and match lists exactly: results are byte-identical, only
-  /// ExecReport::executed_queries shows the unconstrained texts. Wins
-  /// wall-clock when the DAG's critical path dominates; wastes work when
-  /// propagation would have pruned a dependent pattern's scan. Requires
-  /// parallel_patterns and propagate_constraints (no-op otherwise).
-  bool speculative_patterns = false;
-  /// Concurrency cap for the pattern dataflow (the effective width is also
-  /// bounded by the pattern count and the pool size).
+  /// Concurrency cap for the pattern dataflow: independent patterns (no
+  /// constraint-propagation edge between them) execute concurrently on
+  /// the shared worker pool. The effective width is also bounded by the
+  /// pattern count and the pool size; 1 runs strictly sequentially in
+  /// scheduler order.
   int max_pattern_workers = 4;
   /// Cooperative cancellation: polled at pattern boundaries, join levels,
   /// and inside the storage executors' scan loops. When set mid-query the

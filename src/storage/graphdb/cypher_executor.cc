@@ -33,15 +33,6 @@ struct VarTable {
   StringInterner edges;
 };
 
-/// Legacy binding representation: one hash container per variable class
-/// plus the relationship-uniqueness set. Kept as a benchmarking baseline
-/// behind MatchOptions::binding_frames = false.
-struct MapBinding {
-  std::unordered_map<std::string, NodeId> nodes;
-  std::unordered_map<std::string, EdgeId> edges;
-  std::unordered_set<EdgeId> used_edges;  // relationship uniqueness
-};
-
 /// Flat binding frame keyed on interned slots. The streaming pipeline
 /// threads exactly one frame through the whole search (bind on descent,
 /// unbind on backtrack), and the inline small-vector storage makes frame
@@ -51,8 +42,6 @@ struct FrameBinding {
   SmallVector<EdgeId, 8> edges;       // edge slot -> id, kInvalidEdge unbound
   SmallVector<EdgeId, 16> used_edges;  // LIFO stack of in-use edges
 };
-
-void InitBinding(MapBinding&, const VarTable&) {}
 
 void InitBinding(FrameBinding& b, const VarTable& vars) {
   b.nodes.assign(vars.nodes.size(), kInvalidNode);
@@ -138,9 +127,9 @@ ColPred::PerShard ClassifyColumn(const storage::Column* col,
 
 /// A node pattern with its label resolved to the graph's interned id and
 /// its variable to the query's slot, so candidate checks compare integers
-/// instead of strings. When columnar_scan is on and the label is known,
-/// inline property constraints additionally compile to ColPreds over the
-/// frozen per-(shard × label) columns.
+/// instead of strings. When the label is known, inline property
+/// constraints additionally compile to ColPreds over the frozen per-(shard
+/// × label) columns; unlabeled patterns keep the PropertyMap row path.
 struct ResolvedNode {
   const NodePattern* pat = nullptr;
   bool has_label = false;
@@ -214,7 +203,7 @@ ColPred CompileColPred(const PropertyGraph& graph, const PropConstraint& pc,
 }
 
 ResolvedNode ResolveNode(const PropertyGraph& graph, const VarTable& vars,
-                         const NodePattern& pat, bool columnar_scan) {
+                         const NodePattern& pat) {
   ResolvedNode r;
   r.pat = &pat;
   if (!pat.label.empty()) {
@@ -224,7 +213,7 @@ ResolvedNode ResolveNode(const PropertyGraph& graph, const VarTable& vars,
   if (!pat.var.empty()) r.var_slot = vars.nodes.Lookup(pat.var);
   // Columnar constraints need a known label (the column buckets are per
   // label); an unknown label matches nothing regardless.
-  if (columnar_scan && r.has_label && r.label_id != kNoSymbol) {
+  if (r.has_label && r.label_id != kNoSymbol) {
     r.columnar = true;
     r.col_preds.reserve(pat.props.size());
     for (const PropConstraint& pc : pat.props) {
@@ -236,7 +225,7 @@ ResolvedNode ResolveNode(const PropertyGraph& graph, const VarTable& vars,
 }
 
 ResolvedRel ResolveRel(const PropertyGraph& graph, const VarTable& vars,
-                       const RelPattern& pat, bool columnar_scan) {
+                       const RelPattern& pat) {
   ResolvedRel r;
   r.pat = &pat;
   if (!pat.type.empty()) {
@@ -244,7 +233,7 @@ ResolvedRel ResolveRel(const PropertyGraph& graph, const VarTable& vars,
     r.type_id = graph.LookupEdgeType(pat.type);
   }
   if (!pat.var.empty()) r.var_slot = vars.edges.Lookup(pat.var);
-  if (columnar_scan && r.has_type && r.type_id != kNoSymbol) {
+  if (r.has_type && r.type_id != kNoSymbol) {
     r.columnar = true;
     r.col_preds.reserve(pat.props.size());
     for (const PropConstraint& pc : pat.props) {
@@ -255,87 +244,54 @@ ResolvedRel ResolveRel(const PropertyGraph& graph, const VarTable& vars,
   return r;
 }
 
-// ---- Binding operations, overloaded per representation -------------------
+// ---- Binding operations -----------------------------------------------------
 
-bool NodeBound(const MapBinding& b, const ResolvedNode& rn) {
-  return !rn.pat->var.empty() && b.nodes.count(rn.pat->var) > 0;
-}
 bool NodeBound(const FrameBinding& b, const ResolvedNode& rn) {
   return rn.var_slot != kNoSymbol && b.nodes[rn.var_slot] != kInvalidNode;
 }
 
 /// Precondition: NodeBound(b, rn).
-NodeId BoundNode(const MapBinding& b, const ResolvedNode& rn) {
-  return b.nodes.at(rn.pat->var);
-}
 NodeId BoundNode(const FrameBinding& b, const ResolvedNode& rn) {
   return b.nodes[rn.var_slot];
 }
 
-void SetNode(MapBinding& b, const ResolvedNode& rn, NodeId id) {
-  b.nodes[rn.pat->var] = id;
-}
 void SetNode(FrameBinding& b, const ResolvedNode& rn, NodeId id) {
   b.nodes[rn.var_slot] = id;
 }
 
-void ClearNode(MapBinding& b, const ResolvedNode& rn) {
-  b.nodes.erase(rn.pat->var);
-}
 void ClearNode(FrameBinding& b, const ResolvedNode& rn) {
   b.nodes[rn.var_slot] = kInvalidNode;
 }
 
-bool EdgeBound(const MapBinding& b, const ResolvedRel& rr) {
-  return !rr.pat->var.empty() && b.edges.count(rr.pat->var) > 0;
-}
 bool EdgeBound(const FrameBinding& b, const ResolvedRel& rr) {
   return rr.var_slot != kNoSymbol && b.edges[rr.var_slot] != kInvalidEdge;
 }
 
 /// Precondition: EdgeBound(b, rr).
-EdgeId BoundEdge(const MapBinding& b, const ResolvedRel& rr) {
-  return b.edges.at(rr.pat->var);
-}
 EdgeId BoundEdge(const FrameBinding& b, const ResolvedRel& rr) {
   return b.edges[rr.var_slot];
 }
 
-void SetEdge(MapBinding& b, const ResolvedRel& rr, EdgeId id) {
-  b.edges[rr.pat->var] = id;
-}
 void SetEdge(FrameBinding& b, const ResolvedRel& rr, EdgeId id) {
   b.edges[rr.var_slot] = id;
 }
 
-void ClearEdge(MapBinding& b, const ResolvedRel& rr) {
-  b.edges.erase(rr.pat->var);
-}
 void ClearEdge(FrameBinding& b, const ResolvedRel& rr) {
   b.edges[rr.var_slot] = kInvalidEdge;
 }
 
-bool EdgeUsed(const MapBinding& b, EdgeId id) {
-  return b.used_edges.count(id) > 0;
-}
 bool EdgeUsed(const FrameBinding& b, EdgeId id) {
   return Contains(b.used_edges, id);
 }
 
-void PushUsedEdge(MapBinding& b, EdgeId id) { b.used_edges.insert(id); }
 void PushUsedEdge(FrameBinding& b, EdgeId id) { b.used_edges.push_back(id); }
 
-/// Precondition: `id` was the most recent PushUsedEdge (the matcher's
-/// insert/recurse/erase discipline is strictly LIFO).
-void PopUsedEdge(MapBinding& b, EdgeId id) { b.used_edges.erase(id); }
-void PopUsedEdge(FrameBinding& b, EdgeId id) {
-  (void)id;
-  b.used_edges.pop_back();
-}
+/// The matcher's insert/recurse/erase discipline is strictly LIFO, so the
+/// most recent PushUsedEdge is the one released.
+void PopUsedEdge(FrameBinding& b) { b.used_edges.pop_back(); }
 
 /// How selective a node pattern is, for choosing the search seed.
-template <class BindingT>
-int ConstraintScore(const ResolvedNode& rn, const BindingT& binding) {
+int ConstraintScore(const ResolvedNode& rn, const FrameBinding& binding) {
   if (NodeBound(binding, rn)) return 100;
   int score = 0;
   if (!rn.pat->label.empty()) ++score;
@@ -344,18 +300,13 @@ int ConstraintScore(const ResolvedNode& rn, const BindingT& binding) {
 }
 
 /// Evaluate a WHERE / RETURN expression against a (possibly partially)
-/// bound row, in either binding representation.
+/// bound row.
 class CypherEvaluator {
  public:
-  CypherEvaluator(const PropertyGraph& graph, const VarTable& vars,
-                  bool hashed_in_lists, bool columnar_scan)
-      : graph_(graph),
-        vars_(vars),
-        hashed_in_lists_(hashed_in_lists),
-        columnar_scan_(columnar_scan) {}
+  CypherEvaluator(const PropertyGraph& graph, const VarTable& vars)
+      : graph_(graph), vars_(vars) {}
 
-  template <class BindingT>
-  Result<Value> Eval(const CypherExpr& e, const BindingT& b) const {
+  Result<Value> Eval(const CypherExpr& e, const FrameBinding& b) const {
     switch (e.kind) {
       case CypherExprKind::kLiteral:
         return e.literal;
@@ -374,26 +325,18 @@ class CypherEvaluator {
         NodeId nid;
         if (LookupNodeVar(b, e, &nid)) {
           const Node& node = graph_.node(nid);
-          if (columnar_scan_) {
-            return ColumnarProp(
-                e, graph_.NodeColumn(graph_.ShardOf(nid), node.label_id,
-                                     SlotsFor(e).prop_id),
-                node.label_pos, [&] { return node.FindProp(e.prop); });
-          }
-          const Value* v = node.FindProp(e.prop);
-          return v != nullptr ? *v : Value::Null();
+          return ColumnarProp(
+              e, graph_.NodeColumn(graph_.ShardOf(nid), node.label_id,
+                                   SlotsFor(e).prop_id),
+              node.label_pos, [&] { return node.FindProp(e.prop); });
         }
         EdgeId eid;
         if (LookupEdgeVar(b, e, &eid)) {
           const Edge& edge = graph_.edge(eid);
-          if (columnar_scan_) {
-            return ColumnarProp(
-                e, graph_.EdgeColumn(graph_.ShardOf(eid), edge.type_id,
-                                     SlotsFor(e).prop_id),
-                edge.type_pos, [&] { return edge.FindProp(e.prop); });
-          }
-          const Value* v = edge.FindProp(e.prop);
-          return v != nullptr ? *v : Value::Null();
+          return ColumnarProp(
+              e, graph_.EdgeColumn(graph_.ShardOf(eid), edge.type_id,
+                                   SlotsFor(e).prop_id),
+              edge.type_pos, [&] { return edge.FindProp(e.prop); });
         }
         return Status::NotFound("unbound variable: " + e.var);
       }
@@ -405,19 +348,7 @@ class CypherEvaluator {
       case CypherExprKind::kInList: {
         auto lhs = Eval(*e.lhs, b);
         if (!lhs.ok()) return lhs.status();
-        bool found;
-        if (hashed_in_lists_) {
-          found = in_sets_.Get(e).count(lhs.value()) > 0;
-        } else {
-          // Legacy O(n) scan, kept as a benchmarking baseline.
-          found = false;
-          for (const Value& v : e.in_list) {
-            if (lhs.value().Compare(v) == 0) {
-              found = true;
-              break;
-            }
-          }
-        }
+        bool found = in_sets_.Get(e).count(lhs.value()) > 0;
         return Value(static_cast<int64_t>(e.negated ? !found : found));
       }
       case CypherExprKind::kBinary: {
@@ -522,25 +453,11 @@ class CypherEvaluator {
     return v != nullptr ? *v : Value::Null();
   }
 
-  bool LookupNodeVar(const MapBinding& b, const CypherExpr& e,
-                     NodeId* out) const {
-    auto it = b.nodes.find(e.var);
-    if (it == b.nodes.end()) return false;
-    *out = it->second;
-    return true;
-  }
   bool LookupNodeVar(const FrameBinding& b, const CypherExpr& e,
                      NodeId* out) const {
     uint32_t slot = SlotsFor(e).node_slot;
     if (slot == kNoSymbol || b.nodes[slot] == kInvalidNode) return false;
     *out = b.nodes[slot];
-    return true;
-  }
-  bool LookupEdgeVar(const MapBinding& b, const CypherExpr& e,
-                     EdgeId* out) const {
-    auto it = b.edges.find(e.var);
-    if (it == b.edges.end()) return false;
-    *out = it->second;
     return true;
   }
   bool LookupEdgeVar(const FrameBinding& b, const CypherExpr& e,
@@ -553,8 +470,6 @@ class CypherEvaluator {
 
   const PropertyGraph& graph_;
   const VarTable& vars_;
-  bool hashed_in_lists_;
-  bool columnar_scan_;
   sql::InListCache<CypherExpr> in_sets_;
   mutable std::unordered_map<const CypherExpr*, VarSlots> slots_;
 };
@@ -601,8 +516,8 @@ using PushdownFilters =
 /// (index buckets or label buckets, one per storage shard, iterated lazily
 /// so LIMIT pushdown can stop early without materializing the tail), an
 /// owned list (bound variable, multi-value probe unions), or a full node
-/// scan. The per-shard layout is what lets the parallel driver hand each
-/// worker exactly its shard's seeds.
+/// scan. The per-shard layout is what lets the parallel driver carve each
+/// shard's seeds into morsels.
 struct SeedSet {
   SmallVector<const std::vector<NodeId>*, 8> spans;  // indexed by shard
   std::vector<NodeId> owned;                         // owning storage
@@ -629,16 +544,101 @@ struct SeedSet {
   }
 };
 
+/// Terminal stage of the streaming pipeline: evaluates residual WHERE
+/// conjuncts, projects RETURN items, applies DISTINCT through an
+/// incremental seen-set, and signals a stop once LIMIT rows exist. The
+/// limit is enforced either locally (`local_cap`: the serial matcher, and
+/// parallel DISTINCT workers whose merged seen-sets re-dedup at the
+/// barrier) or through a shared atomic budget (`shared_claimed`/
+/// `shared_cap`: parallel non-DISTINCT workers claim one slot per emitted
+/// row, so the fleet never emits more than the limit in total).
+class RowSink {
+ public:
+  /// `partition_distinct` hash-partitions DISTINCT emissions into
+  /// rs->parts so the parallel merge can adopt whole compacted blocks
+  /// (storage/shard_parallel.h); off, rows stream into rs->rows.
+  RowSink(const CypherQuery& query, const CypherEvaluator& eval,
+          const std::vector<const CypherExpr*>& residual,
+          bool partition_distinct, size_t local_cap,
+          std::atomic<size_t>* shared_claimed, size_t shared_cap,
+          MatchStats* stats, storage::WorkerRows* rs)
+      : query_(query),
+        eval_(eval),
+        residual_(residual),
+        partition_distinct_(partition_distinct),
+        local_cap_(local_cap),
+        shared_claimed_(shared_claimed),
+        shared_cap_(shared_cap),
+        stats_(stats),
+        rs_(rs) {
+    if (partition_distinct_) rs_->EnableDistinctPartitions();
+  }
+
+  /// False stops the search: either LIMIT is satisfied or evaluation
+  /// failed (check error() afterwards).
+  bool operator()(const FrameBinding& binding) {
+    if (stats_ != nullptr) ++stats_->bindings_emitted;
+    for (const CypherExpr* c : residual_) {
+      auto cond = eval_.Eval(*c, binding);
+      if (!cond.ok()) {
+        error_ = cond.status();
+        return false;
+      }
+      if (!CypherEvaluator::Truthy(cond.value())) return true;
+    }
+    std::vector<Value> row;
+    row.reserve(query_.items.size());
+    for (const CypherReturnItem& item : query_.items) {
+      auto v = eval_.Eval(*item.expr, binding);
+      if (!v.ok()) {
+        error_ = v.status();
+        return false;
+      }
+      row.push_back(std::move(v).value());
+    }
+    if (query_.distinct && !seen_.insert(row).second) return true;
+    if (shared_claimed_ != nullptr &&
+        shared_claimed_->fetch_add(1, std::memory_order_relaxed) >=
+            shared_cap_) {
+      return false;  // budget exhausted by other workers; drop the row
+    }
+    if (partition_distinct_) {
+      rs_->parts[storage::DistinctPartitionOf(row)].push_back(std::move(row));
+    } else {
+      rs_->rows.push_back(std::move(row));
+    }
+    ++emitted_;
+    if (stats_ != nullptr) ++stats_->rows_emitted;
+    return emitted_ < local_cap_;
+  }
+
+  const Status& error() const { return error_; }
+
+ private:
+  const CypherQuery& query_;
+  const CypherEvaluator& eval_;
+  const std::vector<const CypherExpr*>& residual_;
+  bool partition_distinct_;
+  size_t local_cap_;
+  size_t emitted_ = 0;
+  std::atomic<size_t>* shared_claimed_;
+  size_t shared_cap_;
+  MatchStats* stats_;
+  storage::WorkerRows* rs_;
+  Status error_ = Status::OK();
+  std::unordered_set<std::vector<Value>, sql::ValueRowHash, sql::ValueRowEq>
+      seen_;
+};
+
 /// The streaming matcher: drives all pattern parts depth-first, calling
 /// `sink(binding)` once per complete query binding. Every traversal method
 /// returns true to continue and false to stop the whole search (LIMIT
 /// pushdown); after a stop the binding contents are unspecified.
-template <class BindingT, class Sink>
 class Matcher {
  public:
   Matcher(const PropertyGraph& graph, const MatchOptions& options,
           const PushdownFilters& pushdown, const CypherEvaluator& eval,
-          MatchStats* stats, Sink& sink)
+          MatchStats* stats, RowSink& sink)
       : graph_(graph),
         options_(options),
         pushdown_(pushdown),
@@ -684,20 +684,16 @@ class Matcher {
 
   /// Reuse another matcher's prepared parts (immutable after PrepareParts)
   /// instead of re-resolving the query: the parallel driver prepares once
-  /// and shares across all shard workers. `other` must outlive this
+  /// and shares across all morsel workers. `other` must outlive this
   /// matcher.
   void SharePreparedParts(const Matcher& other) { parts_ = other.parts_; }
 
   /// Match every part against `binding`; false if the sink stopped early.
-  bool Run(BindingT& binding) { return MatchFrom(0, binding); }
+  bool Run(FrameBinding& binding) { return MatchFrom(0, binding); }
 
-  /// Restrict top-level (part 0) seed iteration to one storage shard; the
-  /// parallel driver runs one matcher per shard with disjoint seed sets.
-  void RestrictTopSeedsToShard(int shard) { seed_shard_ = shard; }
-
-  /// Restrict top-level seed iteration to the half-open sub-range
+  /// Restrict top-level (part 0) seed iteration to the half-open sub-range
   /// [lo, hi) of one shard's seed list (seed-list positions, not node
-  /// ids): one work-stealing morsel. Implies RestrictTopSeedsToShard.
+  /// ids): one work-stealing morsel.
   void RestrictTopSeedsToMorsel(int shard, size_t lo, size_t hi) {
     seed_shard_ = shard;
     morsel_lo_ = lo;
@@ -714,10 +710,10 @@ class Matcher {
   /// Materialize the top-level seed set once, mirroring MatchFrom's
   /// direction choice on the (empty) top-level binding. The parallel
   /// driver sizes its fan-out threshold on the result (SeedCount) and
-  /// shares it across every shard worker (SetTopSeeds), so a multi-value
+  /// shares it across every morsel worker (SetTopSeeds), so a multi-value
   /// probe union is built a single time instead of once per worker.
   /// Precondition: PrepareParts succeeded and parts are non-empty.
-  SeedSet PlanTopSeeds(const BindingT& binding) {
+  SeedSet PlanTopSeeds(const FrameBinding& binding) {
     return SelectSeeds(TopSeedNode(binding), binding);
   }
 
@@ -733,18 +729,18 @@ class Matcher {
   /// the parallel driver's seed plan (TopSeedNode) — they must agree or
   /// workers would iterate seeds for the wrong chain endpoint.
   const ResolvedPart& ChooseDirection(const PreparedPart& pp,
-                                      const BindingT& binding) const {
+                                      const FrameBinding& binding) const {
     int fwd = ConstraintScore(pp.resolved_fwd.nodes.front(), binding);
     int bwd = ConstraintScore(pp.resolved_fwd.nodes.back(), binding);
     return bwd > fwd ? pp.resolved_rev : pp.resolved_fwd;
   }
 
   /// The seed node of part 0 under MatchFrom's direction choice.
-  const ResolvedNode& TopSeedNode(const BindingT& binding) const {
+  const ResolvedNode& TopSeedNode(const FrameBinding& binding) const {
     return ChooseDirection((*parts_)[0], binding).nodes[0];
   }
 
-  bool MatchFrom(size_t part_idx, BindingT& binding) {
+  bool MatchFrom(size_t part_idx, FrameBinding& binding) {
     if (part_idx == parts_->size()) return sink_(binding);
     const PreparedPart& pp = (*parts_)[part_idx];
     const ResolvedPart& rp = ChooseDirection(pp, binding);
@@ -764,16 +760,17 @@ class Matcher {
     rp.nodes.reserve(part.nodes.size());
     rp.rels.reserve(part.rels.size());
     for (const NodePattern& n : part.nodes) {
-      rp.nodes.push_back(ResolveNode(graph_, vars, n, options_.columnar_scan));
+      rp.nodes.push_back(ResolveNode(graph_, vars, n));
     }
     for (const RelPattern& r : part.rels) {
-      rp.rels.push_back(ResolveRel(graph_, vars, r, options_.columnar_scan));
+      rp.rels.push_back(ResolveRel(graph_, vars, r));
     }
     return rp;
   }
 
   /// Evaluate the pushed-down filters of `var` on the binding.
-  bool PassesFilters(const std::string& var, const BindingT& binding) const {
+  bool PassesFilters(const std::string& var,
+                     const FrameBinding& binding) const {
     if (var.empty()) return true;
     auto it = pushdown_.find(var);
     if (it == pushdown_.end()) return true;
@@ -787,13 +784,11 @@ class Matcher {
   /// Access-path selection for the chain's start node. Competing index
   /// probes (inline properties and indexed WHERE equality / IN filters) are
   /// ranked by exact per-value cardinality (summed over every storage
-  /// shard, so the ranking stays exact on sharded graphs) when
-  /// selective_seeds is on; the legacy choice takes the first indexed
-  /// inline property, then the first usable WHERE filter. Candidates still
-  /// pass through ResolvedNode::Matches at visit time, so the winning
-  /// probe needs no re-filtering here, and single-value probes stay lazily
-  /// iterated per-shard spans.
-  SeedSet SelectSeeds(const ResolvedNode& rnode, const BindingT& binding) {
+  /// shard, so the ranking stays exact on sharded graphs). Candidates
+  /// still pass through ResolvedNode::Matches at visit time, so the
+  /// winning probe needs no re-filtering here, and single-value probes
+  /// stay lazily iterated per-shard spans.
+  SeedSet SelectSeeds(const ResolvedNode& rnode, const FrameBinding& binding) {
     const NodePattern& pat = *rnode.pat;
     SeedSet seeds;
     if (NodeBound(binding, rnode)) {
@@ -823,12 +818,10 @@ class Matcher {
       o.eq = &pc.value;
       o.count = graph_.ProbeCountNodes(pat.label, pc.key, pc.value);
       options.push_back(o);
-      if (!options_.selective_seeds) break;  // legacy: first indexed prop
     }
     // Index seek from WHERE predicates (Neo4j-style): an indexed equality /
-    // IN filter on this variable beats a label scan. The legacy path only
-    // reaches these when no inline property is indexed.
-    if (!pat.var.empty() && (options.empty() || options_.selective_seeds)) {
+    // IN filter on this variable beats a label scan.
+    if (!pat.var.empty()) {
       auto fit = pushdown_.find(pat.var);
       if (fit != pushdown_.end()) {
         for (const CypherExpr* f : fit->second) {
@@ -849,24 +842,20 @@ class Matcher {
           }
           if (o.eq != nullptr) {
             o.count = graph_.ProbeCountNodes(pat.label, o.prop, *o.eq);
-          } else if (options_.selective_seeds) {
-            // Ranking only; the legacy path takes the first option as-is.
+          } else {
             for (const Value& v : *o.multi) {
               o.count += graph_.ProbeCountNodes(pat.label, o.prop, v);
             }
           }
           options.push_back(o);
-          if (!options_.selective_seeds) break;  // legacy: first usable
         }
       }
     }
 
     if (!options.empty()) {
       const Option* best = &options[0];
-      if (options_.selective_seeds) {
-        for (const Option& o : options) {
-          if (o.count < best->count) best = &o;
-        }
+      for (const Option& o : options) {
+        if (o.count < best->count) best = &o;
       }
       if (best->eq != nullptr) {
         for (size_t s = 0; s < graph_.shard_count(); ++s) {
@@ -894,7 +883,7 @@ class Matcher {
   }
 
   bool MatchChainFrom(const ResolvedPart& rp, bool reversed, size_t part_idx,
-                      BindingT& binding) {
+                      FrameBinding& binding) {
     const ResolvedNode& rseed = rp.nodes[0];
     SeedSet local_seeds;
     // Part 0 of a parallel worker reuses the driver's precomputed seed set
@@ -942,17 +931,14 @@ class Matcher {
              shared_claimed_->load(std::memory_order_relaxed) >= shared_cap_;
     };
     if (seeds.full_scan) {
-      // The start/stride walk relies on storage::ShardLayout's documented
-      // round-robin low-bits assignment (dense ids, power-of-two shard
-      // count); a layout change must update it alongside ShardOf. A
-      // restricted walk iterates the shard's k-th seed (id = shard +
-      // k * stride), so a morsel's [lo, hi) positions map directly.
+      // A restricted walk iterates the shard's k-th node, so a morsel's
+      // [lo, hi) positions map directly.
       if (only_shard >= 0) {
-        NodeId stride = graph_.shard_count();
-        for (size_t k = morsel_lo_; k < morsel_hi_ && keep_going; ++k) {
-          NodeId id = static_cast<NodeId>(only_shard) + k * stride;
-          if (id >= graph_.node_count()) break;
-          keep_going = !budget_spent() && visit(id);
+        const storage::ShardLayout& layout = graph_.layout();
+        size_t end = std::min(
+            morsel_hi_, layout.SizeOf(only_shard, graph_.node_count()));
+        for (size_t k = morsel_lo_; k < end && keep_going; ++k) {
+          keep_going = !budget_spent() && visit(layout.GlobalOf(only_shard, k));
         }
       } else {
         for (NodeId id = 0; id < graph_.node_count() && keep_going; ++id) {
@@ -974,7 +960,7 @@ class Matcher {
         }
       }
     } else if (only_shard >= 0 && !seeds.owned_by_shard.empty()) {
-      // Plan-time per-shard sub-list: this worker's seeds only, no
+      // Plan-time per-shard sub-list: this morsel's seeds only, no
       // skip-scan over the shared materialized union.
       const std::vector<NodeId>& list = seeds.owned_by_shard[only_shard];
       size_t begin = std::min(morsel_lo_, list.size());
@@ -999,10 +985,10 @@ class Matcher {
 
   /// Edges to expand from `node` for relationship `rrel`: the per-type
   /// adjacency group when the pattern is typed (touching only matching
-  /// edges), the full list otherwise or when the legacy toggle is on.
+  /// edges), the full list otherwise.
   const std::vector<EdgeId>& ExpansionEdges(NodeId node, bool reversed,
                                             const ResolvedRel& rrel) const {
-    if (options_.typed_adjacency && rrel.has_type) {
+    if (rrel.has_type) {
       return reversed ? graph_.InEdges(node, rrel.type_id)
                       : graph_.OutEdges(node, rrel.type_id);
     }
@@ -1013,7 +999,7 @@ class Matcher {
   /// rp.rels[idx] and continue — into the next pattern part (and finally
   /// the sink) once this chain is exhausted.
   bool Extend(const ResolvedPart& rp, bool reversed, size_t part_idx,
-              size_t idx, NodeId node, BindingT& binding) {
+              size_t idx, NodeId node, FrameBinding& binding) {
     if (idx == rp.rels.size()) return MatchFrom(part_idx + 1, binding);
     const ResolvedRel& rrel = rp.rels[idx];
     const RelPattern& rel = *rrel.pat;
@@ -1047,7 +1033,7 @@ class Matcher {
         if (pass) {
           keep_going = Extend(rp, reversed, part_idx, idx + 1, next, binding);
         }
-        PopUsedEdge(binding, eid);
+        PopUsedEdge(binding);
         if (edge_was_new) ClearEdge(binding, rrel);
         if (node_was_new) ClearNode(binding, next_rnode);
         if (!keep_going) return false;
@@ -1069,7 +1055,7 @@ class Matcher {
   /// this tens of thousands of times).
   bool VarlenDfs(const ResolvedPart& rp, bool reversed, size_t part_idx,
                  size_t idx, int min_len, int max_len, NodeId cur, int depth,
-                 BindingT& binding) {
+                 FrameBinding& binding) {
     const ResolvedRel& rrel = rp.rels[idx];
     const ResolvedNode& next_rnode = rp.nodes[idx + 1];
     if (depth >= min_len && AdmitNode(cur, next_rnode, binding) &&
@@ -1093,14 +1079,14 @@ class Matcher {
       bool keep_going = VarlenDfs(rp, reversed, part_idx, idx, min_len,
                                   max_len, reversed ? e.src : e.dst,
                                   depth + 1, binding);
-      PopUsedEdge(binding, eid);
+      PopUsedEdge(binding);
       if (!keep_going) return false;
     }
     return true;
   }
 
   bool AdmitNode(NodeId id, const ResolvedNode& rnode,
-                 const BindingT& binding) const {
+                 const FrameBinding& binding) const {
     if (!rnode.Matches(graph_.node(id), graph_)) return false;
     if (NodeBound(binding, rnode) && BoundNode(binding, rnode) != id) {
       return false;
@@ -1110,7 +1096,7 @@ class Matcher {
 
   /// Returns true if this call introduced the binding (caller must unbind).
   bool BindNode(const ResolvedNode& rnode, NodeId id,
-                BindingT& binding) const {
+                FrameBinding& binding) const {
     if (rnode.pat->var.empty()) return false;
     if (NodeBound(binding, rnode)) return false;
     SetNode(binding, rnode, id);
@@ -1122,14 +1108,14 @@ class Matcher {
   const PushdownFilters& pushdown_;
   const CypherEvaluator& eval_;
   MatchStats* stats_;
-  Sink& sink_;
+  RowSink& sink_;
   std::vector<PreparedPart> own_parts_;
   // Either &own_parts_ (after PrepareParts) or a sharing matcher's parts
   // (SharePreparedParts); immutable once matching starts.
   const std::vector<PreparedPart>* parts_ = &own_parts_;
   int seed_shard_ = -1;  // -1: walk every shard (serial matcher)
   // Morsel sub-range of the restricted shard's seed list (positions, not
-  // ids); the defaults cover the whole shard for the per-shard scheduler.
+  // ids).
   size_t morsel_lo_ = 0;
   size_t morsel_hi_ = static_cast<size_t>(-1);
   const SeedSet* shared_top_seeds_ = nullptr;  // driver-owned part-0 seeds
@@ -1137,166 +1123,6 @@ class Matcher {
   size_t shared_cap_ = 0;
   DeadlinePoller deadline_;  // polled with the cancel flag / LIMIT budget
 };
-
-/// Terminal stage of the streaming pipeline: evaluates residual WHERE
-/// conjuncts, projects RETURN items, applies DISTINCT through an
-/// incremental seen-set, and signals a stop once LIMIT rows exist. The
-/// limit is enforced either locally (`local_cap`: the serial matcher, and
-/// parallel DISTINCT workers whose merged seen-sets re-dedup at the
-/// barrier) or through a shared atomic budget (`shared_claimed`/
-/// `shared_cap`: parallel non-DISTINCT workers claim one slot per emitted
-/// row, so the fleet never emits more than the limit in total).
-template <class BindingT>
-class RowSink {
- public:
-  /// `partition_distinct` hash-partitions streaming-DISTINCT emissions
-  /// into rs->parts so the parallel merge can adopt whole compacted
-  /// blocks (storage/shard_parallel.h); off, rows stream into rs->rows.
-  RowSink(const CypherQuery& query, const CypherEvaluator& eval,
-          const std::vector<const CypherExpr*>& residual,
-          bool streaming_distinct, bool partition_distinct, size_t local_cap,
-          std::atomic<size_t>* shared_claimed, size_t shared_cap,
-          MatchStats* stats, storage::WorkerRows* rs)
-      : query_(query),
-        eval_(eval),
-        residual_(residual),
-        streaming_distinct_(streaming_distinct),
-        partition_distinct_(partition_distinct),
-        local_cap_(local_cap),
-        shared_claimed_(shared_claimed),
-        shared_cap_(shared_cap),
-        stats_(stats),
-        rs_(rs) {
-    if (partition_distinct_) rs_->EnableDistinctPartitions();
-  }
-
-  /// False stops the search: either LIMIT is satisfied or evaluation
-  /// failed (check error() afterwards).
-  bool operator()(const BindingT& binding) {
-    if (stats_ != nullptr) ++stats_->bindings_emitted;
-    for (const CypherExpr* c : residual_) {
-      auto cond = eval_.Eval(*c, binding);
-      if (!cond.ok()) {
-        error_ = cond.status();
-        return false;
-      }
-      if (!CypherEvaluator::Truthy(cond.value())) return true;
-    }
-    std::vector<Value> row;
-    row.reserve(query_.items.size());
-    for (const CypherReturnItem& item : query_.items) {
-      auto v = eval_.Eval(*item.expr, binding);
-      if (!v.ok()) {
-        error_ = v.status();
-        return false;
-      }
-      row.push_back(std::move(v).value());
-    }
-    if (streaming_distinct_ && !seen_.insert(row).second) return true;
-    if (shared_claimed_ != nullptr &&
-        shared_claimed_->fetch_add(1, std::memory_order_relaxed) >=
-            shared_cap_) {
-      return false;  // budget exhausted by other workers; drop the row
-    }
-    if (partition_distinct_) {
-      rs_->parts[storage::DistinctPartitionOf(row)].push_back(std::move(row));
-    } else {
-      rs_->rows.push_back(std::move(row));
-    }
-    ++emitted_;
-    if (stats_ != nullptr) ++stats_->rows_emitted;
-    return emitted_ < local_cap_;
-  }
-
-  const Status& error() const { return error_; }
-
- private:
-  const CypherQuery& query_;
-  const CypherEvaluator& eval_;
-  const std::vector<const CypherExpr*>& residual_;
-  bool streaming_distinct_;
-  bool partition_distinct_;
-  size_t local_cap_;
-  size_t emitted_ = 0;
-  std::atomic<size_t>* shared_claimed_;
-  size_t shared_cap_;
-  MatchStats* stats_;
-  storage::WorkerRows* rs_;
-  Status error_ = Status::OK();
-  std::unordered_set<std::vector<Value>, sql::ValueRowHash, sql::ValueRowEq>
-      seen_;
-};
-
-/// Shard-parallel execution: one task per storage shard on the shared
-/// thread pool, each running a full matcher restricted to its shard's
-/// top-level seeds, streaming into a thread-local sink. Worker blocks
-/// merge in shard order (deterministic for a fixed graph + shard count);
-/// without DISTINCT each block is adopted wholesale — the zero-copy merge.
-template <class BindingT>
-Status RunShardParallel(const CypherQuery& query, const PropertyGraph& graph,
-                        const MatchOptions& options, MatchStats* stats,
-                        const VarTable& vars, const PushdownFilters& pushdown,
-                        const std::vector<const CypherExpr*>& residual,
-                        bool streaming_distinct, bool push_limit,
-                        const Matcher<BindingT, RowSink<BindingT>>& prepared,
-                        const SeedSet& top_seeds, GraphBlockResult* result) {
-  size_t n_shards = graph.shard_count();
-  struct ShardRun {
-    storage::WorkerRows rs;
-    MatchStats stats;
-    Status error = Status::OK();
-  };
-  std::vector<ShardRun> runs(n_shards);
-  // LIMIT policy (shared atomic claims vs per-worker caps merged with a
-  // re-dedup): see storage/shard_parallel.h.
-  storage::ShardRowBudget budget(push_limit, streaming_distinct, query.limit);
-
-  size_t workers =
-      std::min<size_t>(static_cast<size_t>(options.parallel_shards), n_shards);
-  ThreadPool::Shared().ParallelFor(n_shards, workers, [&](size_t s) {
-    auto scan_start = obs::TraceSpan::Clock::now();
-    ShardRun& run = runs[s];
-    // Evaluator caches (IN-list sets, variable-slot maps) are mutable, so
-    // every worker owns one.
-    CypherEvaluator shard_eval(graph, vars, options.hashed_in_lists,
-                               options.columnar_scan);
-    RowSink<BindingT> sink(query, shard_eval, residual, streaming_distinct,
-                           /*partition_distinct=*/streaming_distinct,
-                           budget.local_cap, budget.shared_claimed(),
-                           budget.shared_cap, &run.stats, &run.rs);
-    Matcher<BindingT, RowSink<BindingT>> matcher(
-        graph, options, pushdown, shard_eval, &run.stats, sink);
-    matcher.SharePreparedParts(prepared);
-    matcher.SetTopSeeds(&top_seeds);
-    matcher.RestrictTopSeedsToShard(static_cast<int>(s));
-    if (budget.shared) {
-      matcher.SetSharedRowBudget(&budget.claimed, budget.shared_cap);
-    }
-    BindingT binding;
-    InitBinding(binding, vars);
-    matcher.Run(binding);
-    run.error = sink.error();
-    if (options.trace != nullptr) {
-      obs::TraceSpan* span =
-          options.trace->AddChild("shard[" + std::to_string(s) + "]");
-      span->SetWindow(scan_start, obs::TraceSpan::Clock::now());
-      span->Set("seeds_visited",
-                static_cast<int64_t>(run.stats.seed_candidates));
-      span->Set("edges_traversed",
-                static_cast<int64_t>(run.stats.edges_traversed));
-      span->Set("rows_emitted", static_cast<int64_t>(run.stats.rows_emitted));
-    }
-  });
-
-  return storage::MergeShardRuns(
-      runs, streaming_distinct, &result->rows, [&](ShardRun& run) {
-        if (stats == nullptr) return;
-        stats->seed_candidates += run.stats.seed_candidates;
-        stats->edges_traversed += run.stats.edges_traversed;
-        stats->bindings_emitted += run.stats.bindings_emitted;
-        stats->rows_emitted += run.stats.rows_emitted;
-      });
-}
 
 /// Morsel-driven work-stealing execution: each shard's top-level seed list
 /// is carved into fixed-size morsels (MatchOptions::morsel_size seed
@@ -1307,14 +1133,12 @@ Status RunShardParallel(const CypherQuery& query, const PropertyGraph& graph,
 /// morsel streams into its own sink/result; the merge walks morsels in
 /// carve order, so the result is independent of which worker ran which
 /// morsel.
-template <class BindingT>
 Status RunMorselParallel(const CypherQuery& query, const PropertyGraph& graph,
                          const MatchOptions& options, MatchStats* stats,
                          const VarTable& vars, const PushdownFilters& pushdown,
                          const std::vector<const CypherExpr*>& residual,
-                         bool streaming_distinct, bool push_limit,
-                         const Matcher<BindingT, RowSink<BindingT>>& prepared,
-                         const SeedSet& top_seeds, GraphBlockResult* result) {
+                         const Matcher& prepared, const SeedSet& top_seeds,
+                         GraphBlockResult* result) {
   size_t n_shards = graph.shard_count();
   // Per-shard seed-list lengths under the same iteration scheme
   // MatchChainFrom uses (full-scan positions, span offsets, or the
@@ -1322,10 +1146,7 @@ Status RunMorselParallel(const CypherQuery& query, const PropertyGraph& graph,
   std::vector<size_t> counts(n_shards, 0);
   for (size_t s = 0; s < n_shards; ++s) {
     if (top_seeds.full_scan) {
-      // Seeds of shard s are ids s, s + n, s + 2n, ... below node_count.
-      counts[s] = graph.node_count() > s
-                      ? (graph.node_count() - 1 - s) / n_shards + 1
-                      : 0;
+      counts[s] = graph.layout().SizeOf(s, graph.node_count());
     } else if (!top_seeds.spans.empty()) {
       counts[s] = top_seeds.spans[s]->size();
     } else if (!top_seeds.owned_by_shard.empty()) {
@@ -1352,7 +1173,7 @@ Status RunMorselParallel(const CypherQuery& query, const PropertyGraph& graph,
     Status error = Status::OK();
   };
   std::vector<MorselRun> runs(morsels.size());
-  storage::ShardRowBudget budget(push_limit, streaming_distinct, query.limit);
+  storage::ShardRowBudget budget(query.limit, query.distinct);
 
   size_t workers = std::min<size_t>(
       static_cast<size_t>(options.parallel_shards), morsels.size());
@@ -1364,20 +1185,17 @@ Status RunMorselParallel(const CypherQuery& query, const PropertyGraph& graph,
     MatchStats* ws = &worker_stats[w];
     // Per-worker evaluator (mutable IN-list / slot caches); per-morsel
     // sink + matcher so every morsel owns its rows and error status.
-    CypherEvaluator eval(graph, vars, options.hashed_in_lists,
-                         options.columnar_scan);
+    CypherEvaluator eval(graph, vars);
     bool stolen = false;
     for (size_t m = queues.Next(w, &stolen); m != WorkStealingQueues::kDone;
          m = queues.Next(w, &stolen)) {
       ++ws->morsels_executed;
       if (stolen) ++ws->morsels_stolen;
       MorselRun& run = runs[m];
-      RowSink<BindingT> sink(query, eval, residual, streaming_distinct,
-                             /*partition_distinct=*/streaming_distinct,
-                             budget.local_cap, budget.shared_claimed(),
-                             budget.shared_cap, ws, &run.rs);
-      Matcher<BindingT, RowSink<BindingT>> matcher(graph, options, pushdown,
-                                                   eval, ws, sink);
+      RowSink sink(query, eval, residual,
+                   /*partition_distinct=*/query.distinct, budget.local_cap,
+                   budget.shared_claimed(), budget.shared_cap, ws, &run.rs);
+      Matcher matcher(graph, options, pushdown, eval, ws, sink);
       matcher.SharePreparedParts(prepared);
       matcher.SetTopSeeds(&top_seeds);
       matcher.RestrictTopSeedsToMorsel(morsels[m].shard, morsels[m].lo,
@@ -1385,7 +1203,7 @@ Status RunMorselParallel(const CypherQuery& query, const PropertyGraph& graph,
       if (budget.shared) {
         matcher.SetSharedRowBudget(&budget.claimed, budget.shared_cap);
       }
-      BindingT binding;
+      FrameBinding binding;
       InitBinding(binding, vars);
       matcher.Run(binding);
       run.error = sink.error();
@@ -1414,11 +1232,10 @@ Status RunMorselParallel(const CypherQuery& query, const PropertyGraph& graph,
     stats->morsels_executed += ws.morsels_executed;
     stats->morsels_stolen += ws.morsels_stolen;
   }
-  return storage::MergeShardRuns(runs, streaming_distinct, &result->rows,
+  return storage::MergeShardRuns(runs, query.distinct, &result->rows,
                                  [](MorselRun&) {});
 }
 
-template <class BindingT>
 Result<GraphBlockResult> RunPipeline(
     const CypherQuery& query, const PropertyGraph& graph,
     const MatchOptions& options, MatchStats* stats, const VarTable& vars,
@@ -1431,40 +1248,35 @@ Result<GraphBlockResult> RunPipeline(
                                                 : item.alias);
   }
 
-  bool streaming_distinct = query.distinct && options.streaming_distinct;
-  // A LIMIT on a DISTINCT query counts post-dedup rows, so it only pushes
-  // down when the dedup itself is streaming.
-  bool push_limit = options.push_limit && query.limit >= 0 &&
-                    (!query.distinct || streaming_distinct);
-  size_t local_cap =
-      push_limit ? static_cast<size_t>(query.limit) : static_cast<size_t>(-1);
+  // LIMIT pushes into the matcher; the sink's seen-set makes it count
+  // post-dedup rows under DISTINCT.
+  size_t local_cap = query.limit >= 0 ? static_cast<size_t>(query.limit)
+                                      : static_cast<size_t>(-1);
 
   storage::WorkerRows serial_rs;
-  RowSink<BindingT> sink(query, eval, residual, streaming_distinct,
-                         /*partition_distinct=*/false, local_cap,
-                         /*shared_claimed=*/nullptr, /*shared_cap=*/0, stats,
-                         &serial_rs);
-  Matcher<BindingT, RowSink<BindingT>> matcher(graph, options, pushdown, eval,
-                                               stats, sink);
-  // Structural validation always runs, so a pushed-down LIMIT 0 reports the
-  // same malformed-pattern errors as every other configuration; only the
-  // search itself is skipped (runtime evaluation errors are suppressed past
-  // a satisfied limit in any configuration, and 0 is satisfied up front).
+  RowSink sink(query, eval, residual, /*partition_distinct=*/false, local_cap,
+               /*shared_claimed=*/nullptr, /*shared_cap=*/0, stats,
+               &serial_rs);
+  Matcher matcher(graph, options, pushdown, eval, stats, sink);
+  // Structural validation always runs, so a LIMIT 0 query still reports
+  // malformed-pattern errors; only the search itself is skipped (runtime
+  // evaluation errors are suppressed past a satisfied limit, and 0 is
+  // satisfied up front).
   RAPTOR_RETURN_NOT_OK(matcher.PrepareParts(query.patterns, vars));
-  if (!(push_limit && query.limit == 0)) {
-    BindingT binding;
+  if (query.limit != 0) {
+    FrameBinding binding;
     InitBinding(binding, vars);
     // Fan out over shards only when it can pay off: a sharded graph, more
     // than one worker allowed, no small pushed LIMIT (the serial
     // early-exit path finishes those in a handful of seed visits), and a
     // seed set big enough to amortize dispatch. The set is materialized
-    // once here and shared by every shard worker; when the threshold
+    // once here and shared by every morsel worker; when the threshold
     // rejects it, the set was by definition small and the serial matcher
     // re-derives it cheaply.
     bool parallel =
         !query.patterns.empty() && options.parallel_shards > 1 &&
         graph.shard_count() > 1 &&
-        !(push_limit &&
+        !(query.limit >= 0 &&
           query.limit < static_cast<long long>(options.parallel_min_limit));
     SeedSet top_seeds;
     if (parallel) {
@@ -1474,17 +1286,11 @@ Result<GraphBlockResult> RunPipeline(
     }
     if (parallel) {
       // Pre-split any materialized seed union (multi-value probes, bound
-      // vars) into per-shard sub-lists so workers skip the skip-scan.
+      // vars) into per-shard sub-lists so morsels slice them by position.
       top_seeds.SplitOwnedByShard(graph);
-      if (options.morsel_scheduling) {
-        RAPTOR_RETURN_NOT_OK(RunMorselParallel<BindingT>(
-            query, graph, options, stats, vars, pushdown, residual,
-            streaming_distinct, push_limit, matcher, top_seeds, &result));
-      } else {
-        RAPTOR_RETURN_NOT_OK(RunShardParallel<BindingT>(
-            query, graph, options, stats, vars, pushdown, residual,
-            streaming_distinct, push_limit, matcher, top_seeds, &result));
-      }
+      RAPTOR_RETURN_NOT_OK(RunMorselParallel(query, graph, options, stats,
+                                             vars, pushdown, residual, matcher,
+                                             top_seeds, &result));
     } else {
       matcher.Run(binding);
       RAPTOR_RETURN_NOT_OK(sink.error());
@@ -1499,18 +1305,8 @@ Result<GraphBlockResult> RunPipeline(
     return Status::Timeout("cypher query deadline exceeded");
   }
 
-  if (query.distinct && !streaming_distinct) {
-    // Legacy final dedup pass over the materialized result.
-    std::unordered_set<std::vector<Value>, sql::ValueRowHash, sql::ValueRowEq>
-        seen;
-    std::vector<std::vector<Value>> rows = result.rows.Flatten();
-    std::vector<std::vector<Value>> unique;
-    unique.reserve(rows.size());
-    for (auto& row : rows) {
-      if (seen.insert(row).second) unique.push_back(std::move(row));
-    }
-    result.rows.Adopt(std::move(unique));
-  }
+  // Parallel DISTINCT workers each keep up to LIMIT rows, so the merged
+  // result can exceed it (storage/shard_parallel.h).
   if (query.limit >= 0 &&
       result.rows.row_count() > static_cast<size_t>(query.limit)) {
     result.rows.Truncate(static_cast<size_t>(query.limit));
@@ -1551,8 +1347,7 @@ Result<GraphBlockResult> ExecuteCypherBlocks(const CypherQuery& query,
     }
   }
 
-  CypherEvaluator eval(graph, vars, options.hashed_in_lists,
-                       options.columnar_scan);
+  CypherEvaluator eval(graph, vars);
 
   // Split WHERE into single-variable conjuncts (pushed into matching) and
   // residual conjuncts (evaluated on complete bindings).
@@ -1570,12 +1365,8 @@ Result<GraphBlockResult> ExecuteCypherBlocks(const CypherQuery& query,
     }
   }
 
-  if (options.binding_frames) {
-    return RunPipeline<FrameBinding>(query, graph, options, stats, vars,
-                                     pushdown, residual, eval);
-  }
-  return RunPipeline<MapBinding>(query, graph, options, stats, vars, pushdown,
-                                 residual, eval);
+  return RunPipeline(query, graph, options, stats, vars, pushdown, residual,
+                     eval);
 }
 
 Result<GraphResultSet> ExecuteCypher(const CypherQuery& query,
@@ -1619,14 +1410,6 @@ std::string SubresultCacheKey(std::string_view cypher,
   std::string key(cypher);
   key += '\x1f';
   key += std::to_string(o.unbounded_varlen_cap) + ',' +
-         std::to_string(o.typed_adjacency) + ',' +
-         std::to_string(o.hashed_in_lists) + ',' +
-         std::to_string(o.push_limit) + ',' +
-         std::to_string(o.streaming_distinct) + ',' +
-         std::to_string(o.binding_frames) + ',' +
-         std::to_string(o.selective_seeds) + ',' +
-         std::to_string(o.columnar_scan) + ',' +
-         std::to_string(o.morsel_scheduling) + ',' +
          std::to_string(o.morsel_size) + ',' +
          std::to_string(o.parallel_shards) + ',' +
          std::to_string(o.parallel_min_seeds) + ',' +

@@ -14,39 +14,36 @@
 //  * WHERE is evaluated on fully bound rows; the row sink applies DISTINCT
 //    through an incremental seen-set and stops the whole search — including
 //    seed iteration — once LIMIT rows have been emitted, so `LIMIT 1` over
-//    a label scan no longer visits every seed.
+//    a label scan visits only the seeds it needs.
 //
-// Binding state is either a flat small-vector frame keyed on interned
-// variable slots (default) or the legacy trio of hash containers, selected
-// by MatchOptions::binding_frames; all streaming behaviors keep the legacy
-// materialize-then-truncate path reachable through MatchOptions toggles so
-// benchmarks and differential tests can compare both.
+// Binding state is one flat small-vector frame keyed on interned variable
+// slots, threaded through the whole search (bind on descent, unbind on
+// backtrack).
 //
 // Shard-parallel matching: when the graph is sharded and the top-level
 // seed set is large enough, seed iteration fans out onto the shared
-// thread pool (common/thread_pool.h). The default scheduler carves each
-// shard's seed list into fixed-size morsels (MatchOptions::morsel_size)
-// distributed over per-worker work-stealing deques: a worker drains its
-// own deque front-first and steals single morsels from the back of a
-// random victim when it runs dry, so a skewed shard's seeds spread across
-// the whole fleet instead of serializing on one worker. The legacy
-// scheduler (morsel_scheduling = false) runs one worker per storage
-// shard. Either way each task streams into its own row sink and results
-// merge in morsel/shard order — deterministic for a fixed graph, shard
-// count, and morsel size, independent of the steal schedule. A
-// pushed-down LIMIT cancels cooperatively through an atomic row budget
-// shared by all workers (so total emitted rows never exceed the limit),
-// and DISTINCT emissions hash-partition per worker so the merge adopts
-// whole compacted blocks (storage/shard_parallel.h). Queries that stay
-// serial (parallel_shards = 1, tiny seed sets, small pushed limits) take
-// exactly the pre-sharding code path.
+// thread pool (common/thread_pool.h). Each shard's seed list is carved
+// into fixed-size morsels (MatchOptions::morsel_size) distributed over
+// per-worker work-stealing deques: a worker drains its own deque
+// front-first and steals single morsels from the back of a random victim
+// when it runs dry, so a skewed shard's seeds spread across the whole
+// fleet instead of serializing on one worker. Each morsel streams into its
+// own row sink and results merge in morsel order — deterministic for a
+// fixed graph, shard count, and morsel size, independent of the steal
+// schedule. A pushed-down LIMIT cancels cooperatively through an atomic
+// row budget shared by all workers (so total emitted rows never exceed the
+// limit), and DISTINCT emissions hash-partition per worker so the merge
+// adopts whole compacted blocks (storage/shard_parallel.h). Queries that
+// stay serial (parallel_shards = 1, tiny seed sets, small pushed limits)
+// run one matcher over every shard in order.
 //
 // Columnar predicate scans: inline property constraints and WHERE
 // property references read the graph's frozen per-(shard × label) column
 // vectors (storage/columnar.h) instead of probing each node's
 // PropertyMap — string literals resolve to a dictionary id once per query
-// and compare as uint32s. columnar_scan = false keeps the legacy row-path
-// probes for the differential harness.
+// and compare as uint32s. Unlabeled patterns, and columns that cannot
+// represent a value exactly (doubles, NULLs, mixed types), keep the
+// PropertyMap row path per predicate.
 #pragma once
 
 #include <atomic>
@@ -79,10 +76,10 @@ struct GraphResultSet {
   std::string ToString(size_t max_rows = 20) const;
 };
 
-/// Chunked result: rows live in per-worker blocks (one block per storage
-/// shard after a parallel run, one for a serial run) instead of a flat
-/// vector. A non-DISTINCT parallel merge adopts every worker block without
-/// touching individual rows (rows.pushed_rows() == 0); consumers stream
+/// Chunked result: rows live in per-morsel blocks after a parallel run,
+/// one block for a serial run, instead of a flat vector. A non-DISTINCT
+/// parallel merge adopts every morsel block without touching individual
+/// rows (rows.pushed_rows() == 0); consumers stream
 /// through storage::RowCursor. GraphResultSet remains the materialized
 /// compatibility view (ExecuteCypher flattens one of these).
 struct GraphBlockResult {
@@ -108,46 +105,12 @@ struct MatchOptions {
   /// Expansion bound applied when a variable-length pattern has no upper
   /// bound (Neo4j discourages unbounded expansion for the same reason).
   int unbounded_varlen_cap = 8;
-  /// Expand typed relationship patterns through the per-type adjacency
-  /// groups, touching only edges of the requested type. Off = legacy full
-  /// out/in-edge scan, kept as a benchmarking baseline.
-  bool typed_adjacency = true;
-  /// Probe IN-list predicates via a hashed set built once per query.
-  /// Off = legacy O(list) scan per candidate row.
-  bool hashed_in_lists = true;
-  /// Push LIMIT into the matcher: stop seed iteration and expansion once
-  /// LIMIT rows have been emitted. Off = legacy materialize-then-truncate.
-  /// (DISTINCT queries only push when streaming_distinct is also on, since
-  /// the limit counts post-dedup rows.)
-  bool push_limit = true;
-  /// Apply DISTINCT through an incremental seen-set as rows are emitted.
-  /// Off = legacy final dedup pass over the materialized result.
-  bool streaming_distinct = true;
-  /// Hold bindings in a flat small-vector frame keyed on interned variable
-  /// slots. Off = legacy per-binding hash containers, kept as a baseline.
-  bool binding_frames = true;
-  /// Seed from the most selective applicable index probe, ranked by exact
-  /// per-value cardinality. Off = legacy first-indexed-property choice.
-  bool selective_seeds = true;
-  /// Evaluate inline property constraints and WHERE property references
-  /// against the frozen columnar property storage (dictionary-encoded
-  /// string compares, present-bitmap int reads). Off = legacy per-node
-  /// PropertyMap probes, kept for the differential harness. Results are
-  /// identical either way; columns that cannot represent a value exactly
-  /// (doubles, NULLs, mixed types) fall back to the row path per
-  /// predicate.
-  bool columnar_scan = true;
-  /// Parallel scheduler: carve each shard's seed list into morsel_size
-  /// chunks on per-worker work-stealing deques. Off = legacy one worker
-  /// per storage shard (no stealing, skew-sensitive).
-  bool morsel_scheduling = true;
   /// Seeds per morsel. Small enough that a skewed shard yields many
   /// stealable units, large enough to amortize per-morsel sink setup.
   int morsel_size = 2048;
-  /// Maximum shard-parallel workers for whole-graph matching; the
-  /// effective worker count is min(parallel_shards, graph.shard_count()).
-  /// 1 = always serial (the baseline the differential tests compare
-  /// against).
+  /// Maximum parallel workers for whole-graph matching; the effective
+  /// worker count is min(parallel_shards, morsel count). 1 = always
+  /// serial.
   int parallel_shards = 4;
   /// Stay serial when the top-level seed set is smaller than this: tiny
   /// queries lose more to worker dispatch than they gain from parallelism.
@@ -175,9 +138,9 @@ struct MatchOptions {
   /// The owner (service::HuntService) clears it on every store mutation.
   /// Must outlive the call.
   storage::QueryResultCache<GraphBlockResult>* result_cache = nullptr;
-  /// EXPLAIN ANALYZE hook: when non-null, the parallel drivers hang one
-  /// timed child span per shard run / morsel worker under it (seed,
-  /// row, and steal counters included) and QueryBlocks records subresult
+  /// EXPLAIN ANALYZE hook: when non-null, the parallel driver hangs one
+  /// timed child span per morsel worker under it (seed, row, and steal
+  /// counters included) and QueryBlocks records subresult
   /// cache hits. Null (the default) costs one pointer test per query.
   /// Must outlive the call.
   obs::TraceSpan* trace = nullptr;

@@ -18,12 +18,12 @@
 // (shard = id & mask; ids stay dense and global, so creation order and the
 // public id space are unchanged). Each shard owns its nodes' adjacency
 // lists, its slice of every (label, prop) hash index, and its label
-// buckets, which lets the query executor fan seed iteration out one worker
-// per shard. The pre-sharding accessors that return a single bucket
-// reference (NodesWithLabel / ProbeNodes without a shard argument) remain
-// valid as the single-shard (shard_count() == 1) case; shard-agnostic
-// aggregates (ProbeCountNodes, GetNodeIndexStats) sum over shards and stay
-// exact for any shard count.
+// buckets, which lets the query executor carve seed iteration into
+// per-shard morsels for parallel workers. The pre-sharding accessors that
+// return a single bucket reference (NodesWithLabel / ProbeNodes without a
+// shard argument) remain valid as the single-shard (shard_count() == 1)
+// case; shard-agnostic aggregates (ProbeCountNodes, GetNodeIndexStats)
+// sum over shards and stay exact for any shard count.
 //
 // Thread-safety contract: construction and mutation (AddNode / AddEdge /
 // CreateNodeIndex) are single-threaded; all const member functions are
@@ -108,6 +108,9 @@ class PropertyGraph {
 
   /// Shard owning node (or edge) `id`.
   size_t ShardOf(uint64_t id) const { return layout_.ShardOf(id); }
+
+  /// The id -> (shard, local position) mapping of nodes and edges.
+  const storage::ShardLayout& layout() const { return layout_; }
 
   const std::vector<EdgeId>& OutEdges(NodeId id) const;
   const std::vector<EdgeId>& InEdges(NodeId id) const;

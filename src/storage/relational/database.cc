@@ -14,11 +14,7 @@ namespace {
 std::string SubresultCacheKey(std::string_view sql, const SelectOptions& o) {
   std::string key(sql);
   key += '\x1f';
-  key += std::to_string(o.push_limit) + ',' +
-         std::to_string(o.streaming_distinct) + ',' +
-         std::to_string(o.columnar_scan) + ',' +
-         std::to_string(o.morsel_scheduling) + ',' +
-         std::to_string(o.morsel_size) + ',' +
+  key += std::to_string(o.morsel_size) + ',' +
          std::to_string(o.parallel_shards) + ',' +
          std::to_string(o.parallel_min_rows) + ',' +
          std::to_string(o.parallel_min_limit);

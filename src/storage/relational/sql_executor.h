@@ -14,29 +14,27 @@
 //    vector per join level;
 //  * residual predicates (e.g. temporal constraints between event aliases,
 //    which are non-equi) are applied as soon as their aliases are bound;
-//  * with LIMIT pushed down (SelectOptions::push_limit) the pipeline —
-//    including the first table's base scan — stops as soon as LIMIT rows
-//    have been emitted, and DISTINCT short-circuits through an incremental
-//    seen-set (SelectOptions::streaming_distinct) instead of a final dedup
-//    pass. ORDER BY forces full materialization, so it disables the LIMIT
-//    pushdown but not the streaming dedup;
+//  * LIMIT pushes down: the pipeline — including the first table's base
+//    scan — stops as soon as LIMIT rows have been emitted, and DISTINCT
+//    short-circuits through an incremental seen-set, so the limit counts
+//    post-dedup rows. ORDER BY forces full materialization, so it disables
+//    the LIMIT pushdown but not the streaming dedup;
 //  * hash-join build sides store per-key row ids as chunked candidate
 //    blocks in one arena per level instead of one heap vector per key,
 //    cutting allocation churn on large builds;
 //  * when the base table is sharded and its scan is large enough, the
 //    scan — and with it the whole downstream join/probe pipeline — fans
-//    out onto the shared thread pool (common/thread_pool.h). The default
-//    scheduler carves each shard's scan (or index seed list) into
-//    fixed-size morsels (SelectOptions::morsel_size) distributed over
-//    per-worker work-stealing deques, so a skewed shard's rows spread
-//    across the whole fleet; morsel_scheduling = false keeps the legacy
-//    one-worker-per-shard fan-out. Workers emit into thread-local result
-//    sets merged in morsel/shard order; a pushed-down LIMIT cancels
-//    cooperatively via an atomic row budget, and streaming DISTINCT
-//    emissions hash-partition per worker so the merge adopts whole
-//    compacted blocks (storage/shard_parallel.h). ORDER BY sorts after
-//    the merge, so rows comparing equal on every key may order
-//    differently than a serial run; key-unique sorts are unaffected;
+//    out onto the shared thread pool (common/thread_pool.h). Each shard's
+//    scan (or index seed list) is carved into fixed-size morsels
+//    (SelectOptions::morsel_size) distributed over per-worker
+//    work-stealing deques, so a skewed shard's rows spread across the
+//    whole fleet. Each morsel emits into its own result set, merged in
+//    morsel order; a pushed-down LIMIT cancels cooperatively via an
+//    atomic row budget, and DISTINCT emissions hash-partition per morsel
+//    so the merge adopts whole compacted blocks
+//    (storage/shard_parallel.h). ORDER BY sorts after the merge, so rows
+//    comparing equal on every key may order differently than a serial
+//    run; key-unique sorts are unaffected;
 //  * single-table filters of the shape `col op literal` / `col IN (...)`
 //    compile against the table's frozen columnar storage (table.h /
 //    storage/columnar.h): int comparisons read the SoA int vector
@@ -44,9 +42,7 @@
 //    LIKE reads a per-query memo of verdicts by dictionary id, skipping
 //    per-row Value variant dispatch. Filters that cannot be
 //    represented exactly (doubles, NULLs, mixed-type columns, complex
-//    expressions) stay on the row-path evaluator per predicate, and
-//    columnar_scan = false disables the fast path entirely for the
-//    differential harness.
+//    expressions) stay on the row-path evaluator per predicate.
 //
 // This gives the honest behaviour Table VIII depends on: a giant SQL query
 // with many joins and non-equi temporal constraints pays for large
@@ -83,10 +79,10 @@ struct ResultSet {
   std::string ToString(size_t max_rows = 20) const;
 };
 
-/// Chunked result: rows live in per-worker blocks (one per storage shard
-/// after a parallel scan, one for a serial run). A non-DISTINCT parallel
-/// merge adopts each worker block wholesale (rows.pushed_rows() == 0 — the
-/// zero-copy merge); consumers stream through storage::RowCursor.
+/// Chunked result: rows live in per-morsel blocks after a parallel scan,
+/// one block for a serial run. A non-DISTINCT parallel merge adopts each
+/// morsel block wholesale (rows.pushed_rows() == 0 — the zero-copy merge);
+/// consumers stream through storage::RowCursor.
 /// ResultSet remains the materialized compatibility view (ExecuteSelect
 /// flattens one of these).
 struct BlockResultSet {
@@ -110,35 +106,15 @@ struct ExecStats {
   size_t morsels_stolen = 0;        // of those, taken from another worker
 };
 
-/// Streaming toggles; the all-false combination is the legacy
-/// materialize-then-truncate behavior, kept for benchmark baselines and
-/// differential tests.
+/// Runtime policy for one statement: parallel fan-out, cancellation,
+/// deadline, result caching and tracing.
 struct SelectOptions {
-  /// Stop the scan/join pipeline once LIMIT rows have been emitted
-  /// (DISTINCT queries only push when streaming_distinct is also on, since
-  /// the limit counts post-dedup rows; ORDER BY disables the pushdown).
-  bool push_limit = true;
-  /// Apply DISTINCT through an incremental seen-set during emission.
-  /// Off = legacy final dedup pass over the materialized result.
-  bool streaming_distinct = true;
-  /// Evaluate eligible single-table filters against the frozen columnar
-  /// storage (dictionary-encoded string equality, memoized LIKE verdicts,
-  /// direct int reads), and let a LIKE matched over a column dictionary
-  /// serve as an access path. Off = row-path Value evaluation for every
-  /// filter, kept for the differential harness. Results are identical
-  /// either way; predicates a column cannot represent exactly fall back
-  /// to the row path individually.
-  bool columnar_scan = true;
-  /// Parallel scheduler: carve the base scan into morsel_size chunks on
-  /// per-worker work-stealing deques. Off = legacy one worker per storage
-  /// shard (no stealing, skew-sensitive).
-  bool morsel_scheduling = true;
   /// Rows per morsel. Small enough that a skewed shard yields many
   /// stealable units, large enough to amortize per-morsel pipeline setup.
   int morsel_size = 2048;
-  /// Maximum shard-parallel workers for the base scan / probe pipeline;
-  /// the effective worker count is min(parallel_shards, base table
-  /// shard_count()). 1 = always serial (the differential baseline).
+  /// Maximum parallel workers for the base scan / probe pipeline; the
+  /// effective worker count is min(parallel_shards, morsel count). 1 =
+  /// always serial.
   int parallel_shards = 4;
   /// Stay serial when the base-table scan (or its index seed list) is
   /// smaller than this: tiny scans lose more to dispatch than they gain.
@@ -161,9 +137,9 @@ struct SelectOptions {
   /// epoch. The owner (service::HuntService) clears it on every store
   /// mutation. Must outlive the call.
   storage::QueryResultCache<BlockResultSet>* result_cache = nullptr;
-  /// EXPLAIN ANALYZE hook: when non-null, the parallel drivers hang one
-  /// timed child span per shard run / morsel worker under it (scan, probe,
-  /// and steal counters included), the executor adds the statement's
+  /// EXPLAIN ANALYZE hook: when non-null, the parallel driver hangs one
+  /// timed child span per morsel worker under it (scan, probe, and steal
+  /// counters included), the executor adds the statement's
   /// index_probe_rows / base_rows_scanned / columnar_filter_rows /
   /// like_dict_evals counters and one `access.<alias>` note per alias
   /// (`index:<col>`, `like-dict:<col>`, `join-seed:<col>` or `scan`), and

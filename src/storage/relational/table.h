@@ -4,8 +4,8 @@
 // Sharding: rows and index storage partition into a power-of-two number of
 // entity-id-hashed shards (shard = row id & mask; row ids stay dense and
 // global, assigned in insert order). Each shard owns its rows and its slice
-// of every hash index, which lets the SQL executor partition base-table
-// scans and hash-join probe sides one worker per shard. The pre-sharding
+// of every hash index, which lets the SQL executor carve base-table scans
+// into per-shard morsels for parallel workers. The pre-sharding
 // accessors that return whole-table references (rows(), Probe() without a
 // shard argument) remain valid as the single-shard (shard_count() == 1)
 // case; row(id) and the per-shard probes work for any shard count.
@@ -108,6 +108,9 @@ class Table {
   /// Row `id`'s offset within its shard — the cell position inside the
   /// shard's frozen columns.
   size_t LocalOf(RowId id) const { return layout_.LocalOf(id); }
+
+  /// The row id -> (shard, local position) mapping.
+  const storage::ShardLayout& layout() const { return layout_; }
 
   // --- Frozen columnar storage (storage/columnar.h) ------------------------
   // Insert freezes every cell into per-(shard × column) SoA vectors

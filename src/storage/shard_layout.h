@@ -30,6 +30,11 @@ struct ShardLayout {
   uint64_t GlobalOf(size_t shard, size_t local) const {
     return (static_cast<uint64_t>(local) << shift) | shard;
   }
+  /// How many of the dense ids [0, id_count) `shard` owns: its local
+  /// positions are [0, SizeOf(shard, id_count)).
+  size_t SizeOf(size_t shard, uint64_t id_count) const {
+    return id_count > shard ? ((id_count - 1 - shard) >> shift) + 1 : 0;
+  }
 };
 
 }  // namespace raptor::storage

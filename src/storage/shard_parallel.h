@@ -1,22 +1,22 @@
 // Shared policy pieces of the shard-parallel query drivers (the Cypher
 // matcher and the SQL pipeline): LIMIT row-budget selection and the
-// deterministic worker-order merge. Both engines fan workers (one per
-// storage shard, or one per work-stealing morsel) onto the common thread
-// pool and stream into thread-local result sets; the subtle parts — how a
+// deterministic worker-order merge. Both engines fan work-stealing seed
+// morsels onto the common thread pool and stream each into its own result
+// set; the subtle parts — how a
 // pushed-down LIMIT is enforced across workers and how DISTINCT survives
 // the merge — live here once so the two executors cannot drift apart.
 //
 // Budget policy: without DISTINCT every emitted row counts globally, so
 // workers claim emission slots from one atomic counter (exactly `limit`
 // claims succeed, and idle workers poll the counter to abandon their
-// scans early). With streaming DISTINCT a global count cannot know about
+// scans early). With DISTINCT a global count cannot know about
 // cross-shard duplicates, so each worker dedups locally up to the limit
 // and the merge dedups again. That guarantees the merged unique-row count
 // is never BELOW min(limit, full distinct count) — every worker either
 // filled the limit by itself or exhausted its shard — but it can exceed
-// the limit (disjoint shards can each contribute up to `limit` rows): the
-// executors' trailing LIMIT resize is load-bearing for pushed-down
-// DISTINCT limits, not a legacy safety net.
+// the limit (disjoint shards can each contribute up to `limit` rows), so
+// the executors' trailing LIMIT resize is load-bearing for DISTINCT
+// limits.
 //
 // DISTINCT merge: workers hash-partition their emissions by row hash into
 // kDistinctPartitions buckets (WorkerRows::parts). Duplicate rows always
@@ -25,10 +25,9 @@
 // worker's surviving rows in place, and adopts the compacted vectors as
 // whole blocks — the same zero-copy merge non-DISTINCT always had
 // (RowBlocks::pushed_rows() stays 0). Output order is partition-major,
-// worker-minor: a different row order than the pre-partitioned merge
-// produced, but deterministic for a fixed storage layout, and row *sets*
-// are unchanged (the differential harness compares DISTINCT results
-// order-normalized).
+// worker-minor: deterministic for a fixed storage layout and morsel carve,
+// though not the serial emission order (the differential harness compares
+// DISTINCT results order-normalized).
 #pragma once
 
 #include <atomic>
@@ -43,7 +42,7 @@
 
 namespace raptor::storage {
 
-/// Number of hash partitions the streaming-DISTINCT sinks spread rows
+/// Number of hash partitions the DISTINCT sinks spread rows
 /// over. Power of two (partition index is hash & (kDistinctPartitions-1)).
 constexpr size_t kDistinctPartitions = 8;
 
@@ -53,8 +52,8 @@ inline size_t DistinctPartitionOf(const std::vector<sql::Value>& row) {
 }
 
 /// Per-worker result container for the parallel drivers. Non-DISTINCT
-/// emissions stream into `rows`; streaming-DISTINCT emissions are
-/// hash-partitioned into `parts` (sized lazily by the sink).
+/// emissions stream into `rows`; DISTINCT emissions are hash-partitioned
+/// into `parts` (sized lazily by the sink).
 struct WorkerRows {
   std::vector<std::vector<sql::Value>> rows;
   std::vector<std::vector<std::vector<sql::Value>>> parts;
@@ -70,13 +69,15 @@ struct ShardRowBudget {
   size_t local_cap = static_cast<size_t>(-1);
   bool shared = false;
 
-  ShardRowBudget(bool push_limit, bool streaming_distinct, long long limit) {
-    if (!push_limit) return;
-    if (streaming_distinct) {
-      local_cap = static_cast<size_t>(limit);
+  /// `pushed_limit` is the LIMIT the workers enforce, or negative when the
+  /// query pushes none down.
+  ShardRowBudget(long long pushed_limit, bool distinct) {
+    if (pushed_limit < 0) return;
+    if (distinct) {
+      local_cap = static_cast<size_t>(pushed_limit);
     } else {
       shared = true;
-      shared_cap = static_cast<size_t>(limit);
+      shared_cap = static_cast<size_t>(pushed_limit);
     }
   }
 
@@ -86,20 +87,19 @@ struct ShardRowBudget {
 /// Merge per-worker results in worker order (deterministic for a fixed
 /// storage layout and morsel carve): fail on the first worker error, let
 /// `on_run` fold each worker's stats, and hand the rows to `out`. Without
-/// streaming DISTINCT every worker's row vector is adopted wholesale as
-/// one block. With streaming DISTINCT the merge dedups partition by
-/// partition (see the header comment) and adopts each worker's compacted
-/// partition vector — also block-wise. `Run` must expose a `Status error`
-/// and a WorkerRows at `rs`.
+/// DISTINCT every worker's row vector is adopted wholesale as one block.
+/// With DISTINCT the merge dedups partition by partition (see the header
+/// comment) and adopts each worker's compacted partition vector — also
+/// block-wise. `Run` must expose a `Status error` and a WorkerRows at `rs`.
 template <class Run, class OnRun>
-Status MergeShardRuns(std::vector<Run>& runs, bool streaming_distinct,
+Status MergeShardRuns(std::vector<Run>& runs, bool distinct,
                       RowBlocks<std::vector<sql::Value>>* out,
                       OnRun&& on_run) {
   for (Run& run : runs) {
     RAPTOR_RETURN_NOT_OK(run.error);
     on_run(run);
   }
-  if (!streaming_distinct) {
+  if (!distinct) {
     for (Run& run : runs) out->Adopt(std::move(run.rs.rows));
     return Status::OK();
   }

@@ -5,7 +5,6 @@
 #include "audit/jsonl.h"
 #include "huntlib/feed.h"
 #include "persist/codec.h"
-#include "persist/legacy_v1.h"
 
 namespace raptor {
 
@@ -274,12 +273,6 @@ std::optional<uint64_t> ThreatRaptor::restored_stream_offset(
   auto it = stream_offsets_.find(stream);
   if (it == stream_offsets_.end()) return std::nullopt;
   return it->second;
-}
-
-Status ThreatRaptor::ImportV1Snapshot(const std::string& path) {
-  RAPTOR_ASSIGN_OR_RETURN(audit::ParsedLog log,
-                          persist::LoadV1Snapshot(path));
-  return IngestParsedLog(log);
 }
 
 void ThreatRaptor::CollectMetrics(obs::MetricsRegistry* registry) const {

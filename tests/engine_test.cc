@@ -239,58 +239,32 @@ TEST_F(EngineTest, ZeroMatchPatternDoesNotEmptyResult) {
 }
 
 TEST_F(EngineTest, AllOptionsCombinationsAgree) {
-  const char* query =
+  const char* queries[] = {
       "proc p read file f[\"%passwd%\"] as e1 "
       "proc p write file g[\"%out%\"] as e2 "
-      "with e1 before e2 return distinct p, f, g";
-  auto baseline = Run(query);
-  for (bool sched : {false, true}) {
-    for (bool prop : {false, true}) {
-      for (bool par : {false, true}) {
-        ExecOptions opts;
-        opts.use_scheduler = sched;
-        opts.propagate_constraints = prop;
-        opts.parallel_patterns = par;
-        auto report = Run(query, opts);
-        EXPECT_EQ(report.results.rows, baseline.results.rows)
-            << "sched=" << sched << " prop=" << prop << " par=" << par;
+      "with e1 before e2 return distinct p, f, g",
+      // A zero-match pattern propagates no domain; the dependent pattern
+      // runs unfiltered.
+      "proc p[\"%nonexistent%\"] read file f as e1 "
+      "proc p write file g as e2 return p",
+  };
+  for (const char* query : queries) {
+    auto baseline = Run(query);
+    for (bool sched : {false, true}) {
+      for (bool prop : {false, true}) {
+        for (int workers : {1, 4}) {
+          ExecOptions opts;
+          opts.use_scheduler = sched;
+          opts.propagate_constraints = prop;
+          opts.max_pattern_workers = workers;
+          auto report = Run(query, opts);
+          EXPECT_EQ(report.results.rows, baseline.results.rows)
+              << query << " sched=" << sched << " prop=" << prop
+              << " workers=" << workers;
+        }
       }
     }
   }
-}
-
-TEST_F(EngineTest, SpeculativePatternsMatchSerialSchedule) {
-  // Patterns 0 and 1 share entity p, so the DAG serializes them; the
-  // speculative schedule runs both unconstrained in parallel and replays
-  // the domains post-hoc. Results, match counts, and unmatched-pattern
-  // lists must be byte-identical to the serial schedule — only the
-  // executed query texts may differ (no IN-constraint conjuncts).
-  const char* query =
-      "proc p read file f[\"%passwd%\"] as e1 "
-      "proc p write file g[\"%out%\"] as e2 "
-      "with e1 before e2 return distinct p, f, g";
-  ExecOptions serial;
-  serial.parallel_patterns = false;
-  auto baseline = Run(query, serial);
-  ExecOptions spec;
-  spec.speculative_patterns = true;
-  auto report = Run(query, spec);
-  EXPECT_EQ(report.results.rows, baseline.results.rows);
-  EXPECT_EQ(report.pattern_match_counts, baseline.pattern_match_counts);
-  EXPECT_EQ(report.unmatched_patterns, baseline.unmatched_patterns);
-  EXPECT_EQ(report.matched_event_ids, baseline.matched_event_ids);
-
-  // A zero-match pattern propagates no domain; the dependent pattern runs
-  // unfiltered in both schedules and the reports must still agree.
-  const char* pruned =
-      "proc p[\"%nonexistent%\"] read file f as e1 "
-      "proc p write file g as e2 return p";
-  auto pruned_serial = Run(pruned, serial);
-  auto pruned_spec = Run(pruned, spec);
-  EXPECT_EQ(pruned_spec.results.rows, pruned_serial.results.rows);
-  EXPECT_EQ(pruned_spec.pattern_match_counts,
-            pruned_serial.pattern_match_counts);
-  EXPECT_EQ(pruned_spec.unmatched_patterns, pruned_serial.unmatched_patterns);
 }
 
 TEST_F(EngineTest, PatternDependenciesChainSharedEntities) {

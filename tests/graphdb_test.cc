@@ -135,19 +135,13 @@ TEST_F(GraphDbTest, DistinctAndLimit) {
 }
 
 TEST_F(GraphDbTest, LimitZeroReturnsNothing) {
-  for (bool push : {true, false}) {
-    db_.options().push_limit = push;
-    MatchStats stats;
-    auto rs = db_.Query("MATCH (p:proc)-[e]->(o) RETURN p.exename LIMIT 0",
-                        &stats);
-    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-    EXPECT_TRUE(rs.value().rows.empty());
-    // The pushed-down LIMIT 0 never starts matching at all.
-    if (push) {
-      EXPECT_EQ(stats.seed_candidates, 0u);
-    }
-  }
-  db_.options().push_limit = true;
+  MatchStats stats;
+  auto rs = db_.Query("MATCH (p:proc)-[e]->(o) RETURN p.exename LIMIT 0",
+                      &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_TRUE(rs.value().rows.empty());
+  // The pushed-down LIMIT 0 never starts matching at all.
+  EXPECT_EQ(stats.seed_candidates, 0u);
 }
 
 TEST_F(GraphDbTest, LimitLargerThanResultSet) {
@@ -159,19 +153,12 @@ TEST_F(GraphDbTest, LimitLargerThanResultSet) {
 
 TEST_F(GraphDbTest, DistinctLimitCountsPostDedupRows) {
   // tar has 2 out-edges, so non-distinct rows would reach the limit before
-  // two distinct exenames exist. The limit must count deduped rows — in
-  // the streaming configuration and in the legacy combination where the
-  // pushdown has to disable itself (final dedup + push_limit).
-  const char* q =
-      "MATCH (p:proc)-[e]->(o) RETURN DISTINCT p.exename LIMIT 2";
-  for (bool streaming : {true, false}) {
-    db_.options().streaming_distinct = streaming;
-    auto rs = db_.Query(q);
-    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-    ASSERT_EQ(rs.value().rows.size(), 2u) << "streaming=" << streaming;
-    EXPECT_NE(rs.value().rows[0][0].AsText(), rs.value().rows[1][0].AsText());
-  }
-  db_.options().streaming_distinct = true;
+  // two distinct exenames exist. The limit must count deduped rows.
+  auto rs = db_.Query(
+      "MATCH (p:proc)-[e]->(o) RETURN DISTINCT p.exename LIMIT 2");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs.value().rows.size(), 2u);
+  EXPECT_NE(rs.value().rows[0][0].AsText(), rs.value().rows[1][0].AsText());
 }
 
 TEST_F(GraphDbTest, LimitWithMultiPatternJoin) {
@@ -195,26 +182,20 @@ TEST_F(GraphDbTest, LimitWithMultiPatternJoin) {
 }
 
 TEST_F(GraphDbTest, PushedLimitStopsSeedIteration) {
-  const char* q = "MATCH (p:proc)-[e]->(o) RETURN p.exename LIMIT 1";
-  MatchStats pushed, legacy;
-  auto fast = db_.Query(q, &pushed);
-  db_.options().push_limit = false;
-  auto slow = db_.Query(q, &legacy);
-  db_.options().push_limit = true;
-  ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(slow.ok());
-  EXPECT_EQ(fast.value().rows.size(), 1u);
-  EXPECT_EQ(slow.value().rows.size(), 1u);
-  // Streaming stops after the first complete match; the legacy path visits
-  // every proc seed before truncating.
-  EXPECT_LT(pushed.seed_candidates, legacy.seed_candidates);
-  EXPECT_EQ(pushed.seed_candidates, 1u);
+  MatchStats stats;
+  auto rs = db_.Query("MATCH (p:proc)-[e]->(o) RETURN p.exename LIMIT 1",
+                      &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs.value().rows.size(), 1u);
+  // Matching stops after the first complete match instead of visiting
+  // all three proc seeds.
+  EXPECT_EQ(stats.seed_candidates, 1u);
 }
 
 TEST_F(GraphDbTest, SelectiveSeedsPickSmallestIndexProbe) {
   // Several procs share an exename while pid stays unique; with both props
-  // indexed, the pattern lists exename first, so the legacy choice probes
-  // the big bucket while the selective one probes the single-pid bucket.
+  // indexed, the pattern lists exename first, but the seed comes from the
+  // single-pid bucket rather than the eight-node exename bucket.
   PropertyGraph& g = db_.graph();
   for (int i = 0; i < 8; ++i) {
     g.AddNode("proc", {{"exename", Value("/bin/dup")},
@@ -230,17 +211,12 @@ TEST_F(GraphDbTest, SelectiveSeedsPickSmallestIndexProbe) {
 
   const char* q =
       "MATCH (p:proc {exename: '/bin/dup', pid: 503}) RETURN p.pid";
-  MatchStats selective, legacy;
-  auto fast = db_.Query(q, &selective);
-  db_.options().selective_seeds = false;
-  auto slow = db_.Query(q, &legacy);
-  db_.options().selective_seeds = true;
-  ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(slow.ok());
-  EXPECT_EQ(fast.value().rows, slow.value().rows);
-  ASSERT_EQ(fast.value().rows.size(), 1u);
-  EXPECT_EQ(selective.seed_candidates, 1u);  // pid probe
-  EXPECT_EQ(legacy.seed_candidates, 8u);     // exename probe
+  MatchStats match_stats;
+  auto rs = db_.Query(q, &match_stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs.value().rows.size(), 1u);
+  EXPECT_EQ(rs.value().rows[0][0].AsInt(), 503);
+  EXPECT_EQ(match_stats.seed_candidates, 1u);  // pid probe
 }
 
 TEST_F(GraphDbTest, StartsWithEndsWith) {
@@ -275,21 +251,15 @@ TEST_F(GraphDbTest, RelationshipUniqueness) {
   EXPECT_TRUE(rs.value().rows.empty());
 }
 
-TEST_F(GraphDbTest, TypedAdjacencyMatchesFullScanResults) {
-  // The grouped-by-type expansion must return exactly what the legacy full
-  // edge-list scan returns, while traversing fewer edges.
-  const char* q =
-      "MATCH (p:proc)-[e:write]->(f:file) RETURN p.exename, f.name";
-  MatchStats fast_stats, slow_stats;
-  auto fast = db_.Query(q, &fast_stats);
-  db_.options().typed_adjacency = false;
-  auto slow = db_.Query(q, &slow_stats);
-  db_.options().typed_adjacency = true;
-  ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(slow.ok());
-  EXPECT_EQ(fast.value().rows, slow.value().rows);
-  // tar has 1 write among 2 out-edges; the typed path skips the read.
-  EXPECT_LT(fast_stats.edges_traversed, slow_stats.edges_traversed);
+TEST_F(GraphDbTest, TypedAdjacencyExpandsOnlyTypedEdges) {
+  MatchStats stats;
+  auto rs = db_.Query(
+      "MATCH (p:proc)-[e:write]->(f:file) RETURN p.exename, f.name", &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs.value().rows.size(), 2u);  // tar and bzip2
+  // tar and bzip2 each have one write among two out-edges, and curl none
+  // among one: the typed expansion touches the two writes only.
+  EXPECT_EQ(stats.edges_traversed, 2u);
 }
 
 TEST_F(GraphDbTest, TypedExpansionOfAbsentTypeMatchesNothing) {
@@ -319,14 +289,14 @@ TEST_F(GraphDbTest, InListUsesHashedProbe) {
   const char* q =
       "MATCH (f:file) WHERE f.name IN ['/etc/passwd', '/tmp/upload.tar'] "
       "RETURN f.name";
-  auto hashed = db_.Query(q);
-  db_.options().hashed_in_lists = false;
-  auto scanned = db_.Query(q);
-  db_.options().hashed_in_lists = true;
-  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
-  ASSERT_TRUE(scanned.ok());
-  EXPECT_EQ(hashed.value().rows.size(), 2u);
-  EXPECT_EQ(hashed.value().rows, scanned.value().rows);
+  auto rs = db_.Query(q);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs.value().rows.size(), 2u);
+  std::vector<std::string> names = {rs.value().rows[0][0].AsText(),
+                                    rs.value().rows[1][0].AsText()};
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"/etc/passwd",
+                                             "/tmp/upload.tar"}));
 }
 
 TEST_F(GraphDbTest, FindPropHeterogeneousLookup) {

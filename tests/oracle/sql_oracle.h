@@ -3,8 +3,11 @@
 // [NOT] LIKE, DISTINCT and ORDER BY. It runs the statement as brute-force
 // nested loops over every row of every table — no indexes, no frozen
 // columns, no threads, no planner — comparing cells only through
-// sql::Value::Compare and LikeMatch. The differential suite checks the
-// real executor against it; keep it obviously correct rather than fast.
+// sql::Value::Compare and LikeMatch. Each AND-conjunct of the ON and WHERE
+// clauses is checked in the loop of the last alias it mentions, so a
+// failing prefix is not extended; conjuncts have no side effects, so where
+// one is checked changes no result. The differential suite checks the real
+// executor against it; keep it obviously correct rather than fast.
 #pragma once
 
 #include <algorithm>
@@ -32,21 +35,19 @@ class SqlOracle {
     for (const sql::JoinClause& j : stmt.joins) {
       RAPTOR_RETURN_NOT_OK(o.Bind(j.table, catalog));
     }
+    if (o.tables_.empty()) return Status::InvalidArgument("oracle: no FROM");
     // Every ON clause and the WHERE clause must hold (all are AND-ed).
     std::vector<const sql::Expr*> conds;
-    for (const sql::JoinClause& j : stmt.joins) conds.push_back(j.on.get());
-    if (stmt.where) conds.push_back(stmt.where.get());
+    for (const sql::JoinClause& j : stmt.joins) Split(j.on.get(), &conds);
+    Split(stmt.where.get(), &conds);
+    o.checks_.resize(o.tables_.size());
+    for (const sql::Expr* c : conds) o.checks_[o.LastAlias(*c)].push_back(c);
 
     // (projected row, ORDER BY keys) per qualifying tuple.
     std::vector<std::pair<sql::Row, sql::Row>> out;
     std::vector<sql::RowId> tuple(o.tables_.size());
     Status st = Status::OK();
     o.Loop(0, &tuple, [&]() -> Status {
-      for (const sql::Expr* c : conds) {
-        auto v = o.Eval(*c, tuple);
-        if (!v.ok()) return v.status();
-        if (!Truthy(v.value())) return Status::OK();
-      }
       sql::Row row, keys;
       for (const sql::SelectItem& item : stmt.items) {
         if (item.star) {
@@ -101,7 +102,19 @@ class SqlOracle {
     return Status::OK();
   }
 
-  /// Visit every combination of row ids, alias 0 outermost.
+  /// Split an AND-tree into its conjuncts.
+  static void Split(const sql::Expr* e, std::vector<const sql::Expr*>* out) {
+    if (e == nullptr) return;
+    if (e->kind == sql::ExprKind::kBinary && e->op == sql::BinaryOp::kAnd) {
+      Split(e->lhs.get(), out);
+      Split(e->rhs.get(), out);
+    } else {
+      out->push_back(e);
+    }
+  }
+
+  /// Visit every combination of row ids, alias 0 outermost, keeping the
+  /// tuples whose bound prefix passes each level's checks.
   template <class Fn>
   void Loop(size_t a, std::vector<sql::RowId>* tuple, Fn&& emit,
             Status* st) const {
@@ -112,27 +125,60 @@ class SqlOracle {
     }
     for (sql::RowId r = 0; r < tables_[a]->row_count() && st->ok(); ++r) {
       (*tuple)[a] = r;
-      Loop(a + 1, tuple, emit, st);
+      bool pass = true;
+      for (const sql::Expr* c : checks_[a]) {
+        auto v = Eval(*c, *tuple);
+        if (!v.ok()) {
+          *st = v.status();
+          return;
+        }
+        if (!Truthy(v.value())) {
+          pass = false;
+          break;
+        }
+      }
+      if (pass) Loop(a + 1, tuple, emit, st);
     }
   }
 
-  Result<sql::Value> Column(const sql::Expr& e,
-                            const std::vector<sql::RowId>& tuple) const {
-    int found_a = -1, found_c = -1;
+  /// The alias and column index a column reference names.
+  Status Resolve(const sql::Expr& e, int* alias, int* col) const {
+    *alias = -1;
     for (size_t a = 0; a < tables_.size(); ++a) {
       if (!e.table.empty() && aliases_[a] != e.table) continue;
       int c = tables_[a]->schema().FindColumn(e.column);
       if (c < 0) continue;
-      if (found_a >= 0) {
+      if (*alias >= 0) {
         return Status::InvalidArgument("ambiguous column: " + e.column);
       }
-      found_a = static_cast<int>(a);
-      found_c = c;
+      *alias = static_cast<int>(a);
+      *col = c;
     }
-    if (found_a < 0) {
+    if (*alias < 0) {
       return Status::NotFound("unknown column: " + e.ToString());
     }
-    return tables_[found_a]->row(tuple[found_a])[found_c];
+    return Status::OK();
+  }
+
+  /// The last alias (in loop order) `e` mentions; a column that does not
+  /// resolve counts as the last alias of all, where its error surfaces.
+  size_t LastAlias(const sql::Expr& e) const {
+    if (e.kind == sql::ExprKind::kColumnRef) {
+      int a = -1, c = -1;
+      if (!Resolve(e, &a, &c).ok()) return tables_.size() - 1;
+      return static_cast<size_t>(a);
+    }
+    size_t last = 0;
+    if (e.lhs) last = std::max(last, LastAlias(*e.lhs));
+    if (e.rhs) last = std::max(last, LastAlias(*e.rhs));
+    return last;
+  }
+
+  Result<sql::Value> Column(const sql::Expr& e,
+                            const std::vector<sql::RowId>& tuple) const {
+    int a = -1, c = -1;
+    RAPTOR_RETURN_NOT_OK(Resolve(e, &a, &c));
+    return tables_[a]->row(tuple[a])[c];
   }
 
   Result<sql::Value> Eval(const sql::Expr& e,
@@ -199,6 +245,7 @@ class SqlOracle {
 
   std::vector<std::string> aliases_;
   std::vector<const sql::Table*> tables_;
+  std::vector<std::vector<const sql::Expr*>> checks_;  // per loop level
 };
 
 }  // namespace raptor::oracle

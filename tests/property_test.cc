@@ -274,10 +274,9 @@ TEST_P(SmallVectorPropertyTest, AgreesWithVectorReference) {
 
 /// Binding-frame round trip: a flat slot frame (the matcher's FrameBinding
 /// layout — SmallVector indexed by interned slot, sentinel = unbound) must
-/// behave exactly like the legacy map-based binding under random
-/// bind/unbind/read sequences, including slot counts past the inline
-/// capacity.
-TEST_P(SmallVectorPropertyTest, SlotFrameMatchesMapBinding) {
+/// behave exactly like a slot -> id hash map under random bind/unbind/read
+/// sequences, including slot counts past the inline capacity.
+TEST_P(SmallVectorPropertyTest, SlotFrameMatchesHashMap) {
   constexpr uint64_t kUnbound = static_cast<uint64_t>(-1);
   Rng rng(GetParam() * 131 + 7);
   for (int trial = 0; trial < 50; ++trial) {

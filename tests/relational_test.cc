@@ -314,18 +314,12 @@ TEST_F(RelationalTest, SingleShardTablePreservesLegacyApi) {
 }
 
 TEST_F(RelationalTest, LimitZeroReturnsNothing) {
-  for (bool push : {true, false}) {
-    db_.options().push_limit = push;
-    ExecStats stats;
-    auto rs = db_.Query("SELECT name FROM entities LIMIT 0", &stats);
-    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-    EXPECT_TRUE(rs.value().rows.empty());
-    // The pushed-down LIMIT 0 never starts the base scan at all.
-    if (push) {
-      EXPECT_EQ(stats.base_rows_scanned, 0u);
-    }
-  }
-  db_.options().push_limit = true;
+  ExecStats stats;
+  auto rs = db_.Query("SELECT name FROM entities LIMIT 0", &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_TRUE(rs.value().rows.empty());
+  // The pushed-down LIMIT 0 never starts the base scan at all.
+  EXPECT_EQ(stats.base_rows_scanned, 0u);
 }
 
 TEST_F(RelationalTest, LimitLargerThanResultSet) {
@@ -336,17 +330,11 @@ TEST_F(RelationalTest, LimitLargerThanResultSet) {
 
 TEST_F(RelationalTest, DistinctLimitCountsPostDedupRows) {
   // Event subjects arrive as 1, 1, 4: a limit counted before dedup would
-  // stop at the duplicate and emit a single distinct row. Both dedup
-  // configurations must produce two — including legacy dedup + push_limit,
-  // where the pushdown has to disable itself.
-  for (bool streaming : {true, false}) {
-    db_.options().streaming_distinct = streaming;
-    auto rs = db_.Query("SELECT DISTINCT subject FROM events LIMIT 2");
-    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-    ASSERT_EQ(rs.value().rows.size(), 2u) << "streaming=" << streaming;
-    EXPECT_NE(rs.value().rows[0][0].AsInt(), rs.value().rows[1][0].AsInt());
-  }
-  db_.options().streaming_distinct = true;
+  // stop at the duplicate and emit a single distinct row.
+  auto rs = db_.Query("SELECT DISTINCT subject FROM events LIMIT 2");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs.value().rows.size(), 2u);
+  EXPECT_NE(rs.value().rows[0][0].AsInt(), rs.value().rows[1][0].AsInt());
 }
 
 TEST_F(RelationalTest, LimitWithJoin) {
@@ -370,21 +358,14 @@ TEST_F(RelationalTest, LimitWithJoin) {
 }
 
 TEST_F(RelationalTest, PushedLimitStopsBaseScan) {
-  const char* q = "SELECT name FROM entities LIMIT 1";
-  ExecStats pushed, legacy;
-  auto fast = db_.Query(q, &pushed);
-  db_.options().push_limit = false;
-  auto slow = db_.Query(q, &legacy);
-  db_.options().push_limit = true;
-  ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(slow.ok());
-  EXPECT_EQ(fast.value().rows.size(), 1u);
-  EXPECT_EQ(slow.value().rows.size(), 1u);
-  // Streaming stops after the first emitted row; the legacy path scans all
-  // four entity rows before truncating.
-  EXPECT_EQ(pushed.base_rows_scanned, 1u);
-  EXPECT_EQ(legacy.base_rows_scanned, 4u);
-  EXPECT_EQ(pushed.rows_emitted, 1u);
+  ExecStats stats;
+  auto rs = db_.Query("SELECT name FROM entities LIMIT 1", &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs.value().rows.size(), 1u);
+  // The scan stops after the first emitted row instead of touching all
+  // four entity rows.
+  EXPECT_EQ(stats.base_rows_scanned, 1u);
+  EXPECT_EQ(stats.rows_emitted, 1u);
 }
 
 TEST_F(RelationalTest, OrderByDisablesPushdownButStaysCorrect) {

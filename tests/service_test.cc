@@ -351,12 +351,11 @@ TEST(HuntServiceTest, DagSchedulingMatchesSequentialPatternOrder) {
   for (const char* q : queries) {
     engine::TbqlExecutor executor(tr->store());
     engine::ExecOptions sequential;
-    sequential.parallel_patterns = false;
+    sequential.max_pattern_workers = 1;
     auto base = executor.ExecuteText(q, sequential);
     ASSERT_TRUE(base.ok()) << base.status().ToString();
 
     engine::ExecOptions dag;
-    dag.parallel_patterns = true;
     auto par = executor.ExecuteText(q, dag);
     ASSERT_TRUE(par.ok()) << par.status().ToString();
 
@@ -940,7 +939,7 @@ TEST(HuntServiceObsTest, TbqlPatternSpanShowsSqlAccessPaths) {
 
 TEST(HuntServiceObsTest, StorageScanSpansCarryWorkCounters) {
   // Big enough to clear the parallel fan-out thresholds so the storage
-  // executors emit per-shard (or per-morsel-worker) scan spans.
+  // executors emit per-morsel-worker scan spans.
   auto tr = BuildWideStore(100, 30);
   HuntService service(tr->store());
   HuntRequest request = Req(
@@ -952,7 +951,6 @@ TEST(HuntServiceObsTest, StorageScanSpansCarryWorkCounters) {
   ASSERT_NE(response.value().profile, nullptr);
 
   std::vector<const obs::TraceSpan*> scans;
-  CollectSpans(*response.value().profile, "shard[", &scans);
   CollectSpans(*response.value().profile, "morsel_worker[", &scans);
   ASSERT_GE(scans.size(), 1u) << "parallel scan must emit per-worker spans";
   int64_t rows = 0, seeds = 0;
