@@ -484,7 +484,7 @@ Result<uint64_t> HuntService::Ingest(
   Status mutated = mutate(&report);
   // Dedup before retaining: AppendStats reports subject+object per stored
   // event, so a hot entity shows up once per event. The dirty set is kept
-  // for up to max_dirty_epochs and concatenated on every standing
+  // for up to kMaxDirtyEpochs and concatenated on every standing
   // refresh — store unique ids, not the raw event-endpoint stream.
   if (mutated.ok()) {
     std::sort(report.touched_entities.begin(), report.touched_entities.end());
@@ -506,7 +506,7 @@ Result<uint64_t> HuntService::Ingest(
       ++stats_.ingests;
       if (logged) ++stats_.wal_records;
       dirty_.push_back({new_epoch, std::move(report.touched_entities)});
-      while (dirty_.size() > options_.max_dirty_epochs) dirty_.pop_front();
+      while (dirty_.size() > kMaxDirtyEpochs) dirty_.pop_front();
       // Wake every live standing hunt; prune unsubscribed ones.
       auto it = standing_.begin();
       while (it != standing_.end()) {
@@ -910,8 +910,7 @@ double HuntService::CostWeightLocked(HuntTicket::State& state) {
   }
   double denom = std::max<double>(
       1.0, static_cast<double>(store_->entity_count() + store_->event_count()));
-  double weight = std::min(1.0, std::max(options_.min_cost_weight,
-                                         cost / denom));
+  double weight = std::min(1.0, std::max(kMinCostWeight, cost / denom));
   state.cost_weight = weight;
   return weight;
 }
@@ -1129,7 +1128,8 @@ void HuntService::Process(const StatePtr& state, Status* status,
     obs::TraceSpan* queue_span = root->AddChild("queue_wait");
     queue_span->SetWindow(state->submit_time, obs::TraceSpan::Clock::now());
   }
-  auto result = Execute(*state, root.get());
+  auto result = ExecuteQuery(state->request, &state->cancel, state->deadline,
+                             /*seed_filter=*/nullptr, root.get());
   if (result.ok()) {
     *response = std::move(result).value();
   } else {
@@ -1146,12 +1146,6 @@ void HuntService::Process(const StatePtr& state, Status* status,
                      root.get());
     }
   }
-}
-
-Result<HuntResponse> HuntService::Execute(HuntTicket::State& state,
-                                          obs::TraceSpan* trace) const {
-  return ExecuteQuery(state.request, &state.cancel, state.deadline,
-                      /*seed_filter=*/nullptr, trace);
 }
 
 Result<HuntResponse> HuntService::ExecuteQuery(
@@ -1197,18 +1191,7 @@ Result<HuntResponse> HuntService::ExecuteQuery(
         obs::Finish(exec_span);
         return rs.status();
       }
-      if (exec_span != nullptr) {
-        exec_span->Set("seeds_visited",
-                       static_cast<int64_t>(stats.seed_candidates));
-        exec_span->Set("edges_traversed",
-                       static_cast<int64_t>(stats.edges_traversed));
-        exec_span->Set("rows_emitted",
-                       static_cast<int64_t>(stats.rows_emitted));
-        exec_span->Set("morsels_executed",
-                       static_cast<int64_t>(stats.morsels_executed));
-        exec_span->Set("morsels_stolen",
-                       static_cast<int64_t>(stats.morsels_stolen));
-      }
+      stats.WriteSpan(exec_span);
       response.columns = std::move(rs.value().columns);
       response.rows = std::move(rs.value().rows);
       break;
@@ -1226,16 +1209,10 @@ Result<HuntResponse> HuntService::ExecuteQuery(
         obs::Finish(exec_span);
         return rs.status();
       }
-      // The executor itself adds the scan/probe/filter counters and the
-      // access-path notes to exec_span (SelectOptions::trace).
-      if (exec_span != nullptr) {
-        exec_span->Set("rows_emitted",
-                       static_cast<int64_t>(stats.rows_emitted));
-        exec_span->Set("morsels_executed",
-                       static_cast<int64_t>(stats.morsels_executed));
-        exec_span->Set("morsels_stolen",
-                       static_cast<int64_t>(stats.morsels_stolen));
-      }
+      // The executor itself adds its counters and the access-path notes
+      // to exec_span (SelectOptions::trace); stats.WriteSpan re-sets the
+      // scan counters to the same totals and adds rows and morsels.
+      stats.WriteSpan(exec_span);
       response.columns = std::move(rs.value().columns);
       response.rows = std::move(rs.value().rows);
       break;

@@ -355,6 +355,15 @@ struct TenantPolicy {
   size_t max_queued = 0;
 };
 
+/// Floor for a hunt's normalized admission cost weight, so even point
+/// lookups consume some budget and the effective width stays bounded by
+/// HuntServiceOptions::admission_cost_budget / kMinCostWeight.
+constexpr double kMinCostWeight = 0.05;
+
+/// Per-epoch dirty-entity sets retained for incremental standing hunts; a
+/// subscriber further behind than this falls back to a full re-scan.
+constexpr size_t kMaxDirtyEpochs = 64;
+
 struct HuntServiceOptions {
   /// Concurrent hunts admitted at once (= admission worker threads).
   size_t max_concurrent = 4;
@@ -370,16 +379,12 @@ struct HuntServiceOptions {
   /// string is the default tenant).
   std::map<std::string, TenantPolicy> tenant_policies;
   /// Cost-aware admission: a dequeued hunt only starts while the sum of
-  /// running hunts' estimated weights (each in [min_cost_weight, 1], 1 ≈
+  /// running hunts' estimated weights (each in [kMinCostWeight, 1], 1 ≈
   /// one full scan of the store, from the executors' plan-time
   /// EstimateCost) stays within this budget; a hunt always admits when
   /// nothing is running. <= 0 disables the cost gate (pure worker-count
   /// admission, the legacy behavior).
   double admission_cost_budget = 2.0;
-  /// Floor for a hunt's normalized cost weight, so even point lookups
-  /// consume some budget and the effective width stays bounded by
-  /// admission_cost_budget / min_cost_weight.
-  double min_cost_weight = 0.05;
   /// Bounded writer preference: at most this many consecutive gate
   /// acquisitions (Ingest/Exclusive) admit while hunts sit queued; then
   /// one hunt is guaranteed through before the next writer. 0 = unbounded
@@ -389,9 +394,6 @@ struct HuntServiceOptions {
   /// counters; least-recently-active entries beyond this are pruned so
   /// the tenant map stays bounded at millions-of-users scale.
   size_t max_idle_tenants = 64;
-  /// Per-epoch dirty-entity sets retained for incremental standing hunts;
-  /// a subscriber further behind than this falls back to a full re-scan.
-  size_t max_dirty_epochs = 64;
   /// Multi-query optimization, layer 1: full refreshes of
   /// structurally-identical standing hunts (equal huntlib canonical keys,
   /// typically the same technique template across tenants) at the same
@@ -649,7 +651,7 @@ class HuntService {
   StatePtr AdmitLocked();
   /// `state`'s admission weight, estimated on first use (plan-time
   /// EstimateCost normalized by store size, clamped to
-  /// [min_cost_weight, 1]). Precondition: mu_ held, no mutation active.
+  /// [kMinCostWeight, 1]). Precondition: mu_ held, no mutation active.
   double CostWeightLocked(HuntTicket::State& state);
   /// A waiting writer currently outranks hunt admission (bounded
   /// preference not yet exhausted). Precondition: mu_ held.
@@ -668,8 +670,6 @@ class HuntService {
   /// Precondition: mu_ held.
   void ScheduleStandingLocked(const StandingPtr& sub);
   void Process(const StatePtr& state, Status* status, HuntResponse* response);
-  Result<HuntResponse> Execute(HuntTicket::State& state,
-                               obs::TraceSpan* trace) const;
   /// Shared execution path for client hunts and standing refreshes.
   /// `seed_filter` (Cypher only) restricts part-0 seeds for incremental
   /// standing refreshes. `trace` (nullable) roots the execution's span

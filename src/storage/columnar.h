@@ -15,10 +15,11 @@
 // picks the kind (int64 or string); any later conflict — or any value the
 // columnar cells cannot represent exactly under sql::Value::Compare
 // semantics (doubles, explicit NULLs) — demotes the column to kMixed,
-// which tells the executors to fall back to the retained row path for
-// that predicate. Absent cells (a row without the property) are explicit:
-// a present-bitmap for int columns, kNullDictId for string columns, and
-// positions past len() for trailing rows that never froze a cell.
+// which tells the column filter (storage/column_filter.h) to leave that
+// predicate to the executors' retained row path. Absent cells (a row
+// without the property) are explicit: a present-bitmap for int columns,
+// kNullDictId for string columns, and positions past len() for trailing
+// rows that never froze a cell.
 //
 // Thread-safety matches the owning stores: freezing happens on the
 // single-writer mutation path; all readers are const and race-free.
@@ -46,9 +47,6 @@ class Column {
   enum class Kind : uint8_t { kUnset, kInt64, kString, kMixed };
 
   Kind kind() const { return kind_; }
-  bool usable() const {
-    return kind_ == Kind::kInt64 || kind_ == Kind::kString;
-  }
 
   /// Cells frozen so far; positions >= len() are absent.
   size_t len() const {
@@ -85,10 +83,6 @@ class Column {
   uint32_t DictAt(size_t pos) const {
     return pos >= dict_ids_.size() ? kNullDictId : dict_ids_[pos];
   }
-
-  const std::vector<int64_t>& ints() const { return ints_; }
-  const std::vector<uint8_t>& present() const { return present_; }
-  const std::vector<uint32_t>& dict_ids() const { return dict_ids_; }
 
  private:
   bool Resolve(Kind k) {

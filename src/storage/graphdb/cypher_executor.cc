@@ -12,9 +12,8 @@
 #include "common/deadline.h"
 #include "common/small_vector.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "obs/trace.h"
-#include "storage/columnar.h"
+#include "storage/column_filter.h"
 #include "storage/graphdb/cypher_parser.h"
 #include "storage/shard_parallel.h"
 #include "storage/subresult_cache.h"
@@ -49,158 +48,90 @@ void InitBinding(FrameBinding& b, const VarTable& vars) {
   b.used_edges.clear();
 }
 
-/// One inline property constraint compiled against the frozen columnar
-/// storage. The literal is resolved once (int value or dictionary id) and
-/// each shard's (label/type × prop) column is classified into a scan mode,
-/// so the per-candidate check is an integer compare against a column cell
-/// instead of a PropertyMap probe + Value::Compare.
-struct ColPred {
-  enum class Mode : uint8_t {
-    kRow,    // column can't represent the compare exactly; use the row path
-    kNever,  // no cell of this shard's bucket can ever match the literal
-    kInt,    // int column: cell present && cell == int_lit
-    kDict,   // string column: cell dictionary id == dict_lit
-  };
-  struct PerShard {
-    Mode mode = Mode::kRow;
-    const storage::Column* col = nullptr;  // kInt / kDict only
-  };
+/// Row path of one inline constraint: a PropertyMap probe under
+/// Value::Compare.
+template <class Entity>
+bool RowPropMatches(const Entity& entity, const PropConstraint& pc) {
+  const Value* v = entity.FindProp(pc.key);
+  return v != nullptr && v->Compare(pc.value) == 0;
+}
 
-  const PropConstraint* pc = nullptr;  // row-path fallback source
-  int64_t int_lit = 0;
-  uint32_t dict_lit = storage::kNullDictId;
-  SmallVector<PerShard, 4> shards;
+/// Inline property constraints `{key: literal}` of a node or edge pattern:
+/// through the compiled column filter where the entity's shard has one,
+/// else (unlabeled / untyped patterns, shards the kernel leaves to the row
+/// path) by RowPropMatches.
+template <class Entity>
+bool PropsMatch(const std::vector<PropConstraint>& props,
+                const std::vector<storage::ColumnFilter>& filters,
+                size_t shard, size_t pos, const Entity& entity) {
+  for (size_t i = 0; i < props.size(); ++i) {
+    bool ok = !filters.empty() && filters[i].compiled(shard)
+                  ? filters[i].Matches(shard, pos)
+                  : RowPropMatches(entity, props[i]);
+    if (!ok) return false;
+  }
+  return true;
+}
 
-  /// `pos` is the candidate's dense bucket offset (label_pos / type_pos).
-  bool Matches(size_t shard, size_t pos, const Node* row_node,
-               const Edge* row_edge) const {
-    const PerShard& ps = shards[shard];
-    switch (ps.mode) {
-      case Mode::kNever:
-        return false;
-      case Mode::kInt: {
-        int64_t v;
-        return ps.col->IntAt(pos, &v) && v == int_lit;
-      }
-      case Mode::kDict:
-        return ps.col->DictAt(pos) == dict_lit;
-      case Mode::kRow: {
-        const Value* v = row_node != nullptr ? row_node->FindProp(pc->key)
-                                             : row_edge->FindProp(pc->key);
-        return v != nullptr && v->Compare(pc->value) == 0;
-      }
-    }
-    return false;
+/// Compile `{key: literal}` constraints into `=` column filters over the
+/// per-shard columns of one label / edge-type bucket (`column(shard,
+/// prop_id)`; nullptr when no entity of the shard's bucket carries it).
+template <class ColumnOf>
+std::vector<storage::ColumnFilter> CompilePropFilters(
+    const PropertyGraph& graph, const std::vector<PropConstraint>& props,
+    ColumnOf&& column) {
+  std::vector<storage::ColumnFilter> filters;
+  filters.reserve(props.size());
+  std::vector<const storage::Column*> cols(graph.shard_count());
+  for (const PropConstraint& pc : props) {
+    uint32_t prop_id = graph.LookupPropName(pc.key);
+    for (size_t s = 0; s < cols.size(); ++s) cols[s] = column(s, prop_id);
+    filters.emplace_back(storage::ColumnFilter::Op::kEq,
+                         std::span<const Value>(&pc.value, 1),
+                         graph.PropDict(prop_id), cols);
   }
-};
-
-/// Classify one constraint against one shard's column. The literal kinds
-/// the columns represent exactly are int and text; doubles and NULLs keep
-/// the row path (a double literal can numerically equal an int cell under
-/// Value::Compare). A missing column means no row of the bucket carries
-/// the property, and a kind mismatch (text literal vs int column and vice
-/// versa) can never compare equal — both are kNever. A text literal absent
-/// from the property's global dictionary (dict_lit == kNullDictId, which
-/// doubles as the absent-cell sentinel) also matches nothing and must
-/// never be id-compared against cells.
-ColPred::PerShard ClassifyColumn(const storage::Column* col,
-                                 const Value& lit, uint32_t dict_lit) {
-  ColPred::PerShard ps;
-  if (col == nullptr) {
-    ps.mode = ColPred::Mode::kNever;
-    return ps;
-  }
-  if (!col->usable() || (!lit.is_int() && !lit.is_text())) {
-    ps.mode = ColPred::Mode::kRow;
-    return ps;
-  }
-  if (col->kind() == storage::Column::Kind::kInt64) {
-    ps.mode = lit.is_int() ? ColPred::Mode::kInt : ColPred::Mode::kNever;
-  } else {  // kString
-    ps.mode = lit.is_text() && dict_lit != storage::kNullDictId
-                  ? ColPred::Mode::kDict
-                  : ColPred::Mode::kNever;
-  }
-  ps.col = col;
-  return ps;
+  return filters;
 }
 
 /// A node pattern with its label resolved to the graph's interned id and
 /// its variable to the query's slot, so candidate checks compare integers
 /// instead of strings. When the label is known, inline property
-/// constraints additionally compile to ColPreds over the frozen per-(shard
-/// × label) columns; unlabeled patterns keep the PropertyMap row path.
+/// constraints additionally compile to column filters over the frozen
+/// per-(shard × label) columns; unlabeled patterns keep the PropertyMap
+/// row path.
 struct ResolvedNode {
   const NodePattern* pat = nullptr;
   bool has_label = false;
-  bool columnar = false;          // col_preds cover every constraint
   uint32_t label_id = kNoSymbol;  // kNoSymbol: label absent, matches nothing
   uint32_t var_slot = kNoSymbol;  // kNoSymbol: anonymous node
-  std::vector<ColPred> col_preds;
+  std::vector<storage::ColumnFilter> filters;  // per pat->props, or empty
 
   bool Matches(const Node& node, const PropertyGraph& graph) const {
     if (has_label && node.label_id != label_id) return false;
-    if (columnar) {
-      size_t shard = graph.ShardOf(node.id);
-      for (const ColPred& cp : col_preds) {
-        if (!cp.Matches(shard, node.label_pos, &node, nullptr)) return false;
-      }
-      return true;
-    }
-    for (const PropConstraint& pc : pat->props) {
-      const Value* v = node.FindProp(pc.key);
-      if (v == nullptr || v->Compare(pc.value) != 0) return false;
-    }
-    return true;
+    if (pat->props.empty()) return true;  // most patterns: skip the call
+    return PropsMatch(pat->props, filters, graph.ShardOf(node.id),
+                      node.label_pos, node);
   }
 };
 
 /// A relationship pattern with its type resolved to the interned id; typed
 /// expansion uses the id to select the per-type adjacency group directly.
-/// Inline property constraints compile to ColPreds over the per-(shard ×
-/// edge type) columns when the type is known.
+/// Inline property constraints compile to column filters over the
+/// per-(shard × edge type) columns when the type is known.
 struct ResolvedRel {
   const RelPattern* pat = nullptr;
   bool has_type = false;
-  bool columnar = false;
   uint32_t type_id = kNoSymbol;
   uint32_t var_slot = kNoSymbol;
-  std::vector<ColPred> col_preds;
+  std::vector<storage::ColumnFilter> filters;  // per pat->props, or empty
 
   bool Matches(const Edge& edge, const PropertyGraph& graph) const {
     if (has_type && edge.type_id != type_id) return false;
-    if (columnar) {
-      size_t shard = graph.ShardOf(edge.id);
-      for (const ColPred& cp : col_preds) {
-        if (!cp.Matches(shard, edge.type_pos, nullptr, &edge)) return false;
-      }
-      return true;
-    }
-    for (const PropConstraint& pc : pat->props) {
-      const Value* v = edge.FindProp(pc.key);
-      if (v == nullptr || v->Compare(pc.value) != 0) return false;
-    }
-    return true;
+    if (pat->props.empty()) return true;
+    return PropsMatch(pat->props, filters, graph.ShardOf(edge.id),
+                      edge.type_pos, edge);
   }
 };
-
-ColPred CompileColPred(const PropertyGraph& graph, const PropConstraint& pc,
-                       bool node_side, uint32_t bucket_id) {
-  ColPred cp;
-  cp.pc = &pc;
-  uint32_t prop_id = graph.LookupPropName(pc.key);
-  if (pc.value.is_int()) cp.int_lit = pc.value.AsInt();
-  if (pc.value.is_text()) {
-    cp.dict_lit = graph.LookupPropDict(prop_id, pc.value.AsText());
-  }
-  for (size_t s = 0; s < graph.shard_count(); ++s) {
-    const storage::Column* col = node_side
-                                     ? graph.NodeColumn(s, bucket_id, prop_id)
-                                     : graph.EdgeColumn(s, bucket_id, prop_id);
-    cp.shards.push_back(ClassifyColumn(col, pc.value, cp.dict_lit));
-  }
-  return cp;
-}
 
 ResolvedNode ResolveNode(const PropertyGraph& graph, const VarTable& vars,
                          const NodePattern& pat) {
@@ -211,15 +142,12 @@ ResolvedNode ResolveNode(const PropertyGraph& graph, const VarTable& vars,
     r.label_id = graph.LookupLabel(pat.label);
   }
   if (!pat.var.empty()) r.var_slot = vars.nodes.Lookup(pat.var);
-  // Columnar constraints need a known label (the column buckets are per
-  // label); an unknown label matches nothing regardless.
+  // Column filters need a known label (the column buckets are per label);
+  // an unknown label matches nothing regardless.
   if (r.has_label && r.label_id != kNoSymbol) {
-    r.columnar = true;
-    r.col_preds.reserve(pat.props.size());
-    for (const PropConstraint& pc : pat.props) {
-      r.col_preds.push_back(
-          CompileColPred(graph, pc, /*node_side=*/true, r.label_id));
-    }
+    r.filters = CompilePropFilters(graph, pat.props, [&](size_t s, uint32_t p) {
+      return graph.NodeColumn(s, r.label_id, p);
+    });
   }
   return r;
 }
@@ -234,12 +162,9 @@ ResolvedRel ResolveRel(const PropertyGraph& graph, const VarTable& vars,
   }
   if (!pat.var.empty()) r.var_slot = vars.edges.Lookup(pat.var);
   if (r.has_type && r.type_id != kNoSymbol) {
-    r.columnar = true;
-    r.col_preds.reserve(pat.props.size());
-    for (const PropConstraint& pc : pat.props) {
-      r.col_preds.push_back(
-          CompileColPred(graph, pc, /*node_side=*/false, r.type_id));
-    }
+    r.filters = CompilePropFilters(graph, pat.props, [&](size_t s, uint32_t p) {
+      return graph.EdgeColumn(s, r.type_id, p);
+    });
   }
   return r;
 }
@@ -323,20 +248,19 @@ class CypherEvaluator {
       }
       case CypherExprKind::kPropRef: {
         NodeId nid;
+        uint32_t prop_id = SlotsFor(e).prop_id;
         if (LookupNodeVar(b, e, &nid)) {
           const Node& node = graph_.node(nid);
-          return ColumnarProp(
-              e, graph_.NodeColumn(graph_.ShardOf(nid), node.label_id,
-                                   SlotsFor(e).prop_id),
-              node.label_pos, [&] { return node.FindProp(e.prop); });
+          return PropOf(
+              node, e.prop, prop_id, node.label_pos,
+              graph_.NodeColumn(graph_.ShardOf(nid), node.label_id, prop_id));
         }
         EdgeId eid;
         if (LookupEdgeVar(b, e, &eid)) {
           const Edge& edge = graph_.edge(eid);
-          return ColumnarProp(
-              e, graph_.EdgeColumn(graph_.ShardOf(eid), edge.type_id,
-                                   SlotsFor(e).prop_id),
-              edge.type_pos, [&] { return edge.FindProp(e.prop); });
+          return PropOf(
+              edge, e.prop, prop_id, edge.type_pos,
+              graph_.EdgeColumn(graph_.ShardOf(eid), edge.type_id, prop_id));
         }
         return Status::NotFound("unbound variable: " + e.var);
       }
@@ -432,24 +356,17 @@ class CypherEvaluator {
     return it->second;
   }
 
-  /// Property read through a frozen column: a missing column means no
-  /// entity of the bucket carries the property (NULL), and absent cells
-  /// are NULL; a demoted (kMixed) column defers to `row_prop` so doubles
+  /// Property read through the frozen column (storage::ReadCell); a
+  /// demoted (kMixed) column defers to the entity's PropertyMap, so doubles
   /// and null-valued properties keep exact row semantics.
-  template <class RowProp>
-  Result<Value> ColumnarProp(const CypherExpr& e, const storage::Column* col,
-                             size_t pos, RowProp&& row_prop) const {
-    if (col == nullptr) return Value::Null();
-    if (col->kind() == storage::Column::Kind::kInt64) {
-      int64_t v;
-      return col->IntAt(pos, &v) ? Value(v) : Value::Null();
+  template <class Entity>
+  Value PropOf(const Entity& entity, std::string_view prop, uint32_t prop_id,
+               size_t pos, const storage::Column* col) const {
+    Value cell;
+    if (storage::ReadCell(col, graph_.PropDict(prop_id), pos, &cell)) {
+      return cell;
     }
-    if (col->kind() == storage::Column::Kind::kString) {
-      uint32_t d = col->DictAt(pos);
-      if (d == storage::kNullDictId) return Value::Null();
-      return Value(std::string(graph_.PropDictName(SlotsFor(e).prop_id, d)));
-    }
-    const Value* v = row_prop();
+    const Value* v = entity.FindProp(prop);
     return v != nullptr ? *v : Value::Null();
   }
 
@@ -1124,118 +1041,6 @@ class Matcher {
   DeadlinePoller deadline_;  // polled with the cancel flag / LIMIT budget
 };
 
-/// Morsel-driven work-stealing execution: each shard's top-level seed list
-/// is carved into fixed-size morsels (MatchOptions::morsel_size seed
-/// positions) laid out shard-major on per-worker work-stealing deques
-/// (common/thread_pool.h WorkStealingQueues). A worker pops its own deque
-/// front-first and steals one morsel from the back of a victim when it
-/// drains, so a skewed shard's seeds spread over the whole fleet. Each
-/// morsel streams into its own sink/result; the merge walks morsels in
-/// carve order, so the result is independent of which worker ran which
-/// morsel.
-Status RunMorselParallel(const CypherQuery& query, const PropertyGraph& graph,
-                         const MatchOptions& options, MatchStats* stats,
-                         const VarTable& vars, const PushdownFilters& pushdown,
-                         const std::vector<const CypherExpr*>& residual,
-                         const Matcher& prepared, const SeedSet& top_seeds,
-                         GraphBlockResult* result) {
-  size_t n_shards = graph.shard_count();
-  // Per-shard seed-list lengths under the same iteration scheme
-  // MatchChainFrom uses (full-scan positions, span offsets, or the
-  // pre-split owned sub-lists).
-  std::vector<size_t> counts(n_shards, 0);
-  for (size_t s = 0; s < n_shards; ++s) {
-    if (top_seeds.full_scan) {
-      counts[s] = graph.layout().SizeOf(s, graph.node_count());
-    } else if (!top_seeds.spans.empty()) {
-      counts[s] = top_seeds.spans[s]->size();
-    } else if (!top_seeds.owned_by_shard.empty()) {
-      counts[s] = top_seeds.owned_by_shard[s].size();
-    }
-  }
-
-  struct Morsel {
-    int shard;
-    size_t lo, hi;
-  };
-  std::vector<Morsel> morsels;
-  size_t morsel_size = static_cast<size_t>(std::max(1, options.morsel_size));
-  for (size_t s = 0; s < n_shards; ++s) {
-    for (size_t lo = 0; lo < counts[s]; lo += morsel_size) {
-      morsels.push_back({static_cast<int>(s), lo,
-                         std::min(lo + morsel_size, counts[s])});
-    }
-  }
-  if (morsels.empty()) return Status::OK();
-
-  struct MorselRun {
-    storage::WorkerRows rs;
-    Status error = Status::OK();
-  };
-  std::vector<MorselRun> runs(morsels.size());
-  storage::ShardRowBudget budget(query.limit, query.distinct);
-
-  size_t workers = std::min<size_t>(
-      static_cast<size_t>(options.parallel_shards), morsels.size());
-  WorkStealingQueues queues(morsels.size(), workers);
-  std::vector<MatchStats> worker_stats(workers);
-
-  ThreadPool::Shared().ParallelFor(workers, workers, [&](size_t w) {
-    auto scan_start = obs::TraceSpan::Clock::now();
-    MatchStats* ws = &worker_stats[w];
-    // Per-worker evaluator (mutable IN-list / slot caches); per-morsel
-    // sink + matcher so every morsel owns its rows and error status.
-    CypherEvaluator eval(graph, vars);
-    bool stolen = false;
-    for (size_t m = queues.Next(w, &stolen); m != WorkStealingQueues::kDone;
-         m = queues.Next(w, &stolen)) {
-      ++ws->morsels_executed;
-      if (stolen) ++ws->morsels_stolen;
-      MorselRun& run = runs[m];
-      RowSink sink(query, eval, residual,
-                   /*partition_distinct=*/query.distinct, budget.local_cap,
-                   budget.shared_claimed(), budget.shared_cap, ws, &run.rs);
-      Matcher matcher(graph, options, pushdown, eval, ws, sink);
-      matcher.SharePreparedParts(prepared);
-      matcher.SetTopSeeds(&top_seeds);
-      matcher.RestrictTopSeedsToMorsel(morsels[m].shard, morsels[m].lo,
-                                       morsels[m].hi);
-      if (budget.shared) {
-        matcher.SetSharedRowBudget(&budget.claimed, budget.shared_cap);
-      }
-      FrameBinding binding;
-      InitBinding(binding, vars);
-      matcher.Run(binding);
-      run.error = sink.error();
-      if (!run.error.ok()) break;  // merge surfaces it; stop this worker
-    }
-    if (options.trace != nullptr) {
-      obs::TraceSpan* span =
-          options.trace->AddChild("morsel_worker[" + std::to_string(w) + "]");
-      span->SetWindow(scan_start, obs::TraceSpan::Clock::now());
-      span->Set("seeds_visited", static_cast<int64_t>(ws->seed_candidates));
-      span->Set("edges_traversed",
-                static_cast<int64_t>(ws->edges_traversed));
-      span->Set("rows_emitted", static_cast<int64_t>(ws->rows_emitted));
-      span->Set("morsels_executed",
-                static_cast<int64_t>(ws->morsels_executed));
-      span->Set("morsels_stolen", static_cast<int64_t>(ws->morsels_stolen));
-    }
-  });
-
-  for (const MatchStats& ws : worker_stats) {
-    if (stats == nullptr) break;
-    stats->seed_candidates += ws.seed_candidates;
-    stats->edges_traversed += ws.edges_traversed;
-    stats->bindings_emitted += ws.bindings_emitted;
-    stats->rows_emitted += ws.rows_emitted;
-    stats->morsels_executed += ws.morsels_executed;
-    stats->morsels_stolen += ws.morsels_stolen;
-  }
-  return storage::MergeShardRuns(runs, query.distinct, &result->rows,
-                                 [](MorselRun&) {});
-}
-
 Result<GraphBlockResult> RunPipeline(
     const CypherQuery& query, const PropertyGraph& graph,
     const MatchOptions& options, MatchStats* stats, const VarTable& vars,
@@ -1266,31 +1071,67 @@ Result<GraphBlockResult> RunPipeline(
   if (query.limit != 0) {
     FrameBinding binding;
     InitBinding(binding, vars);
-    // Fan out over shards only when it can pay off: a sharded graph, more
-    // than one worker allowed, no small pushed LIMIT (the serial
-    // early-exit path finishes those in a handful of seed visits), and a
-    // seed set big enough to amortize dispatch. The set is materialized
-    // once here and shared by every morsel worker; when the threshold
-    // rejects it, the set was by definition small and the serial matcher
-    // re-derives it cheaply.
-    bool parallel =
-        !query.patterns.empty() && options.parallel_shards > 1 &&
-        graph.shard_count() > 1 &&
-        !(query.limit >= 0 &&
-          query.limit < static_cast<long long>(options.parallel_min_limit));
+    // Fan out under the shared rule (storage/shard_parallel.h), sized by
+    // the top-level seed set. The set is materialized once, only after
+    // the cheap conditions hold, and shared by every morsel worker; when
+    // the threshold rejects it, the set was by definition small and the
+    // serial matcher re-derives it cheaply.
     SeedSet top_seeds;
-    if (parallel) {
-      top_seeds = matcher.PlanTopSeeds(binding);
-      parallel = top_seeds.SeedCount(graph) >=
-                 static_cast<size_t>(std::max(0, options.parallel_min_seeds));
-    }
+    bool parallel =
+        !query.patterns.empty() &&
+        storage::FanOut(options.parallel_shards, graph.shard_count(),
+                        query.limit, options.parallel_min_limit,
+                        options.parallel_min_seeds, [&] {
+                          top_seeds = matcher.PlanTopSeeds(binding);
+                          return top_seeds.SeedCount(graph);
+                        });
     if (parallel) {
       // Pre-split any materialized seed union (multi-value probes, bound
-      // vars) into per-shard sub-lists so morsels slice them by position.
+      // vars) into per-shard sub-lists so morsels slice them by position,
+      // and count each shard's seeds under the iteration scheme
+      // MatchChainFrom uses (full-scan positions, span offsets, or the
+      // pre-split owned sub-lists).
       top_seeds.SplitOwnedByShard(graph);
-      RAPTOR_RETURN_NOT_OK(RunMorselParallel(query, graph, options, stats,
-                                             vars, pushdown, residual, matcher,
-                                             top_seeds, &result));
+      std::vector<size_t> counts(graph.shard_count(), 0);
+      for (size_t s = 0; s < counts.size(); ++s) {
+        if (top_seeds.full_scan) {
+          counts[s] = graph.layout().SizeOf(s, graph.node_count());
+        } else if (!top_seeds.spans.empty()) {
+          counts[s] = top_seeds.spans[s]->size();
+        } else if (!top_seeds.owned_by_shard.empty()) {
+          counts[s] = top_seeds.owned_by_shard[s].size();
+        }
+      }
+      storage::ShardRowBudget budget(query.limit, query.distinct);
+      RAPTOR_RETURN_NOT_OK(storage::RunMorsels(
+          counts, options.morsel_size, options.parallel_shards,
+          query.distinct, options.trace, stats, &result.rows, [&] {
+            // Per-worker evaluator (mutable IN-list / slot caches); a
+            // per-morsel sink + matcher so every morsel owns its rows and
+            // error status.
+            return [&, worker_eval = CypherEvaluator(graph, vars)](
+                       const storage::Morsel& mo, MatchStats* ws,
+                       storage::WorkerRows* rs) {
+              RowSink morsel_sink(query, worker_eval, residual,
+                                  /*partition_distinct=*/query.distinct,
+                                  budget.local_cap, budget.shared_claimed(),
+                                  budget.shared_cap, ws, rs);
+              Matcher morsel_matcher(graph, options, pushdown, worker_eval,
+                                     ws, morsel_sink);
+              morsel_matcher.SharePreparedParts(matcher);
+              morsel_matcher.SetTopSeeds(&top_seeds);
+              morsel_matcher.RestrictTopSeedsToMorsel(
+                  static_cast<int>(mo.shard), mo.lo, mo.hi);
+              if (budget.shared) {
+                morsel_matcher.SetSharedRowBudget(&budget.claimed,
+                                                  budget.shared_cap);
+              }
+              FrameBinding morsel_binding;
+              InitBinding(morsel_binding, vars);
+              morsel_matcher.Run(morsel_binding);
+              return morsel_sink.error();
+            };
+          }));
     } else {
       matcher.Run(binding);
       RAPTOR_RETURN_NOT_OK(sink.error());
@@ -1315,6 +1156,24 @@ Result<GraphBlockResult> RunPipeline(
 }
 
 }  // namespace
+
+void MatchStats::Add(const MatchStats& other) {
+  seed_candidates += other.seed_candidates;
+  edges_traversed += other.edges_traversed;
+  bindings_emitted += other.bindings_emitted;
+  rows_emitted += other.rows_emitted;
+  morsels_executed += other.morsels_executed;
+  morsels_stolen += other.morsels_stolen;
+}
+
+void MatchStats::WriteSpan(obs::TraceSpan* span) const {
+  if (span == nullptr) return;
+  span->Set("seeds_visited", static_cast<int64_t>(seed_candidates));
+  span->Set("edges_traversed", static_cast<int64_t>(edges_traversed));
+  span->Set("rows_emitted", static_cast<int64_t>(rows_emitted));
+  span->Set("morsels_executed", static_cast<int64_t>(morsels_executed));
+  span->Set("morsels_stolen", static_cast<int64_t>(morsels_stolen));
+}
 
 std::string GraphResultSet::ToString(size_t max_rows) const {
   std::string out = Join(columns, " | ") + "\n";
@@ -1428,22 +1287,15 @@ Result<GraphBlockResult> GraphDatabase::QueryBlocks(
   // executions only. Seed-filtered (incremental) runs would poison the
   // cache with partial results, and parallel LIMIT row-claiming races the
   // shared budget, so both bypass it.
+  auto run = [&] {
+    return ExecuteCypherBlocks(query.value(), graph_, options, stats);
+  };
   if (options.result_cache != nullptr && options.top_seed_filter == nullptr &&
       query.value().limit < 0) {
-    std::string key = SubresultCacheKey(cypher, options);
-    if (auto cached = options.result_cache->Lookup(key)) {
-      obs::Add(options.trace, "subresult_cache_hits", 1);
-      return *cached;
-    }
-    obs::Add(options.trace, "subresult_cache_misses", 1);
-    auto result = ExecuteCypherBlocks(query.value(), graph_, options, stats);
-    if (result.ok()) {
-      options.result_cache->Insert(
-          key, std::make_shared<const GraphBlockResult>(result.value()));
-    }
-    return result;
+    return options.result_cache->GetOrRun(SubresultCacheKey(cypher, options),
+                                          options.trace, run);
   }
-  return ExecuteCypherBlocks(query.value(), graph_, options, stats);
+  return run();
 }
 
 namespace {

@@ -21,29 +21,22 @@
 // backtrack).
 //
 // Shard-parallel matching: when the graph is sharded and the top-level
-// seed set is large enough, seed iteration fans out onto the shared
-// thread pool (common/thread_pool.h). Each shard's seed list is carved
-// into fixed-size morsels (MatchOptions::morsel_size) distributed over
-// per-worker work-stealing deques: a worker drains its own deque
-// front-first and steals single morsels from the back of a random victim
-// when it runs dry, so a skewed shard's seeds spread across the whole
-// fleet instead of serializing on one worker. Each morsel streams into its
-// own row sink and results merge in morsel order — deterministic for a
-// fixed graph, shard count, and morsel size, independent of the steal
-// schedule. A pushed-down LIMIT cancels cooperatively through an atomic
-// row budget shared by all workers (so total emitted rows never exceed the
-// limit), and DISTINCT emissions hash-partition per worker so the merge
-// adopts whole compacted blocks (storage/shard_parallel.h). Queries that
-// stay serial (parallel_shards = 1, tiny seed sets, small pushed limits)
-// run one matcher over every shard in order.
+// seed set is large enough (storage::FanOut), the shared morsel driver
+// (storage::RunMorsels, storage/shard_parallel.h) carves each shard's seed
+// list into MatchOptions::morsel_size work-stealing morsels; each morsel
+// runs its own matcher and row sink, and results merge in morsel order.
+// Queries that stay serial (parallel_shards = 1, tiny seed sets, small
+// pushed limits) run one matcher over every shard in order.
 //
-// Columnar predicate scans: inline property constraints and WHERE
-// property references read the graph's frozen per-(shard × label) column
-// vectors (storage/columnar.h) instead of probing each node's
-// PropertyMap — string literals resolve to a dictionary id once per query
-// and compare as uint32s. Unlabeled patterns, and columns that cannot
-// represent a value exactly (doubles, NULLs, mixed types), keep the
-// PropertyMap row path per predicate.
+// Columnar predicate scans: inline property constraints compile into
+// storage::ColumnFilters (storage/column_filter.h, the kernel the SQL
+// executor shares) and WHERE property references read cells through
+// storage::ReadCell, over the graph's frozen per-(shard × label) column
+// vectors instead of probing each node's PropertyMap — string literals
+// resolve to a dictionary id once per query and compare as uint32s.
+// Unlabeled patterns, and columns that cannot represent a value exactly
+// (doubles, NULLs, mixed types), keep the PropertyMap row path per
+// predicate.
 #pragma once
 
 #include <atomic>
@@ -99,6 +92,12 @@ struct MatchStats {
   size_t rows_emitted = 0;      // result rows produced (after WHERE/DISTINCT)
   size_t morsels_executed = 0;  // seed morsels run by the parallel driver
   size_t morsels_stolen = 0;    // of those, taken from another worker's deque
+
+  /// Accumulate `other` (a morsel worker's counters) into this.
+  void Add(const MatchStats& other);
+  /// Set the traversal counters on `span` (nullable): seeds_visited,
+  /// edges_traversed, rows_emitted, morsels_executed and morsels_stolen.
+  void WriteSpan(obs::TraceSpan* span) const;
 };
 
 struct MatchOptions {

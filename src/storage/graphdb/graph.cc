@@ -98,20 +98,6 @@ void PropertyGraph::FreezeProps(storage::ColumnGroup& group, size_t pos,
   }
 }
 
-uint32_t PropertyGraph::LookupPropDict(uint32_t prop_id,
-                                       std::string_view text) const {
-  if (prop_id == kNoSymbol || prop_id >= prop_dicts_.size()) {
-    return storage::kNullDictId;
-  }
-  uint32_t id = prop_dicts_[prop_id].Lookup(text);
-  return id == kNoSymbol ? storage::kNullDictId : id;
-}
-
-std::string_view PropertyGraph::PropDictName(uint32_t prop_id,
-                                             uint32_t dict_id) const {
-  return prop_dicts_[prop_id].Name(dict_id);
-}
-
 const storage::Column* PropertyGraph::NodeColumn(size_t shard,
                                                  uint32_t label_id,
                                                  uint32_t prop_id) const {
@@ -159,11 +145,6 @@ const std::vector<EdgeId>& PropertyGraph::InEdges(NodeId id,
 }
 
 const std::vector<NodeId>& PropertyGraph::NodesWithLabel(
-    std::string_view label) const {
-  return NodesWithLabel(label, 0);
-}
-
-const std::vector<NodeId>& PropertyGraph::NodesWithLabel(
     std::string_view label, size_t shard) const {
   uint32_t label_id = labels_.Lookup(label);
   if (label_id == kNoSymbol) return kNoNodes;
@@ -205,12 +186,6 @@ const PropertyGraph::ValueIndex* PropertyGraph::FindIndex(
   if (label_id == kNoSymbol || prop_id == kNoSymbol) return nullptr;
   auto it = shards_[shard].node_indexes.find(IndexKey(label_id, prop_id));
   return it == shards_[shard].node_indexes.end() ? nullptr : &it->second;
-}
-
-const std::vector<NodeId>& PropertyGraph::ProbeNodes(std::string_view label,
-                                                     std::string_view prop,
-                                                     const Value& value) const {
-  return ProbeNodes(label, prop, value, 0);
 }
 
 const std::vector<NodeId>& PropertyGraph::ProbeNodes(std::string_view label,

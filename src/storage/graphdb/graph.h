@@ -19,11 +19,10 @@
 // public id space are unchanged). Each shard owns its nodes' adjacency
 // lists, its slice of every (label, prop) hash index, and its label
 // buckets, which lets the query executor carve seed iteration into
-// per-shard morsels for parallel workers. The pre-sharding accessors that
-// return a single bucket reference (NodesWithLabel / ProbeNodes without a
-// shard argument) remain valid as the single-shard (shard_count() == 1)
-// case; shard-agnostic aggregates (ProbeCountNodes, GetNodeIndexStats)
-// sum over shards and stay exact for any shard count.
+// per-shard morsels for parallel workers. Label buckets and index probes
+// are read per shard (NodesWithLabel / ProbeNodes take the shard);
+// shard-agnostic aggregates (ProbeCountNodes, GetNodeIndexStats) sum over
+// shards and stay exact for any shard count.
 //
 // Thread-safety contract: construction and mutation (AddNode / AddEdge /
 // CreateNodeIndex) are single-threaded; all const member functions are
@@ -128,10 +127,6 @@ class PropertyGraph {
     return edge_types_.Lookup(type);
   }
 
-  /// All nodes with the given label. Precondition: shard_count() == 1
-  /// (the sharded layout exposes per-shard buckets below).
-  const std::vector<NodeId>& NodesWithLabel(std::string_view label) const;
-
   /// The nodes of `shard` with the given label, in creation order.
   /// Precondition: shard < shard_count().
   const std::vector<NodeId>& NodesWithLabel(std::string_view label,
@@ -142,12 +137,6 @@ class PropertyGraph {
   void CreateNodeIndex(std::string_view label, std::string_view prop);
 
   bool HasNodeIndex(std::string_view label, std::string_view prop) const;
-
-  /// Nodes with node.label == label && node.props[prop] == value.
-  /// Precondition: HasNodeIndex(label, prop) && shard_count() == 1.
-  const std::vector<NodeId>& ProbeNodes(std::string_view label,
-                                        std::string_view prop,
-                                        const Value& value) const;
 
   /// The index bucket of `shard` only; a value's full candidate set is the
   /// disjoint union of its buckets across all shards.
@@ -196,15 +185,11 @@ class PropertyGraph {
     return prop_names_.Lookup(name);
   }
 
-  /// Dictionary id of `text` in property `prop_id`'s global dictionary, or
-  /// storage::kNullDictId when that exact string was never frozen for the
-  /// property. (kNullDictId doubles as the absent-cell sentinel, so eq
-  /// fast paths must treat a kNullDictId literal as "matches nothing".)
-  uint32_t LookupPropDict(uint32_t prop_id, std::string_view text) const;
-
-  /// The string behind a dictionary id. Precondition: `dict_id` came from
-  /// a cell of a frozen column of `prop_id`.
-  std::string_view PropDictName(uint32_t prop_id, uint32_t dict_id) const;
+  /// String dictionary of property `prop_id`, global across shards and
+  /// buckets; nullptr when `prop_id` is kNoSymbol.
+  const StringInterner* PropDict(uint32_t prop_id) const {
+    return prop_id < prop_dicts_.size() ? &prop_dicts_[prop_id] : nullptr;
+  }
 
   /// Frozen column of (shard, label, prop) — nullptr when no node of that
   /// bucket carries the property. Cell positions are Node::label_pos.

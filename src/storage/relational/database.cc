@@ -1,6 +1,5 @@
 #include "storage/relational/database.h"
 
-#include "obs/trace.h"
 #include "storage/subresult_cache.h"
 
 namespace raptor::sql {
@@ -75,21 +74,14 @@ Result<BlockResultSet> Database::QueryBlocks(std::string_view sql,
   // Shared-subresult hook (multi-query optimization): memoize full-scan
   // executions only — parallel LIMIT row-claiming races the shared budget,
   // so LIMIT queries bypass the cache.
+  auto run = [&] {
+    return ExecuteSelectBlocks(stmt.value(), *this, options, stats);
+  };
   if (options.result_cache != nullptr && stmt.value().limit < 0) {
-    std::string key = SubresultCacheKey(sql, options);
-    if (auto cached = options.result_cache->Lookup(key)) {
-      obs::Add(options.trace, "subresult_cache_hits", 1);
-      return *cached;
-    }
-    obs::Add(options.trace, "subresult_cache_misses", 1);
-    auto result = ExecuteSelectBlocks(stmt.value(), *this, options, stats);
-    if (result.ok()) {
-      options.result_cache->Insert(
-          key, std::make_shared<const BlockResultSet>(result.value()));
-    }
-    return result;
+    return options.result_cache->GetOrRun(SubresultCacheKey(sql, options),
+                                          options.trace, run);
   }
-  return ExecuteSelectBlocks(stmt.value(), *this, options, stats);
+  return run();
 }
 
 double Database::EstimateCost(std::string_view sql) const {

@@ -14,8 +14,8 @@
 
 #include "common/deadline.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "obs/trace.h"
+#include "storage/column_filter.h"
 #include "storage/shard_parallel.h"
 
 namespace raptor::sql {
@@ -176,329 +176,86 @@ class Evaluator {
   InListCache<Expr> in_sets_;
 };
 
-/// A single-table filter compiled against the table's frozen columnar
-/// storage (table.h / storage/columnar.h). Compilation recognizes
+/// A single-table filter resolved to its column and literal(s) and
+/// compiled into a storage::ColumnFilter over the table's frozen columns
+/// (storage/column_filter.h owns the semantics). Compilation recognizes
 /// `col op literal`, `literal op col` (op mirrored), non-negated
-/// `col IN (...)` with a type-homogeneous list, and `col [NOT] LIKE
-/// literal` on string shards; anything else — and every
-/// (shard, predicate) pair the frozen column cannot represent exactly
-/// (kMixed columns, double or NULL literals) — keeps Mode::kEval and runs
-/// through the row-path Evaluator unchanged. Modes bind per shard because
-/// column kinds can diverge across shards of a loosely-typed table.
-///
-/// Semantics mirror Value::Compare exactly: cross-kind comparisons fold
-/// to per-shard constants (numeric sorts before text, so an int cell is
-/// always < a text literal), a string literal absent from the column's
-/// dictionary can never equal a cell, string range predicates compare
-/// dictionary names (same sign as Value's text ordering), and an absent
-/// cell behaves as NULL (smaller than every non-null literal, equal to
-/// nothing).
-///
-/// LIKE matches each distinct dictionary string at most once per query:
-/// verdicts are memoized by dictionary id on first sight, so a row costs
-/// one uint32 read and one byte load. An absent cell keeps the row path's
-/// LikeMatch("NULL", pattern) verdict; int and kMixed shards stay on Eval.
-class ColumnPredicate {
- public:
-  /// Compile `f`, a single-table filter of `alias_idx`. Always returns a
-  /// predicate; unrecognized shapes leave every shard on Mode::kEval.
+/// `col IN (...)` and `col [NOT] LIKE literal`; any other shape keeps
+/// col_idx < 0 and a filter compiled for no shard, and every shard the
+/// filter does not compile Evals the original expression through the
+/// row-path Evaluator unchanged.
+struct ColumnPredicate {
+  int col_idx;
+  storage::ColumnFilter filter;
+
+  /// Compile `f`, a single-table filter of `alias_idx`.
   static ColumnPredicate Compile(const Expr& f, const Binder& binder,
                                  int alias_idx) {
-    ColumnPredicate p;
+    using Op = storage::ColumnFilter::Op;
     const Table& table = *binder.table(alias_idx);
-    p.shards_.resize(table.shard_count());
-    if (f.kind == ExprKind::kBinary &&
-        (f.op == BinaryOp::kLike || f.op == BinaryOp::kNotLike)) {
-      p.CompileLike(f, binder, alias_idx);
-      return p;
-    }
-    BinaryOp op = BinaryOp::kEq;
+    auto row_path = [&] {
+      return ColumnPredicate{-1, storage::ColumnFilter(table.shard_count())};
+    };
+    Op op = Op::kIn;
     const Expr* colref = nullptr;
-    const Value* lit = nullptr;
-    bool in_list = false;
-    if (f.kind == ExprKind::kBinary) {
+    std::span<const Value> literals;
+    if (f.kind == ExprKind::kInList) {
+      if (f.negated || f.lhs->kind != ExprKind::kColumnRef) return row_path();
+      colref = f.lhs.get();
+      literals = f.in_list;
+    } else if (f.kind == ExprKind::kBinary) {
       switch (f.op) {
-        case BinaryOp::kEq:
-        case BinaryOp::kNe:
-        case BinaryOp::kLt:
-        case BinaryOp::kLe:
-        case BinaryOp::kGt:
-        case BinaryOp::kGe:
-          break;
-        default:
-          return p;
+        case BinaryOp::kEq: op = Op::kEq; break;
+        case BinaryOp::kNe: op = Op::kNe; break;
+        case BinaryOp::kLt: op = Op::kLt; break;
+        case BinaryOp::kLe: op = Op::kLe; break;
+        case BinaryOp::kGt: op = Op::kGt; break;
+        case BinaryOp::kGe: op = Op::kGe; break;
+        case BinaryOp::kLike: op = Op::kLike; break;
+        case BinaryOp::kNotLike: op = Op::kNotLike; break;
+        default: return row_path();
       }
+      bool like = op == Op::kLike || op == Op::kNotLike;
+      const Expr* lit = nullptr;
       if (f.lhs->kind == ExprKind::kColumnRef &&
           f.rhs->kind == ExprKind::kLiteral) {
         colref = f.lhs.get();
-        lit = &f.rhs->literal;
-        op = f.op;
-      } else if (f.rhs->kind == ExprKind::kColumnRef &&
+        lit = f.rhs.get();
+      } else if (!like && f.rhs->kind == ExprKind::kColumnRef &&
                  f.lhs->kind == ExprKind::kLiteral) {
         colref = f.rhs.get();
-        lit = &f.lhs->literal;
-        op = Mirror(f.op);
+        lit = f.lhs.get();
+        op = Mirror(op);
       } else {
-        return p;
+        return row_path();
       }
-    } else if (f.kind == ExprKind::kInList && !f.negated &&
-               f.lhs->kind == ExprKind::kColumnRef) {
-      colref = f.lhs.get();
-      in_list = true;
+      literals = std::span<const Value>(&lit->literal, 1);
     } else {
-      return p;
+      return row_path();
     }
     auto bc = binder.Resolve(*colref);
-    if (!bc.ok() || bc.value().alias_idx != alias_idx) return p;
-    int col_idx = bc.value().col_idx;
-    bool lit_int = false;
-    if (in_list) {
-      bool all_int = !f.in_list.empty();
-      bool all_text = !f.in_list.empty();
-      for (const Value& v : f.in_list) {
-        all_int = all_int && v.is_int();
-        all_text = all_text && v.is_text();
-      }
-      if (!all_int && !all_text) return p;  // mixed/empty list: row path
-      if (all_int) {
-        for (const Value& v : f.in_list) p.int_set_.insert(v.AsInt());
-      } else {
-        for (const Value& v : f.in_list) {
-          uint32_t id = table.LookupColumnDict(col_idx, v.AsText());
-          if (id != kNullDictId) p.dict_set_.insert(id);
-        }
-      }
-      lit_int = all_int;
-    } else if (lit->is_int()) {
-      p.int_lit_ = lit->AsInt();
-      lit_int = true;
-    } else if (lit->is_text()) {
-      p.str_lit_ = lit->AsText();
-      p.dict_lit_ = table.LookupColumnDict(col_idx, p.str_lit_);
-    } else {
-      return p;  // double / NULL literal: row path per shard
+    if (!bc.ok() || bc.value().alias_idx != alias_idx) return row_path();
+    int col = bc.value().col_idx;
+    std::vector<const storage::Column*> cols(table.shard_count());
+    for (size_t s = 0; s < cols.size(); ++s) {
+      cols[s] = &table.ColumnSlice(s, col);
     }
-    p.op_ = op;
-    p.table_ = &table;
-    p.col_idx_ = col_idx;
-    for (size_t s = 0; s < table.shard_count(); ++s) {
-      const storage::Column& col = table.ColumnSlice(s, col_idx);
-      PerShard& ps = p.shards_[s];
-      ps.col = &col;
-      if (!col.usable()) continue;  // kMixed (or empty shard): row path
-      bool col_int = col.kind() == storage::Column::Kind::kInt64;
-      if (in_list) {
-        // A value of the wrong kind never Compare-equals a cell, so a
-        // kind-mismatched homogeneous list matches nothing.
-        if (lit_int) {
-          ps.mode = col_int ? Mode::kIntIn : Mode::kNever;
-        } else {
-          ps.mode = !col_int && !p.dict_set_.empty() ? Mode::kDictIn
-                                                     : Mode::kNever;
-        }
-      } else if (lit_int) {
-        // Text cells sort after every numeric literal.
-        ps.mode = col_int ? Mode::kIntCmp : ConstMode(op, /*cell_cmp=*/1);
-      } else if (col_int) {
-        // Int cells sort before every text literal.
-        ps.mode = ConstMode(op, /*cell_cmp=*/-1);
-      } else if (op == BinaryOp::kEq) {
-        ps.mode = p.dict_lit_ == kNullDictId ? Mode::kNever : Mode::kDictEq;
-      } else if (op == BinaryOp::kNe) {
-        ps.mode = p.dict_lit_ == kNullDictId ? Mode::kAlways : Mode::kDictNe;
-      } else {
-        ps.mode = Mode::kStrCmp;
-      }
-    }
-    return p;
-  }
-
-  /// True when shard `shard` evaluates through the column fast path;
-  /// false means the caller must Eval the original expression.
-  bool compiled(size_t shard) const {
-    return shards_[shard].mode != Mode::kEval;
-  }
-
-  /// True for `col LIKE text` when every shard of the column is
-  /// dictionary-encoded (or empty). Tables freeze every cell and a NULL
-  /// demotes the column, so the dictionary then holds every cell value:
-  /// the matching rows are exactly the index buckets of the dictionary
-  /// entries whose LikeVerdict holds.
-  bool like_covers_column() const {
-    return like_ != nullptr && op_ == BinaryOp::kLike && like_covers_;
-  }
-  int col_idx() const { return col_idx_; }
-  size_t like_dict_size() const {
-    return like_ == nullptr ? 0 : like_->verdicts.size();
-  }
-
-  /// Memoized LikeMatch of dictionary entry `id` (id < like_dict_size()).
-  /// Safe to call concurrently: racing callers compute the same verdict
-  /// and store the same byte.
-  bool LikeVerdict(uint32_t id) const {
-    std::atomic<uint8_t>& slot = like_->verdicts[id];
-    uint8_t v = slot.load(std::memory_order_relaxed);
-    if (v == kUnknown) {
-      bool m = LikeMatch(table_->ColumnDictName(col_idx_, id), like_->pattern);
-      v = m ? kYes : kNo;
-      slot.store(v, std::memory_order_relaxed);
-      like_->evals.fetch_add(1, std::memory_order_relaxed);
-    }
-    return v == kYes;
-  }
-
-  /// Dictionary entries matched against the LIKE pattern so far.
-  size_t like_dict_evals() const {
-    return like_ == nullptr ? 0
-                            : like_->evals.load(std::memory_order_relaxed);
-  }
-
-  /// Row-semantics verdict for the cell at `pos` of `shard`.
-  /// Precondition: compiled(shard).
-  bool Matches(size_t shard, size_t pos) const {
-    const PerShard& ps = shards_[shard];
-    switch (ps.mode) {
-      case Mode::kNever:
-        return false;
-      case Mode::kAlways:
-        return true;
-      case Mode::kIntCmp: {
-        int64_t v = 0;
-        // Absent cell = NULL, smaller than any non-null literal.
-        if (!ps.col->IntAt(pos, &v)) return CmpHolds(op_, -1);
-        return CmpHolds(op_, v < int_lit_ ? -1 : (v > int_lit_ ? 1 : 0));
-      }
-      case Mode::kIntIn: {
-        int64_t v = 0;
-        if (!ps.col->IntAt(pos, &v)) return false;
-        return int_set_.count(v) > 0;
-      }
-      case Mode::kDictEq:
-        return ps.col->DictAt(pos) == dict_lit_;
-      case Mode::kDictNe:
-        return ps.col->DictAt(pos) != dict_lit_;
-      case Mode::kDictIn: {
-        uint32_t id = ps.col->DictAt(pos);
-        return id != kNullDictId && dict_set_.count(id) > 0;
-      }
-      case Mode::kStrCmp: {
-        uint32_t id = ps.col->DictAt(pos);
-        if (id == kNullDictId) return CmpHolds(op_, -1);  // NULL cell
-        int r = table_->ColumnDictName(col_idx_, id).compare(str_lit_);
-        return CmpHolds(op_, r < 0 ? -1 : (r > 0 ? 1 : 0));
-      }
-      case Mode::kDictLike: {
-        uint32_t id = ps.col->DictAt(pos);
-        bool m = id == kNullDictId ? like_->null_match : LikeVerdict(id);
-        return m != (op_ == BinaryOp::kNotLike);
-      }
-      case Mode::kEval:
-        break;
-    }
-    return false;
+    return {col, storage::ColumnFilter(op, literals, &table.ColumnDict(col),
+                                       cols)};
   }
 
  private:
-  static constexpr uint32_t kNullDictId = storage::kNullDictId;
-  static constexpr uint8_t kUnknown = 0, kNo = 1, kYes = 2;
-
-  /// Per-query LIKE verdicts by dictionary id (kUnknown until first seen),
-  /// shared by every worker evaluating this predicate.
-  struct LikeMemo {
-    LikeMemo(std::string pat, size_t dict_size)
-        : pattern(std::move(pat)),
-          null_match(LikeMatch("NULL", pattern)),
-          verdicts(dict_size) {}
-    std::string pattern;
-    bool null_match;  // the row path renders an absent cell as "NULL"
-    std::vector<std::atomic<uint8_t>> verdicts;
-    std::atomic<size_t> evals{0};
-  };
-
-  /// `col [NOT] LIKE literal`: string shards read the memo, the rest Eval.
-  void CompileLike(const Expr& f, const Binder& binder, int alias_idx) {
-    if (f.lhs->kind != ExprKind::kColumnRef ||
-        f.rhs->kind != ExprKind::kLiteral) {
-      return;
-    }
-    auto bc = binder.Resolve(*f.lhs);
-    if (!bc.ok() || bc.value().alias_idx != alias_idx) return;
-    table_ = binder.table(alias_idx);
-    col_idx_ = bc.value().col_idx;
-    op_ = f.op;
-    like_ = std::make_unique<LikeMemo>(f.rhs->literal.ToString(),
-                                       table_->ColumnDictSize(col_idx_));
-    like_covers_ = true;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      const storage::Column& col = table_->ColumnSlice(s, col_idx_);
-      shards_[s].col = &col;
-      if (col.kind() == storage::Column::Kind::kString) {
-        shards_[s].mode = Mode::kDictLike;
-      } else if (col.kind() != storage::Column::Kind::kUnset) {
-        like_covers_ = false;  // int or mixed cells the dictionary misses
-      }
-    }
-  }
-
-  enum class Mode : uint8_t {
-    kEval,    // not compiled for this shard: row-path Evaluator
-    kNever,   // constant false (kind mismatch / dictionary miss)
-    kAlways,  // constant true (kind mismatch under Ne/ordering)
-    kIntCmp,  // int column `op` int literal
-    kIntIn,   // int column IN hashed int set
-    kDictEq,  // string column == interned dictionary id
-    kDictNe,  // string column != interned dictionary id
-    kDictIn,  // string column IN hashed dictionary-id set
-    kStrCmp,  // string column `op` text literal via dictionary names
-    kDictLike,  // string column [NOT] LIKE pattern via memoized verdicts
-  };
-
-  struct PerShard {
-    Mode mode = Mode::kEval;
-    const storage::Column* col = nullptr;
-  };
-
   /// `lit op col` rewritten as `col Mirror(op) lit`.
-  static BinaryOp Mirror(BinaryOp op) {
+  static storage::ColumnFilter::Op Mirror(storage::ColumnFilter::Op op) {
+    using Op = storage::ColumnFilter::Op;
     switch (op) {
-      case BinaryOp::kLt: return BinaryOp::kGt;
-      case BinaryOp::kLe: return BinaryOp::kGe;
-      case BinaryOp::kGt: return BinaryOp::kLt;
-      case BinaryOp::kGe: return BinaryOp::kLe;
+      case Op::kLt: return Op::kGt;
+      case Op::kLe: return Op::kGe;
+      case Op::kGt: return Op::kLt;
+      case Op::kGe: return Op::kLe;
       default: return op;  // kEq / kNe are symmetric
     }
   }
-
-  /// Does `cell op lit` hold given the sign of Compare(cell, lit)?
-  static bool CmpHolds(BinaryOp op, int c) {
-    switch (op) {
-      case BinaryOp::kEq: return c == 0;
-      case BinaryOp::kNe: return c != 0;
-      case BinaryOp::kLt: return c < 0;
-      case BinaryOp::kLe: return c <= 0;
-      case BinaryOp::kGt: return c > 0;
-      case BinaryOp::kGe: return c >= 0;
-      default: return false;
-    }
-  }
-
-  /// Fold a comparison whose sign is the same for every cell of the shard
-  /// (cross-kind compares) into a constant mode.
-  static Mode ConstMode(BinaryOp op, int cell_cmp) {
-    return CmpHolds(op, cell_cmp) ? Mode::kAlways : Mode::kNever;
-  }
-
-  const Table* table_ = nullptr;
-  int col_idx_ = -1;
-  BinaryOp op_ = BinaryOp::kEq;
-  int64_t int_lit_ = 0;
-  uint32_t dict_lit_ = kNullDictId;
-  std::string_view str_lit_;  // borrowed from the statement's literal
-  std::unordered_set<int64_t> int_set_;
-  std::unordered_set<uint32_t> dict_set_;
-  std::unique_ptr<LikeMemo> like_;
-  bool like_covers_ = false;
-  std::vector<PerShard> shards_;
 };
 
 /// Which aliases an expression references.
@@ -588,7 +345,7 @@ struct AccessPath {
 ///  * index: an equality / IN conjunct on an indexed column (IN sums its
 ///    per-value counts, an upper bound on the deduplicated union);
 ///  * like-dict: `col LIKE text` on an indexed column whose dictionary
-///    covers it (ColumnPredicate::like_covers_column) and is smaller than
+///    covers it (ColumnFilter::like_covers_column) and is smaller than
 ///    the best count so far — match the whole dictionary, probe the hits;
 ///  * join-seed (the driving alias only): an indexed column equi-joined
 ///    to an alias already filtered, probed with that alias's distinct key
@@ -613,19 +370,21 @@ AccessPath ChooseAccessPath(size_t a, const std::vector<const Expr*>& filters,
   }
   auto bound = [&] { return std::min(best.count, table->row_count()); };
   for (const ColumnPredicate& p : compiled) {
-    if (!p.like_covers_column() || !table->HasIndex(p.col_idx()) ||
-        p.like_dict_size() >= bound()) {
+    const storage::ColumnFilter& like = p.filter;
+    if (!like.like_covers_column() || !table->HasIndex(p.col_idx) ||
+        like.like_dict_size() >= bound()) {
       continue;
     }
     std::vector<Value> keys;
     size_t count = 0;
-    for (uint32_t id = 0; id < p.like_dict_size() && count < bound(); ++id) {
-      if (!p.LikeVerdict(id)) continue;
-      keys.emplace_back(std::string(table->ColumnDictName(p.col_idx(), id)));
-      count += table->ProbeCount(p.col_idx(), keys.back());
+    for (uint32_t id = 0; id < like.like_dict_size() && count < bound();
+         ++id) {
+      if (!like.LikeVerdict(id)) continue;
+      keys.emplace_back(std::string(table->ColumnDict(p.col_idx).Name(id)));
+      count += table->ProbeCount(p.col_idx, keys.back());
     }
     if (count < bound()) {
-      best = {"like-dict", p.col_idx(), std::move(keys), count};
+      best = {"like-dict", p.col_idx, std::move(keys), count};
     }
   }
   if (a != 0) return best;
@@ -886,9 +645,11 @@ class TuplePipeline {
       for (size_t i = 0; i < lazy0_filters_->size(); ++i) {
         // Compiled column check where available for this row's shard;
         // same conjunct position, identical verdict to the Eval below.
-        if (compiled0_ != nullptr && (*compiled0_)[i].compiled(sh)) {
+        const storage::ColumnFilter* cf =
+            compiled0_ != nullptr ? &(*compiled0_)[i].filter : nullptr;
+        if (cf != nullptr && cf->compiled(sh)) {
           if (stats_ != nullptr) ++stats_->columnar_filter_rows;
-          if (!(*compiled0_)[i].Matches(sh, pos)) {
+          if (!cf->Matches(sh, pos)) {
             pass = false;
             break;
           }
@@ -1020,6 +781,28 @@ class TuplePipeline {
 };
 
 }  // namespace
+
+void ExecStats::Add(const ExecStats& other) {
+  base_rows_scanned += other.base_rows_scanned;
+  index_probe_rows += other.index_probe_rows;
+  join_output_tuples += other.join_output_tuples;
+  rows_emitted += other.rows_emitted;
+  columnar_filter_rows += other.columnar_filter_rows;
+  like_dict_evals += other.like_dict_evals;
+  morsels_executed += other.morsels_executed;
+  morsels_stolen += other.morsels_stolen;
+}
+
+void ExecStats::WriteSpan(obs::TraceSpan* span) const {
+  if (span == nullptr) return;
+  span->Set("base_rows_scanned", static_cast<int64_t>(base_rows_scanned));
+  span->Set("index_probe_rows", static_cast<int64_t>(index_probe_rows));
+  span->Set("rows_emitted", static_cast<int64_t>(rows_emitted));
+  span->Set("columnar_filter_rows",
+            static_cast<int64_t>(columnar_filter_rows));
+  span->Set("morsels_executed", static_cast<int64_t>(morsels_executed));
+  span->Set("morsels_stolen", static_cast<int64_t>(morsels_stolen));
+}
 
 std::string ResultSet::ToString(size_t max_rows) const {
   std::string out = Join(columns, " | ") + "\n";
@@ -1172,9 +955,9 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
         pos = table->LocalOf(rid);
       }
       for (size_t i = 0; i < filters[a].size(); ++i) {
-        if (!compiled[a].empty() && compiled[a][i].compiled(sh)) {
+        if (!compiled[a].empty() && compiled[a][i].filter.compiled(sh)) {
           ++stats->columnar_filter_rows;
-          if (!compiled[a][i].Matches(sh, pos)) {
+          if (!compiled[a][i].filter.Matches(sh, pos)) {
             pass = false;
             break;
           }
@@ -1285,20 +1068,16 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
   size_t local_cap =
       limit_pushed ? static_cast<size_t>(stmt.limit) : static_cast<size_t>(-1);
   // Fan the base scan (and with it the whole probe pipeline) out over the
-  // first table's shards only when it can pay off: a sharded table, more
-  // than one worker allowed, a scan large enough to amortize dispatch, and
-  // no small pushed LIMIT (the serial early-exit path finishes those in a
-  // handful of row visits).
-  size_t scan_size = n_aliases == 0 ? 0
-                     : lazy0 ? (lazy0_scan_all ? tables[0]->row_count()
-                                               : lazy0_seed.size())
-                             : candidates[0].size();
+  // first table's shards under the shared rule (storage/shard_parallel.h),
+  // sized by the first table's scan or seed list.
   size_t n_shards = n_aliases == 0 ? 1 : tables[0]->shard_count();
-  bool parallel =
-      options.parallel_shards > 1 && n_shards > 1 &&
-      scan_size >= static_cast<size_t>(std::max(0, options.parallel_min_rows)) &&
-      !(limit_pushed &&
-        stmt.limit < static_cast<long long>(options.parallel_min_limit));
+  bool parallel = storage::FanOut(
+      options.parallel_shards, n_shards, limit_pushed ? stmt.limit : -1,
+      options.parallel_min_limit, options.parallel_min_rows, [&] {
+        return lazy0 ? (lazy0_scan_all ? tables[0]->row_count()
+                                       : lazy0_seed.size())
+                     : candidates[0].size();
+      });
   if (!(limit_pushed && stmt.limit == 0)) {
     if (!parallel) {
       storage::WorkerRows serial_rs;
@@ -1325,13 +1104,18 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       // shard is preserved.
       std::vector<std::vector<RowId>> first_by_shard;
       const std::vector<RowId>* first_list =
-          lazy0 ? (lazy0_scan_all ? nullptr : &lazy0_seed)
-                : (n_aliases > 0 ? &candidates[0] : nullptr);
+          lazy0 ? (lazy0_scan_all ? nullptr : &lazy0_seed) : &candidates[0];
       if (first_list != nullptr) {
         first_by_shard.resize(n_shards);
         for (RowId rid : *first_list) {
           first_by_shard[tables[0]->ShardOf(rid)].push_back(rid);
         }
+      }
+      std::vector<size_t> counts(n_shards);
+      for (size_t s = 0; s < n_shards; ++s) {
+        counts[s] = first_list != nullptr
+                        ? first_by_shard[s].size()
+                        : tables[0]->layout().SizeOf(s, tables[0]->row_count());
       }
       // LIMIT policy (shared atomic claims vs per-worker caps merged with
       // a re-dedup): see storage/shard_parallel.h.
@@ -1339,109 +1123,44 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
                                      stmt.distinct);
       const std::vector<ColumnPredicate>* compiled0 =
           lazy0 && !compiled[0].empty() ? &compiled[0] : nullptr;
-      // Morsel scheduler: carve each shard's first-table iteration space
-      // into fixed-size positional chunks on per-worker work-stealing
-      // deques, so a skewed shard's rows spread across the fleet. Morsels
-      // are ordered shard-major, and the merge walks them in that order —
-      // the result is byte-identical for a fixed plan regardless of the
-      // steal schedule.
-      size_t morsel_size =
-          static_cast<size_t>(std::max(1, options.morsel_size));
-      struct Morsel {
-        size_t shard;
-        size_t lo;
-        size_t hi;
-      };
-      std::vector<Morsel> morsels;
-      for (size_t s = 0; s < n_shards; ++s) {
-        size_t count =
-            first_list != nullptr
-                ? first_by_shard[s].size()
-                : tables[0]->layout().SizeOf(s, tables[0]->row_count());
-        for (size_t lo = 0; lo < count; lo += morsel_size) {
-          morsels.push_back({s, lo, std::min(lo + morsel_size, count)});
-        }
-      }
-      struct MorselRun {
-        storage::WorkerRows rs;
-        Status error = Status::OK();
-      };
-      std::vector<MorselRun> runs(morsels.size());
-      if (!morsels.empty()) {
-        size_t workers = std::min<size_t>(
-            static_cast<size_t>(options.parallel_shards), morsels.size());
-        WorkStealingQueues queues(morsels.size(), workers);
-        std::vector<ExecStats> worker_stats(workers);
-        ThreadPool::Shared().ParallelFor(workers, workers, [&](size_t w) {
-          auto scan_start = obs::TraceSpan::Clock::now();
-          // Evaluator IN-list caches are mutable, so every worker owns one
-          // (shared across its morsels).
-          Evaluator worker_eval(binder);
-          ExecStats* ws = &worker_stats[w];
-          bool stolen = false;
-          for (size_t m = queues.Next(w, &stolen);
-               m != WorkStealingQueues::kDone; m = queues.Next(w, &stolen)) {
-            ++ws->morsels_executed;
-            if (stolen) ++ws->morsels_stolen;
-            const Morsel& mo = morsels[m];
-            TuplePipeline pipeline(stmt, binder, worker_eval, levels,
-                                   candidates, projected, has_star,
-                                   /*partition_distinct=*/stmt.distinct,
-                                   budget.local_cap, ws, &runs[m].rs);
-            if (lazy0) {
-              pipeline.SetLazyFirstTable(
-                  lazy0_scan_all ? nullptr : &first_by_shard[mo.shard],
-                  lazy0_scan_all, tables[0]->row_count(), &filters[0]);
-              if (compiled0 != nullptr) {
-                pipeline.SetCompiledFirstFilters(compiled0);
+      RAPTOR_RETURN_NOT_OK(storage::RunMorsels(
+          counts, options.morsel_size, options.parallel_shards,
+          stmt.distinct, options.trace, stats, &result.rows, [&] {
+            // Evaluator IN-list caches are mutable, so every worker owns
+            // one (shared across its morsels).
+            return [&, worker_eval = Evaluator(binder)](
+                       const storage::Morsel& mo, ExecStats* ws,
+                       storage::WorkerRows* rs) {
+              TuplePipeline pipeline(stmt, binder, worker_eval, levels,
+                                     candidates, projected, has_star,
+                                     /*partition_distinct=*/stmt.distinct,
+                                     budget.local_cap, ws, rs);
+              if (lazy0) {
+                pipeline.SetLazyFirstTable(
+                    lazy0_scan_all ? nullptr : &first_by_shard[mo.shard],
+                    lazy0_scan_all, tables[0]->row_count(), &filters[0]);
+                if (compiled0 != nullptr) {
+                  pipeline.SetCompiledFirstFilters(compiled0);
+                }
+              } else {
+                pipeline.SetFirstCandidates(&first_by_shard[mo.shard]);
               }
-            } else if (first_list != nullptr) {
-              pipeline.SetFirstCandidates(&first_by_shard[mo.shard]);
-            }
-            pipeline.RestrictFirstTableToMorsel(mo.shard, mo.lo, mo.hi);
-            pipeline.SetCancelFlag(options.cancel);
-            pipeline.SetDeadline(options.deadline);
-            if (budget.shared) {
-              pipeline.SetSharedRowBudget(&budget.claimed, budget.shared_cap);
-            }
-            pipeline.Run();
-            runs[m].error = pipeline.error();
-            if (!runs[m].error.ok()) break;
-          }
-          if (options.trace != nullptr) {
-            obs::TraceSpan* span = options.trace->AddChild(
-                "morsel_worker[" + std::to_string(w) + "]");
-            span->SetWindow(scan_start, obs::TraceSpan::Clock::now());
-            span->Set("base_rows_scanned",
-                      static_cast<int64_t>(ws->base_rows_scanned));
-            span->Set("index_probe_rows",
-                      static_cast<int64_t>(ws->index_probe_rows));
-            span->Set("rows_emitted", static_cast<int64_t>(ws->rows_emitted));
-            span->Set("columnar_filter_rows",
-                      static_cast<int64_t>(ws->columnar_filter_rows));
-            span->Set("morsels_executed",
-                      static_cast<int64_t>(ws->morsels_executed));
-            span->Set("morsels_stolen",
-                      static_cast<int64_t>(ws->morsels_stolen));
-          }
-        });
-        for (const ExecStats& ws : worker_stats) {
-          stats->base_rows_scanned += ws.base_rows_scanned;
-          stats->index_probe_rows += ws.index_probe_rows;
-          stats->join_output_tuples += ws.join_output_tuples;
-          stats->rows_emitted += ws.rows_emitted;
-          stats->columnar_filter_rows += ws.columnar_filter_rows;
-          stats->morsels_executed += ws.morsels_executed;
-          stats->morsels_stolen += ws.morsels_stolen;
-        }
-      }
-      RAPTOR_RETURN_NOT_OK(storage::MergeShardRuns(
-          runs, stmt.distinct, &result.rows, [](MorselRun&) {}));
+              pipeline.RestrictFirstTableToMorsel(mo.shard, mo.lo, mo.hi);
+              pipeline.SetCancelFlag(options.cancel);
+              pipeline.SetDeadline(options.deadline);
+              if (budget.shared) {
+                pipeline.SetSharedRowBudget(&budget.claimed,
+                                            budget.shared_cap);
+              }
+              pipeline.Run();
+              return pipeline.error();
+            };
+          }));
     }
   }
   for (const std::vector<ColumnPredicate>& preds : compiled) {
     for (const ColumnPredicate& p : preds) {
-      stats->like_dict_evals += p.like_dict_evals();
+      stats->like_dict_evals += p.filter.like_dict_evals();
     }
   }
   if (options.trace != nullptr) {

@@ -22,22 +22,19 @@
 //  * hash-join build sides store per-key row ids as chunked candidate
 //    blocks in one arena per level instead of one heap vector per key,
 //    cutting allocation churn on large builds;
-//  * when the base table is sharded and its scan is large enough, the
-//    scan — and with it the whole downstream join/probe pipeline — fans
-//    out onto the shared thread pool (common/thread_pool.h). Each shard's
-//    scan (or index seed list) is carved into fixed-size morsels
-//    (SelectOptions::morsel_size) distributed over per-worker
-//    work-stealing deques, so a skewed shard's rows spread across the
-//    whole fleet. Each morsel emits into its own result set, merged in
-//    morsel order; a pushed-down LIMIT cancels cooperatively via an
-//    atomic row budget, and DISTINCT emissions hash-partition per morsel
-//    so the merge adopts whole compacted blocks
-//    (storage/shard_parallel.h). ORDER BY sorts after the merge, so rows
-//    comparing equal on every key may order differently than a serial
-//    run; key-unique sorts are unaffected;
+//  * when the base table is sharded and its scan is large enough
+//    (storage::FanOut), the scan — and with it the whole downstream
+//    join/probe pipeline — runs on the shared morsel driver
+//    (storage::RunMorsels, storage/shard_parallel.h): each shard's scan
+//    (or index seed list) is carved into SelectOptions::morsel_size
+//    work-stealing morsels, each emitting into its own result set, merged
+//    in morsel order. ORDER BY sorts after the merge, so rows comparing
+//    equal on every key may order differently than a serial run;
+//    key-unique sorts are unaffected;
 //  * single-table filters of the shape `col op literal` / `col IN (...)`
-//    compile against the table's frozen columnar storage (table.h /
-//    storage/columnar.h): int comparisons read the SoA int vector
+//    / `col [NOT] LIKE literal` compile into storage::ColumnFilters over
+//    the table's frozen columns (storage/column_filter.h, the kernel the
+//    Cypher matcher shares): int comparisons read the SoA int vector
 //    directly, string equality compares dictionary ids as uint32s, and
 //    LIKE reads a per-query memo of verdicts by dictionary id, skipping
 //    per-row Value variant dispatch. Filters that cannot be
@@ -104,6 +101,13 @@ struct ExecStats {
   size_t like_dict_evals = 0;       // dictionary entries matched by LIKE
   size_t morsels_executed = 0;      // scan morsels run by the parallel driver
   size_t morsels_stolen = 0;        // of those, taken from another worker
+
+  /// Accumulate `other` (a morsel worker's counters) into this.
+  void Add(const ExecStats& other);
+  /// Set the scan counters on `span` (nullable): base_rows_scanned,
+  /// index_probe_rows, rows_emitted, columnar_filter_rows,
+  /// morsels_executed and morsels_stolen.
+  void WriteSpan(obs::TraceSpan* span) const;
 };
 
 /// Runtime policy for one statement: parallel fan-out, cancellation,

@@ -73,10 +73,6 @@ bool Table::HasIndex(int column_idx) const {
   return shards_[0].indexes.count(column_idx) > 0;
 }
 
-const std::vector<RowId>& Table::Probe(int column_idx, const Value& v) const {
-  return Probe(column_idx, v, 0);
-}
-
 const std::vector<RowId>& Table::Probe(int column_idx, const Value& v,
                                        size_t shard) const {
   auto it = shards_[shard].indexes.find(column_idx);

@@ -5,10 +5,8 @@
 // entity-id-hashed shards (shard = row id & mask; row ids stay dense and
 // global, assigned in insert order). Each shard owns its rows and its slice
 // of every hash index, which lets the SQL executor carve base-table scans
-// into per-shard morsels for parallel workers. The pre-sharding
-// accessors that return whole-table references (rows(), Probe() without a
-// shard argument) remain valid as the single-shard (shard_count() == 1)
-// case; row(id) and the per-shard probes work for any shard count.
+// into per-shard morsels for parallel workers. row(id), the per-shard
+// probes and the shard-summed ProbeCount work for any shard count.
 //
 // Thread-safety contract: construction and mutation (Insert / CreateIndex)
 // are single-threaded; all const member functions are race-free when
@@ -73,11 +71,6 @@ class Table {
 
   bool HasIndex(int column_idx) const;
 
-  /// Row ids whose `column_idx` cell equals `v` (index probe).
-  /// Precondition: HasIndex(column_idx) && shard_count() == 1 (the sharded
-  /// layout exposes the per-shard probe below).
-  const std::vector<RowId>& Probe(int column_idx, const Value& v) const;
-
   /// The index bucket of `shard` only (global row ids, ascending); a
   /// value's full candidate set is the disjoint union of its buckets
   /// across all shards. Precondition: HasIndex(column_idx) &&
@@ -95,9 +88,6 @@ class Table {
   const Row& row(RowId id) const {
     return shards_[layout_.ShardOf(id)].rows[layout_.LocalOf(id)];
   }
-
-  /// Whole-table row storage. Precondition: shard_count() == 1.
-  const std::vector<Row>& rows() const { return shards_[0].rows; }
 
   size_t row_count() const { return row_count_; }
   size_t shard_count() const { return shards_.size(); }
@@ -123,22 +113,10 @@ class Table {
     return shards_[shard].cols[column_idx];
   }
 
-  /// Dictionary id of `text` in column `column_idx`'s dictionary, or
-  /// storage::kNullDictId when that string never occurs in the column.
-  uint32_t LookupColumnDict(int column_idx, std::string_view text) const {
-    uint32_t id = col_dicts_[column_idx].Lookup(text);
-    return id == kNoSymbol ? storage::kNullDictId : id;
-  }
-
-  /// The string behind a dictionary id of column `column_idx`.
-  std::string_view ColumnDictName(int column_idx, uint32_t dict_id) const {
-    return col_dicts_[column_idx].Name(dict_id);
-  }
-
-  /// Distinct strings ever frozen into column `column_idx`; dictionary ids
-  /// are dense in [0, ColumnDictSize).
-  size_t ColumnDictSize(int column_idx) const {
-    return col_dicts_[column_idx].size();
+  /// String dictionary of column `column_idx`: every distinct string ever
+  /// frozen into it, with dense ids.
+  const StringInterner& ColumnDict(int column_idx) const {
+    return col_dicts_[column_idx];
   }
 
  private:

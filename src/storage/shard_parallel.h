@@ -1,10 +1,23 @@
-// Shared policy pieces of the shard-parallel query drivers (the Cypher
-// matcher and the SQL pipeline): LIMIT row-budget selection and the
-// deterministic worker-order merge. Both engines fan work-stealing seed
-// morsels onto the common thread pool and stream each into its own result
-// set; the subtle parts — how a
-// pushed-down LIMIT is enforced across workers and how DISTINCT survives
-// the merge — live here once so the two executors cannot drift apart.
+// Shared execution policy of the shard-parallel query drivers (the Cypher
+// matcher and the SQL pipeline): when a query fans out, how its input is
+// carved into work-stealing morsels and run on the common thread pool,
+// LIMIT row-budget selection, and the deterministic morsel-order merge.
+// Both executors hand RunMorsels their per-shard input counts and a
+// callback that runs one morsel through their own pipeline; the subtle
+// parts — how a pushed-down LIMIT is enforced across workers and how
+// DISTINCT survives the merge — live here once so the two executors
+// cannot drift apart.
+//
+// Morsels: each shard's input (seed list, scan range or candidate list)
+// is carved into fixed-size positional chunks laid out shard-major and
+// dealt onto per-worker work-stealing deques (common/thread_pool.h
+// WorkStealingQueues). A worker pops its own deque front-first and steals
+// from the back of a victim when it drains, so a skewed shard's input
+// spreads over the whole fleet. Every morsel streams into its own
+// WorkerRows and the merge walks morsels in carve order: the output is
+// deterministic for a fixed storage layout and morsel size, independent of
+// the steal schedule — but shard-major, so it need not equal a serial
+// run's order.
 //
 // Budget policy: without DISTINCT every emitted row counts globally, so
 // workers claim emission slots from one atomic counter (exactly `limit`
@@ -21,22 +34,25 @@
 // DISTINCT merge: workers hash-partition their emissions by row hash into
 // kDistinctPartitions buckets (WorkerRows::parts). Duplicate rows always
 // land in the same partition, so the merge dedups one partition at a time
-// (per-partition seen-set, worker order within a partition), compacts each
-// worker's surviving rows in place, and adopts the compacted vectors as
+// (per-partition seen-set, morsel order within a partition), compacts each
+// morsel's surviving rows in place, and adopts the compacted vectors as
 // whole blocks — the same zero-copy merge non-DISTINCT always had
 // (RowBlocks::pushed_rows() stays 0). Output order is partition-major,
-// worker-minor: deterministic for a fixed storage layout and morsel carve,
-// though not the serial emission order (the differential harness compares
-// DISTINCT results order-normalized).
+// morsel-minor (the differential harness compares DISTINCT results
+// order-normalized).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
+#include "obs/trace.h"
 #include "storage/relational/value.h"
 #include "storage/row_block.h"
 
@@ -84,23 +100,43 @@ struct ShardRowBudget {
   std::atomic<size_t>* shared_claimed() { return shared ? &claimed : nullptr; }
 };
 
-/// Merge per-worker results in worker order (deterministic for a fixed
-/// storage layout and morsel carve): fail on the first worker error, let
-/// `on_run` fold each worker's stats, and hand the rows to `out`. Without
-/// DISTINCT every worker's row vector is adopted wholesale as one block.
-/// With DISTINCT the merge dedups partition by partition (see the header
-/// comment) and adopts each worker's compacted partition vector — also
-/// block-wise. `Run` must expose a `Status error` and a WorkerRows at `rs`.
-template <class Run, class OnRun>
-Status MergeShardRuns(std::vector<Run>& runs, bool distinct,
-                      RowBlocks<std::vector<sql::Value>>* out,
-                      OnRun&& on_run) {
-  for (Run& run : runs) {
-    RAPTOR_RETURN_NOT_OK(run.error);
-    on_run(run);
-  }
+/// The fan-out rule of both executors: go parallel only when it can pay
+/// off — more than one worker allowed, a sharded store, no small pushed
+/// LIMIT (`limit` < 0: none; the serial early-exit path finishes a small
+/// limit in a handful of visits), and an input of at least `min_input`
+/// seeds / rows. `input_size` is called last, so an executor can defer
+/// materializing its input until the cheap conditions hold.
+template <class InputSize>
+bool FanOut(int parallel_shards, size_t shard_count, long long limit,
+            int min_limit, int min_input, InputSize&& input_size) {
+  return parallel_shards > 1 && shard_count > 1 &&
+         !(limit >= 0 && limit < static_cast<long long>(min_limit)) &&
+         input_size() >= static_cast<size_t>(std::max(0, min_input));
+}
+
+/// Positions [lo, hi) of shard `shard`'s input: one unit of stealable work.
+struct Morsel {
+  size_t shard;
+  size_t lo;
+  size_t hi;
+};
+
+/// One morsel's output: its rows, and the error that stopped it.
+struct MorselRun {
+  WorkerRows rs;
+  Status error = Status::OK();
+};
+
+/// Merge morsel results in morsel order: fail on the first morsel error,
+/// then hand the rows to `out`. Without DISTINCT every morsel's row vector
+/// is adopted wholesale as one block. With DISTINCT the merge dedups
+/// partition by partition (see the header comment) and adopts each
+/// morsel's compacted partition vector — also block-wise.
+inline Status MergeShardRuns(std::vector<MorselRun>& runs, bool distinct,
+                             RowBlocks<std::vector<sql::Value>>* out) {
+  for (const MorselRun& run : runs) RAPTOR_RETURN_NOT_OK(run.error);
   if (!distinct) {
-    for (Run& run : runs) out->Adopt(std::move(run.rs.rows));
+    for (MorselRun& run : runs) out->Adopt(std::move(run.rs.rows));
     return Status::OK();
   }
   std::unordered_set<std::vector<sql::Value>, sql::ValueRowHash,
@@ -108,7 +144,7 @@ Status MergeShardRuns(std::vector<Run>& runs, bool distinct,
       seen;
   for (size_t p = 0; p < kDistinctPartitions; ++p) {
     seen.clear();
-    for (Run& run : runs) {
+    for (MorselRun& run : runs) {
       if (run.rs.parts.size() <= p) continue;
       auto& part = run.rs.parts[p];
       size_t kept = 0;
@@ -122,6 +158,60 @@ Status MergeShardRuns(std::vector<Run>& runs, bool distinct,
     }
   }
   return Status::OK();
+}
+
+/// The morsel driver: carve each shard's `shard_counts[s]` input positions
+/// into shard-major morsels of `morsel_size`, run them on
+/// min(parallel_shards, morsels) workers of ThreadPool::Shared(), fold the
+/// workers' stats into `stats` (nullable) and merge the rows into `out`
+/// in morsel order. Each worker calls `make_worker()` once for a callable
+/// `Status(const Morsel&, Stats*, WorkerRows*)` that runs one morsel
+/// through the executor's own pipeline (owning any per-worker state, such
+/// as an evaluator's caches) and returns the error that stopped it; a
+/// failed morsel stops its worker and fails the merge. With `trace` set,
+/// every worker hangs a timed `morsel_worker[w]` span carrying its stats.
+/// `Stats` provides morsels_executed / morsels_stolen, Add and WriteSpan.
+template <class Stats, class MakeWorker>
+Status RunMorsels(const std::vector<size_t>& shard_counts, int morsel_size,
+                  int parallel_shards, bool distinct, obs::TraceSpan* trace,
+                  Stats* stats, RowBlocks<std::vector<sql::Value>>* out,
+                  MakeWorker&& make_worker) {
+  size_t size = static_cast<size_t>(std::max(1, morsel_size));
+  std::vector<Morsel> morsels;
+  for (size_t s = 0; s < shard_counts.size(); ++s) {
+    for (size_t lo = 0; lo < shard_counts[s]; lo += size) {
+      morsels.push_back({s, lo, std::min(lo + size, shard_counts[s])});
+    }
+  }
+  if (morsels.empty()) return Status::OK();
+  std::vector<MorselRun> runs(morsels.size());
+  size_t workers = std::min(
+      static_cast<size_t>(std::max(1, parallel_shards)), morsels.size());
+  WorkStealingQueues queues(morsels.size(), workers);
+  std::vector<Stats> worker_stats(workers);
+  ThreadPool::Shared().ParallelFor(workers, workers, [&](size_t w) {
+    auto start = obs::TraceSpan::Clock::now();
+    Stats* ws = &worker_stats[w];
+    auto run_morsel = make_worker();
+    bool stolen = false;
+    for (size_t m = queues.Next(w, &stolen); m != WorkStealingQueues::kDone;
+         m = queues.Next(w, &stolen)) {
+      ++ws->morsels_executed;
+      if (stolen) ++ws->morsels_stolen;
+      runs[m].error = run_morsel(morsels[m], ws, &runs[m].rs);
+      if (!runs[m].error.ok()) break;  // the merge surfaces it
+    }
+    if (trace != nullptr) {
+      obs::TraceSpan* span =
+          trace->AddChild("morsel_worker[" + std::to_string(w) + "]");
+      span->SetWindow(start, obs::TraceSpan::Clock::now());
+      ws->WriteSpan(span);
+    }
+  });
+  if (stats != nullptr) {
+    for (const Stats& ws : worker_stats) stats->Add(ws);
+  }
+  return MergeShardRuns(runs, distinct, out);
 }
 
 }  // namespace raptor::storage

@@ -25,6 +25,9 @@
 #include <string>
 #include <utility>
 
+#include "common/status.h"
+#include "obs/trace.h"
+
 namespace raptor::storage {
 
 template <typename ResultT>
@@ -32,6 +35,25 @@ class QueryResultCache {
  public:
   explicit QueryResultCache(size_t max_entries = 1024)
       : max_entries_(max_entries) {}
+
+  /// The one memoized entry of both executors: the cached result for
+  /// `key` (adding 1 to `subresult_cache_hits` on `trace`, nullable), else
+  /// `run()` (adding 1 to `subresult_cache_misses`), inserting a
+  /// successful result. Callers keep their own key and bypass rules.
+  template <class Run>
+  Result<ResultT> GetOrRun(const std::string& key, obs::TraceSpan* trace,
+                           Run&& run) {
+    if (auto cached = Lookup(key)) {
+      obs::Add(trace, "subresult_cache_hits", 1);
+      return *cached;
+    }
+    obs::Add(trace, "subresult_cache_misses", 1);
+    Result<ResultT> result = run();
+    if (result.ok()) {
+      Insert(key, std::make_shared<const ResultT>(result.value()));
+    }
+    return result;
+  }
 
   /// Returns the cached result for `key`, or nullptr on miss. Hit/miss
   /// counters are updated either way.

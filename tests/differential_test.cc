@@ -216,6 +216,11 @@ TEST_P(CypherDifferentialTest, EveryScheduleAgreesWithOracle) {
       {"MATCH (a:proc)-[e:lm_hop {start_time: 20}]->(b:proc) "
        "RETURN a.exename, b.exename",
        false},
+      // No file carries `pid` (no column on any shard), a string missing
+      // from the exename dictionary, and a double literal (row path).
+      {"MATCH (f:file {pid: 1}) RETURN f.name", false},
+      {"MATCH (p:proc {exename: '/bin/none'}) RETURN p.exename", false},
+      {"MATCH (p:proc {pid: 3.0}) RETURN p.exename", false},
       // Unknown labels and types match nothing, except a zero-length path.
       {"MATCH (p:socket) RETURN p.exename", false},
       {"MATCH (p:proc)-[e:nope]->(f) RETURN p.exename", false},

@@ -360,8 +360,8 @@ TEST(ShardedGraphTest, SingleShardPreservesLegacyApi) {
   g.AddEdge(a, b, "write", {});
   g.CreateNodeIndex("proc", "exename");
   EXPECT_EQ(g.shard_count(), 1u);
-  EXPECT_EQ(g.NodesWithLabel("proc").size(), 1u);
-  EXPECT_EQ(g.ProbeNodes("proc", "exename", Value("/bin/x")).size(), 1u);
+  EXPECT_EQ(g.NodesWithLabel("proc", 0).size(), 1u);
+  EXPECT_EQ(g.ProbeNodes("proc", "exename", Value("/bin/x"), 0).size(), 1u);
   EXPECT_EQ(g.OutEdges(a).size(), 1u);
 }
 

@@ -302,14 +302,14 @@ TEST_F(RelationalTest, ShardedRowStorageKeepsGlobalIdsDense) {
 }
 
 TEST_F(RelationalTest, SingleShardTablePreservesLegacyApi) {
-  // The N=1 case keeps the pre-sharding whole-table accessors.
+  // The N=1 case: shard 0 holds every row and index bucket.
   Table t("flat", Schema({{"k", ColumnType::kInt64}}), /*shard_count=*/1);
   ASSERT_TRUE(t.Insert({Value(int64_t{7})}).ok());
   ASSERT_TRUE(t.Insert({Value(int64_t{7})}).ok());
   ASSERT_TRUE(t.CreateIndex("k").ok());
   EXPECT_EQ(t.shard_count(), 1u);
-  EXPECT_EQ(t.rows().size(), 2u);
-  EXPECT_EQ(t.Probe(0, Value(int64_t{7})).size(), 2u);
+  EXPECT_EQ(t.layout().SizeOf(0, t.row_count()), 2u);
+  EXPECT_EQ(t.Probe(0, Value(int64_t{7}), 0).size(), 2u);
   EXPECT_EQ(t.ProbeCount(0, Value(int64_t{7})), 2u);
 }
 
