@@ -7,8 +7,7 @@
 // headline metric is epochs/sec over the drain loop (ingest a batch, wait
 // for every hunt to deliver that epoch); dedupe and shared-hit counters
 // report how much work the optimizer removed. Emits
-// BENCH_standing_fleet.json with mqo/naive keys tracked by the CI schema
-// diff.
+// BENCH_standing_fleet.json with mqo/naive keys.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -71,8 +70,7 @@ FleetResult RunFleet(bool mqo, int tenants, int epochs, int procs_per_epoch) {
   storage::AuditStore store;
   if (!store.Load(audit::ParsedLog{}).ok()) std::exit(1);
   service::HuntServiceOptions opts;
-  opts.mqo_dedup = mqo;
-  opts.mqo_shared_subresults = mqo;
+  opts.mqo = mqo;
   service::HuntService service(&store, opts);
 
   // Full refreshes every epoch on both sides: the comparison isolates the

@@ -1,7 +1,6 @@
 // Shared helpers for the benchmark harnesses. Each bench binary regenerates
 // one of the paper's tables (see DESIGN.md experiment index) and emits a
-// machine-readable BENCH_<name>.json via BenchReport, so CI can track the
-// perf trajectory across commits.
+// machine-readable BENCH_<name>.json via BenchReport.
 #pragma once
 
 #include <cmath>
@@ -84,7 +83,7 @@ inline double Mean(const std::vector<double>& xs) {
 
 /// Machine-readable benchmark output: collects workload parameters and
 /// per-label metrics, then writes BENCH_<name>.json into the working
-/// directory (override with BENCH_JSON_DIR). CI uploads these as artifacts.
+/// directory (override with BENCH_JSON_DIR).
 class BenchReport {
  public:
   /// Bump when the JSON layout changes incompatibly.
@@ -124,9 +123,9 @@ class BenchReport {
       return false;
     }
     std::string out = "{\n  \"bench\": \"" + JsonEscape(name_) + "\",\n";
-    // Run provenance, separate from workload params: bench_compare.py
-    // refuses to diff runs whose schema/build/pool configuration differ
-    // (a Debug-vs-Release or 1-vs-8-thread comparison is meaningless).
+    // Run provenance, separate from workload params: two runs compare
+    // only when their schema, build type and pool size agree (a
+    // Debug-vs-Release or 1-vs-8-thread comparison is meaningless).
     out += "  \"meta\": {\"schema_version\": " +
            std::to_string(kSchemaVersion) + ", \"build_type\": \"";
 #ifdef NDEBUG

@@ -411,15 +411,14 @@ Status HuntService::AcquireGate() {
   // Writer preference: a waiting ingest (ingests_waiting_ > 0) holds off
   // new admissions, so running hunts drain instead of being replaced.
   // Queued hunts stay queued — nothing is refused. The preference is
-  // bounded: after max_consecutive_ingests back-to-back acquisitions with
+  // bounded: after kMaxConsecutiveIngests back-to-back acquisitions with
   // hunts waiting, the next writer yields until a worker admits one hunt
   // (which resets the window), so a firehose source cannot starve hunt
   // latency indefinitely.
   ingest_cv_.wait(lock, [&] {
     if (stop_) return true;
     if (!running_.empty() || ingest_active_) return false;
-    if (queued_ > 0 && options_.max_consecutive_ingests > 0 &&
-        consecutive_ingests_ >= options_.max_consecutive_ingests) {
+    if (queued_ > 0 && consecutive_ingests_ >= kMaxConsecutiveIngests) {
       return false;  // budget spent; a hunt goes first
     }
     return true;
@@ -598,7 +597,7 @@ StandingHandle HuntService::SubmitStanding(HuntRequest request,
   sub->request = std::move(request);
   sub->sink = std::move(sink);
   sub->options = options;
-  if (options_.mqo_dedup) {
+  if (options_.mqo) {
     // Parse outside the lock; the key never changes afterwards. Tenant is
     // deliberately absent — merging structural twins across tenants is the
     // point (each keeps its own seen-set and delivery).
@@ -882,9 +881,8 @@ void HuntService::SetTenantPolicy(const std::string& tenant,
 }
 
 bool HuntService::WriterPreferredLocked() const {
-  if (ingests_waiting_ == 0) return false;
-  return options_.max_consecutive_ingests == 0 ||
-         consecutive_ingests_ < options_.max_consecutive_ingests;
+  return ingests_waiting_ > 0 &&
+         consecutive_ingests_ < kMaxConsecutiveIngests;
 }
 
 double HuntService::CostWeightLocked(HuntTicket::State& state) {
@@ -929,7 +927,7 @@ HuntService::StatePtr HuntService::AdmitLocked() {
     }
     TenantState& ts = it->second;
     double weight = CostWeightLocked(*ts.queue.front());
-    if (!running_.empty() && options_.admission_cost_budget > 0 &&
+    if (!running_.empty() &&
         running_cost_ + weight > options_.admission_cost_budget) {
       ++i;  // over budget right now; try the next tenant's head
       continue;
@@ -1162,7 +1160,7 @@ Result<HuntResponse> HuntService::ExecuteQuery(
       engine::ExecOptions opts = req.exec;
       opts.cancel = cancel;
       opts.deadline = deadline;
-      if (options_.mqo_shared_subresults) {
+      if (options_.mqo) {
         opts.sql_result_cache = &sql_cache_;
         opts.graph_result_cache = &graph_cache_;
       }
@@ -1182,7 +1180,7 @@ Result<HuntResponse> HuntService::ExecuteQuery(
       opts.cancel = cancel;
       opts.deadline = deadline;
       opts.top_seed_filter = seed_filter;
-      if (options_.mqo_shared_subresults) opts.result_cache = &graph_cache_;
+      if (options_.mqo) opts.result_cache = &graph_cache_;
       opts.trace = exec_span;
       graphdb::MatchStats stats;
       auto rs = store_->graph().QueryBlocks(
@@ -1200,7 +1198,7 @@ Result<HuntResponse> HuntService::ExecuteQuery(
       sql::SelectOptions opts = store_->relational().options();
       opts.cancel = cancel;
       opts.deadline = deadline;
-      if (options_.mqo_shared_subresults) opts.result_cache = &sql_cache_;
+      if (options_.mqo) opts.result_cache = &sql_cache_;
       opts.trace = exec_span;
       sql::ExecStats stats;
       auto rs = store_->relational().QueryBlocks(
@@ -1490,7 +1488,7 @@ void HuntService::RunStanding(const StandingPtr& sub) {
   if (!incremental && failure.ok()) {
     std::shared_ptr<SharedRefresh> entry;
     bool leader = true;
-    if (options_.mqo_dedup && !sub->canonical_key.empty()) {
+    if (options_.mqo && !sub->canonical_key.empty()) {
       std::string key = sub->canonical_key + '\x1f' + std::to_string(target);
       std::lock_guard<std::mutex> lock(mu_);
       auto [it, fresh] = refresh_cache_.try_emplace(key);

@@ -41,7 +41,7 @@
 // store epoch, and records the batch's touched entities as that epoch's
 // dirty set — so ingestion and hunting interleave safely under the
 // const-query thread-safety contract instead of refusing each other.
-// Writer preference is bounded: at most max_consecutive_ingests mutations
+// Writer preference is bounded: at most kMaxConsecutiveIngests mutations
 // admit in a row while hunts wait, then one queued hunt is guaranteed
 // through before the next writer takes the gate — hunt latency stays
 // finite under a firehose source instead of starving behind it.
@@ -360,6 +360,11 @@ struct TenantPolicy {
 /// HuntServiceOptions::admission_cost_budget / kMinCostWeight.
 constexpr double kMinCostWeight = 0.05;
 
+/// Bounded writer preference: at most this many consecutive gate
+/// acquisitions (Ingest/Exclusive) admit while hunts sit queued; then one
+/// hunt is guaranteed through before the next writer.
+constexpr size_t kMaxConsecutiveIngests = 4;
+
 /// Per-epoch dirty-entity sets retained for incremental standing hunts; a
 /// subscriber further behind than this falls back to a full re-scan.
 constexpr size_t kMaxDirtyEpochs = 64;
@@ -382,28 +387,21 @@ struct HuntServiceOptions {
   /// running hunts' estimated weights (each in [kMinCostWeight, 1], 1 ≈
   /// one full scan of the store, from the executors' plan-time
   /// EstimateCost) stays within this budget; a hunt always admits when
-  /// nothing is running. <= 0 disables the cost gate (pure worker-count
-  /// admission, the legacy behavior).
+  /// nothing is running.
   double admission_cost_budget = 2.0;
-  /// Bounded writer preference: at most this many consecutive gate
-  /// acquisitions (Ingest/Exclusive) admit while hunts sit queued; then
-  /// one hunt is guaranteed through before the next writer. 0 = unbounded
-  /// (the legacy starvation-prone preference, kept for benchmarks).
-  size_t max_consecutive_ingests = 4;
   /// Idle (no queued or running hunts) tenant entries retained for their
   /// counters; least-recently-active entries beyond this are pruned so
   /// the tenant map stays bounded at millions-of-users scale.
   size_t max_idle_tenants = 64;
-  /// Multi-query optimization, layer 1: full refreshes of
-  /// structurally-identical standing hunts (equal huntlib canonical keys,
-  /// typically the same technique template across tenants) at the same
-  /// epoch execute once and fan the result out to every subscriber.
-  bool mqo_dedup = true;
-  /// Multi-query optimization, layer 2: hand the service-owned per-epoch
-  /// subresult caches to the storage executors, so identical compiled data
-  /// queries — common sub-patterns factored out across hunts — execute
-  /// once per epoch.
-  bool mqo_shared_subresults = true;
+  /// Multi-query optimization, both layers. Refresh dedupe: full
+  /// refreshes of structurally-identical standing hunts (equal huntlib
+  /// canonical keys, typically the same technique template across
+  /// tenants) at the same epoch execute once and fan the result out to
+  /// every subscriber. Shared subresults: the service-owned per-epoch
+  /// subresult caches go to the storage executors, so identical compiled
+  /// data queries — common sub-patterns factored out across hunts —
+  /// execute once per epoch. false is the per-hunt reference execution.
+  bool mqo = true;
   /// Epoch counter start value. A restored service resumes at its
   /// snapshot's epoch so standing-hunt watermarks and checkpoint intervals
   /// keep their meaning across restarts.

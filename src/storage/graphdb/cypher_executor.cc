@@ -1080,8 +1080,7 @@ Result<GraphBlockResult> RunPipeline(
     bool parallel =
         !query.patterns.empty() &&
         storage::FanOut(options.parallel_shards, graph.shard_count(),
-                        query.limit, options.parallel_min_limit,
-                        options.parallel_min_seeds, [&] {
+                        query.limit, options.parallel_min_seeds, [&] {
                           top_seeds = matcher.PlanTopSeeds(binding);
                           return top_seeds.SeedCount(graph);
                         });
@@ -1271,8 +1270,7 @@ std::string SubresultCacheKey(std::string_view cypher,
   key += std::to_string(o.unbounded_varlen_cap) + ',' +
          std::to_string(o.morsel_size) + ',' +
          std::to_string(o.parallel_shards) + ',' +
-         std::to_string(o.parallel_min_seeds) + ',' +
-         std::to_string(o.parallel_min_limit);
+         std::to_string(o.parallel_min_seeds);
   return key;
 }
 

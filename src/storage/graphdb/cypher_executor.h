@@ -114,9 +114,6 @@ struct MatchOptions {
   /// Stay serial when the top-level seed set is smaller than this: tiny
   /// queries lose more to worker dispatch than they gain from parallelism.
   int parallel_min_seeds = 64;
-  /// Stay serial when a pushed-down LIMIT is below this: the serial
-  /// early-exit path finishes such queries in a handful of seed visits.
-  int parallel_min_limit = 8;
   /// Cooperative cancellation: when non-null and set, seed iteration stops
   /// (every worker polls it alongside the shared LIMIT budget) and the
   /// query returns Status::Cancelled. The flag must outlive the call.

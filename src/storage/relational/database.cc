@@ -15,8 +15,7 @@ std::string SubresultCacheKey(std::string_view sql, const SelectOptions& o) {
   key += '\x1f';
   key += std::to_string(o.morsel_size) + ',' +
          std::to_string(o.parallel_shards) + ',' +
-         std::to_string(o.parallel_min_rows) + ',' +
-         std::to_string(o.parallel_min_limit);
+         std::to_string(o.parallel_min_rows);
   return key;
 }
 

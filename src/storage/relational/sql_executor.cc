@@ -1073,7 +1073,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
   size_t n_shards = n_aliases == 0 ? 1 : tables[0]->shard_count();
   bool parallel = storage::FanOut(
       options.parallel_shards, n_shards, limit_pushed ? stmt.limit : -1,
-      options.parallel_min_limit, options.parallel_min_rows, [&] {
+      options.parallel_min_rows, [&] {
         return lazy0 ? (lazy0_scan_all ? tables[0]->row_count()
                                        : lazy0_seed.size())
                      : candidates[0].size();

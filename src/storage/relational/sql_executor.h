@@ -123,9 +123,6 @@ struct SelectOptions {
   /// Stay serial when the base-table scan (or its index seed list) is
   /// smaller than this: tiny scans lose more to dispatch than they gain.
   int parallel_min_rows = 256;
-  /// Stay serial when a pushed-down LIMIT is below this: the serial
-  /// early-exit path finishes such queries in a handful of row visits.
-  int parallel_min_limit = 8;
   /// Cooperative cancellation: when non-null and set, the base scan stops
   /// (every worker polls it alongside the shared LIMIT budget) and the
   /// query returns Status::Cancelled. The flag must outlive the call.

@@ -100,17 +100,21 @@ struct ShardRowBudget {
   std::atomic<size_t>* shared_claimed() { return shared ? &claimed : nullptr; }
 };
 
+/// Pushed-down LIMITs below this stay serial in both executors: the
+/// serial early-exit path finishes them in a handful of seed or row
+/// visits, less than one worker dispatch costs.
+constexpr long long kParallelMinLimit = 8;
+
 /// The fan-out rule of both executors: go parallel only when it can pay
-/// off — more than one worker allowed, a sharded store, no small pushed
-/// LIMIT (`limit` < 0: none; the serial early-exit path finishes a small
-/// limit in a handful of visits), and an input of at least `min_input`
-/// seeds / rows. `input_size` is called last, so an executor can defer
-/// materializing its input until the cheap conditions hold.
+/// off — more than one worker allowed, a sharded store, no pushed LIMIT
+/// below kParallelMinLimit (`limit` < 0: none), and an input of at least
+/// `min_input` seeds / rows. `input_size` is called last, so an executor
+/// can defer materializing its input until the cheap conditions hold.
 template <class InputSize>
 bool FanOut(int parallel_shards, size_t shard_count, long long limit,
-            int min_limit, int min_input, InputSize&& input_size) {
+            int min_input, InputSize&& input_size) {
   return parallel_shards > 1 && shard_count > 1 &&
-         !(limit >= 0 && limit < static_cast<long long>(min_limit)) &&
+         !(limit >= 0 && limit < kParallelMinLimit) &&
          input_size() >= static_cast<size_t>(std::max(0, min_input));
 }
 

@@ -86,7 +86,7 @@ struct CatalogQuery {
   bool ordered = false;  // results are deterministically ordered (SQL only)
 };
 
-// 16 crosses the parallel_min_limit default (8): the shared atomic row
+// 16 crosses storage::kParallelMinLimit (8): the shared atomic row
 // budget actually gates emission there, unlike 1000 which rarely binds.
 const long long kLimits[] = {-1, 0, 3, 16, 1000};  // -1 = no LIMIT clause
 

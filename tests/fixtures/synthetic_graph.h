@@ -224,25 +224,19 @@ inline AttackPlants PlantAttackSubgraphs(graphdb::PropertyGraph& g,
   return out;
 }
 
-/// The name of a uniformly random file node under the spec's naming scheme.
-inline std::string RandomFileName(const SyntheticGraphSpec& spec,
-                                  const SyntheticGraph& sg, Rng& rng) {
-  size_t idx = rng.Uniform(sg.files.size());
-  if (spec.global_name_index) {
-    return spec.file_prefix + std::to_string(sg.procs.size() + idx);
-  }
-  return spec.file_prefix + std::to_string(idx);
-}
-
-/// A Cypher IN-list body of `count` random (possibly repeated) file names:
-/// "'/data/f1', '/data/f2', ...".
+/// A Cypher IN-list body of `count` uniformly random (possibly repeated)
+/// file names under the spec's naming scheme: "'/data/f1', '/data/f2', ...".
 inline std::string RandomFileNameInList(const SyntheticGraphSpec& spec,
                                         const SyntheticGraph& sg, Rng& rng,
                                         int count) {
+  // Under a global name index file names continue the proc numbering.
+  size_t base = spec.global_name_index ? sg.procs.size() : 0;
   std::string out;
   for (int i = 0; i < count; ++i) {
     if (i > 0) out += ", ";
-    out += "'" + RandomFileName(spec, sg, rng) + "'";
+    out += "'";
+    out += spec.file_prefix;
+    out += std::to_string(base + rng.Uniform(sg.files.size())) + "'";
   }
   return out;
 }

@@ -440,6 +440,29 @@ TEST(ShardedGraphTest, ParallelMatchAgreesWithSerial) {
   (void)plants;
 }
 
+TEST(ShardedGraphTest, SmallLimitStaysSerial) {
+  // A pushed LIMIT below storage::kParallelMinLimit keeps the serial
+  // early-exit matcher even over a seed set big enough to fan out.
+  GraphDatabase db(4);
+  Rng rng(19);
+  fixtures::SyntheticGraphSpec spec;
+  spec.nodes = 1000;
+  spec.edges = 3000;
+  spec.edge_types = 4;
+  fixtures::BuildSyntheticGraph(db.graph(), spec, rng);
+  const std::string q =
+      "MATCH (p:proc)-[e:op1]->(f:file) RETURN p.exename, f.name";
+  MatchStats limited_stats, full_stats;
+  auto limited = db.Query(q + " LIMIT 1", &limited_stats);
+  ASSERT_TRUE(limited.ok()) << limited.status().ToString();
+  EXPECT_EQ(limited.value().rows.size(), 1u);
+  EXPECT_EQ(limited_stats.morsels_executed, 0u);
+  auto full = db.Query(q, &full_stats);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_GT(full.value().rows.size(), 1u);
+  EXPECT_GT(full_stats.morsels_executed, 0u);
+}
+
 TEST_F(GraphDbTest, QueryRoundTrip) {
   const char* text =
       "MATCH (p:proc {exename: '/bin/tar'})-[e:read]->(f:file) "

@@ -380,8 +380,7 @@ void RunMqoDifferential(int parallel_shards) {
     side->store->graph().options().parallel_shards = parallel_shards;
     side->store->relational().options().parallel_shards = parallel_shards;
     HuntServiceOptions opts;
-    opts.mqo_dedup = mqo;
-    opts.mqo_shared_subresults = mqo;
+    opts.mqo = mqo;
     side->service = std::make_unique<HuntService>(side->store.get(), opts);
     for (const Hunt& hunt : fleet) {
       HuntRequest request;

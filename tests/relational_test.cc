@@ -288,6 +288,62 @@ TEST(ParallelSelectTest, AgreesWithSerialAndHonorsLimitBudget) {
   EXPECT_EQ(dl.value().rows.size(), 2u);
 }
 
+/// A 4-shard table of `n` rows: id, a text name "/data/f<id>" and an int
+/// score in [0, 100).
+void BuildScoredTable(Database* db, int n) {
+  EXPECT_TRUE(db->CreateTable("big", Schema({{"id", ColumnType::kInt64},
+                                             {"name", ColumnType::kText},
+                                             {"score", ColumnType::kInt64}}))
+                  .ok());
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(db->Insert("big", {Value(static_cast<int64_t>(i)),
+                                   Value("/data/f" + std::to_string(i)),
+                                   Value(static_cast<int64_t>(i * 37 % 100))})
+                    .ok());
+  }
+}
+
+TEST(ParallelSelectTest, ColumnarFilterServesSharedScan) {
+  // `score > 50` compiles to an int compare on the frozen column and the
+  // LIKE conjunct to a dictionary verdict; the sharded scan must report
+  // column-served predicate rows and return the serial rows.
+  Database db(4);
+  BuildScoredTable(&db, 2000);
+  const char* q = "SELECT id FROM big WHERE score > 50 AND name LIKE '%7%'";
+  auto sorted_rows = [&](int shards, ExecStats* stats) {
+    db.options() = SelectOptions{};
+    db.options().parallel_shards = shards;
+    auto rs = db.Query(q, stats);
+    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+    std::vector<Row> rows = rs.ok() ? rs.value().rows : std::vector<Row>{};
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  ExecStats sharded_stats;
+  std::vector<Row> serial = sorted_rows(1, nullptr);
+  std::vector<Row> sharded = sorted_rows(4, &sharded_stats);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(sharded, serial);
+  EXPECT_GT(sharded_stats.columnar_filter_rows, 0u);
+  EXPECT_GT(sharded_stats.morsels_executed, 0u);
+}
+
+TEST(ParallelSelectTest, SmallLimitStaysSerial) {
+  // A pushed LIMIT below storage::kParallelMinLimit keeps the serial
+  // early-exit path even on a scan big enough to fan out.
+  Database db(4);
+  BuildScoredTable(&db, 2000);
+  ExecStats limited_stats, full_stats;
+  auto limited = db.Query("SELECT id FROM big WHERE score > 50 LIMIT 1",
+                          &limited_stats);
+  ASSERT_TRUE(limited.ok()) << limited.status().ToString();
+  EXPECT_EQ(limited.value().rows.size(), 1u);
+  EXPECT_EQ(limited_stats.morsels_executed, 0u);
+  auto full = db.Query("SELECT id FROM big WHERE score > 50", &full_stats);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_GT(full_stats.morsels_executed, 0u);
+}
+
 TEST_F(RelationalTest, ShardedRowStorageKeepsGlobalIdsDense) {
   // Row ids are global and dense in insert order even though storage is
   // partitioned; row(id) must address through the owning shard.

@@ -643,6 +643,64 @@ TEST(HuntServiceTest, CostBudgetSerializesFullScans) {
   (void)second.Wait();
 }
 
+TEST(HuntServiceTest, BoundedWriterPreferenceAdmitsQueuedHunt) {
+  // Two writers keep the epoch gate contended: whenever one holds it, the
+  // other is already waiting, so an unbounded writer preference would
+  // hold the queued hunt off until both writers ran out of batches. The
+  // bound lets at most kMaxConsecutiveIngests mutations through while the
+  // hunt waits, then admits it.
+  auto tr = BuildWideStore(20, 20);
+  HuntServiceOptions opts;
+  opts.max_concurrent = 1;
+  HuntService service(tr->store(), opts);
+  constexpr int kIngestsPerWriter = 500;
+  std::atomic<bool> in_gate{false}, release{false}, stop{false};
+  std::atomic<int> writers_done{0};
+  std::atomic<size_t> saw_queued{0}, over_bound{0};
+  auto mutate = [&](service::IngestReport*) {
+    in_gate = true;
+    while (!release.load()) std::this_thread::yield();
+    HuntService::Metrics m = service.metrics();
+    if (m.queue_depth > 0) {
+      ++saw_queued;
+      if (m.consecutive_ingests > service::kMaxConsecutiveIngests) {
+        ++over_bound;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    return Status::OK();
+  };
+  auto writer = [&] {
+    for (int i = 0; i < kIngestsPerWriter && !stop.load(); ++i) {
+      if (!service.Ingest(mutate).ok()) break;
+    }
+    ++writers_done;
+  };
+  // The first writer holds the gate while the hunt queues behind it and
+  // the second writer lines up, so the hunt is queued behind the gate
+  // from the first mutation on.
+  std::thread first(writer);
+  while (!in_gate.load()) std::this_thread::yield();
+  HuntTicket hunt = service.Submit(Req("proc p read file f return p, f"));
+  EXPECT_EQ(service.metrics().queue_depth, 1u);
+  std::thread second(writer);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  release = true;
+
+  bool finished = hunt.WaitFor(30'000'000);
+  int done_when_finished = writers_done.load();
+  if (!finished) hunt.Cancel();  // unblocks writers stuck behind the hunt
+  stop = true;
+  first.join();
+  second.join();
+
+  ASSERT_TRUE(finished) << "queued hunt never admitted between ingests";
+  EXPECT_TRUE(hunt.status().ok()) << hunt.status().ToString();
+  EXPECT_EQ(done_when_finished, 0) << "hunt waited out both writers";
+  EXPECT_GT(saw_queued.load(), 0u);
+  EXPECT_EQ(over_bound.load(), 0u);
+}
+
 TEST(HuntServiceTest, MetricsReportLatencyAndTenants) {
   auto tr = BuildWideStore(20, 20);
   HuntService service(tr->store());
