@@ -28,13 +28,6 @@ const char* EventOpName(EventOp op) {
   return "?";
 }
 
-std::optional<EntityType> EntityTypeFromName(std::string_view name) {
-  if (name == "file") return EntityType::kFile;
-  if (name == "proc" || name == "process") return EntityType::kProcess;
-  if (name == "ip" || name == "network") return EntityType::kNetwork;
-  return std::nullopt;
-}
-
 std::optional<EventOp> EventOpFromName(std::string_view name) {
   std::string n = ToLower(name);
   if (n == "read") return EventOp::kRead;

@@ -51,7 +51,6 @@ constexpr int kNumEventOps = 9;
 
 const char* EntityTypeName(EntityType type);
 const char* EventOpName(EventOp op);
-std::optional<EntityType> EntityTypeFromName(std::string_view name);
 std::optional<EventOp> EventOpFromName(std::string_view name);
 
 /// A system entity with the representative attributes of Table II. Fields

@@ -325,8 +325,11 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
       sopts.deadline = options.deadline;
       sopts.result_cache = options.sql_result_cache;
       sopts.trace = pspan;
-      auto rs = store_->relational().QueryBlocks(dq.value().text, sopts);
+      sql::ExecStats sstats;
+      auto rs = store_->relational().QueryBlocks(
+          dq.value().text, sopts, pspan != nullptr ? &sstats : nullptr);
       if (!rs.ok()) return rs.status();
+      sstats.WriteSpan(pspan);
       out.reserve(rs.value().rows.row_count());
       auto cursor = rs.value().cursor();
       while (const sql::Row* row = cursor.Next()) {
@@ -346,8 +349,11 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
       gopts.deadline = options.deadline;
       gopts.result_cache = options.graph_result_cache;
       gopts.trace = pspan;
-      auto rs = store_->graph().QueryBlocks(dq.value().text, gopts);
+      graphdb::MatchStats gstats;
+      auto rs = store_->graph().QueryBlocks(
+          dq.value().text, gopts, pspan != nullptr ? &gstats : nullptr);
       if (!rs.ok()) return rs.status();
+      gstats.WriteSpan(pspan);
       bool has_event = dq.value().has_event_columns;
       out.reserve(rs.value().rows.row_count());
       auto cursor = rs.value().cursor();

@@ -31,14 +31,6 @@ void DepTree::Reindex() {
   }
 }
 
-std::vector<int> DepTree::ChildrenOf(int i) const {
-  std::vector<int> out;
-  for (size_t k = 0; k < nodes_.size(); ++k) {
-    if (nodes_[k].head == i) out.push_back(static_cast<int>(k));
-  }
-  return out;
-}
-
 std::vector<int> DepTree::PathToRoot(int i) const {
   std::vector<int> path;
   int cur = i;

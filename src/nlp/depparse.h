@@ -40,9 +40,6 @@ class DepTree {
 
   int root() const { return root_; }
 
-  /// Children of node i (indices), in token order.
-  std::vector<int> ChildrenOf(int i) const;
-
   /// Path from node i up to the root (inclusive of i and root).
   std::vector<int> PathToRoot(int i) const;
 

@@ -339,19 +339,6 @@ const char* IocTypeName(IocType type) {
   return "?";
 }
 
-std::optional<IocType> IocTypeFromName(std::string_view name) {
-  static constexpr IocType kAll[] = {
-      IocType::kFilepath, IocType::kWinFilepath, IocType::kFilename,
-      IocType::kIp,       IocType::kDomain,      IocType::kUrl,
-      IocType::kEmail,    IocType::kHash,        IocType::kRegistry,
-      IocType::kCve,
-  };
-  for (IocType t : kAll) {
-    if (name == IocTypeName(t)) return t;
-  }
-  return std::nullopt;
-}
-
 std::vector<IocMatch> RecognizeIocs(std::string_view text) {
   struct Candidate {
     IocMatch match;
@@ -406,12 +393,6 @@ std::vector<IocMatch> RecognizeIocs(std::string_view text) {
     }
   }
   return out;
-}
-
-bool LooksLikeIoc(std::string_view token) {
-  std::vector<IocMatch> matches = RecognizeIocs(token);
-  return matches.size() == 1 && matches[0].begin == 0 &&
-         matches[0].end == token.size();
 }
 
 }  // namespace raptor::nlp

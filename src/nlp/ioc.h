@@ -5,7 +5,6 @@
 // MD5/SHA1/SHA256 hashes, Windows registry keys and CVE identifiers.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,10 +26,6 @@ enum class IocType {
 
 const char* IocTypeName(IocType type);
 
-/// Inverse of IocTypeName (exact match); nullopt for unknown names. Lets
-/// catalog/feed tooling name IOC slots symbolically.
-std::optional<IocType> IocTypeFromName(std::string_view name);
-
 struct IocMatch {
   IocType type = IocType::kFilepath;
   std::string text;
@@ -43,9 +38,5 @@ struct IocMatch {
 /// > Windows path > Linux path > IP > hash > CVE > domain > file name) and
 /// then by length.
 std::vector<IocMatch> RecognizeIocs(std::string_view text);
-
-/// True if the token could be an IOC on its own (used when scanning
-/// dependency trees in the no-protection ablation).
-bool LooksLikeIoc(std::string_view token);
 
 }  // namespace raptor::nlp

@@ -289,8 +289,4 @@ std::string Lemma(std::string_view word, Pos pos) {
   return lower;
 }
 
-bool IsKnownVerbBase(std::string_view base) {
-  return VerbBases().count(std::string(base)) > 0;
-}
-
 }  // namespace raptor::nlp

@@ -44,7 +44,4 @@ std::vector<Pos> TagTokens(const std::vector<Token>& tokens);
 /// irregular-form table; other classes mostly lower-case + plural strip).
 std::string Lemma(std::string_view word, Pos pos);
 
-/// True if `base` (a lemma) is in the verb-base lexicon.
-bool IsKnownVerbBase(std::string_view base);
-
 }  // namespace raptor::nlp

@@ -6,9 +6,36 @@
 
 namespace raptor::storage {
 
-ColumnFilter::LikeMemo::LikeMemo(std::string pat, size_t dict_size)
-    : pattern(std::move(pat)),
-      null_match(LikeMatch("NULL", pattern)),
+namespace {
+
+bool IsTextOp(ColumnFilter::Op op) {
+  using Op = ColumnFilter::Op;
+  return op == Op::kLike || op == Op::kNotLike || op == Op::kContains ||
+         op == Op::kStartsWith || op == Op::kEndsWith;
+}
+
+}  // namespace
+
+bool ColumnFilter::TextHolds(Op op, std::string_view text,
+                             std::string_view lit) {
+  switch (op) {
+    case Op::kLike:
+    case Op::kNotLike:
+      return LikeMatch(text, lit);
+    case Op::kContains:
+      return text.find(lit) != std::string_view::npos;
+    case Op::kStartsWith:
+      return StartsWith(text, lit);
+    case Op::kEndsWith:
+      return EndsWith(text, lit);
+    default:
+      return false;
+  }
+}
+
+ColumnFilter::TextMemo::TextMemo(Op op, std::string lit, size_t dict_size)
+    : literal(std::move(lit)),
+      null_match(TextHolds(op, "NULL", literal)),
       verdicts(dict_size) {}
 
 ColumnFilter::ColumnFilter(Op op, std::span<const sql::Value> literals,
@@ -21,14 +48,13 @@ ColumnFilter::ColumnFilter(Op op, std::span<const sql::Value> literals,
     uint32_t id = dict == nullptr ? kNoSymbol : dict->Lookup(v.AsText());
     return id == kNoSymbol ? kNullDictId : id;
   };
-  bool like = op == Op::kLike || op == Op::kNotLike;
   bool lit_int = false;
   Mode absent = Mode::kRow;  // the verdict of an all-NULL shard
-  if (like) {
-    like_ = std::make_unique<LikeMemo>(literals[0].ToString(),
+  if (IsTextOp(op)) {
+    memo_ = std::make_unique<TextMemo>(op, literals[0].ToString(),
                                        dict == nullptr ? 0 : dict->size());
-    like_covers_ = true;
-    absent = Const(like_->null_match != (op == Op::kNotLike));
+    absent = Const(memo_->null_match != (op == Op::kNotLike));
+    dict_covers_ = op != Op::kNotLike && !memo_->null_match;
   } else if (op == Op::kIn) {
     bool all_int = !literals.empty();
     bool all_text = !literals.empty();
@@ -59,16 +85,13 @@ ColumnFilter::ColumnFilter(Op op, std::span<const sql::Value> literals,
     return;  // double / NULL literal
   }
   for (PerShard& ps : shards_) {
-    if (ps.col == nullptr) {
-      ps.mode = absent;
-      like_covers_ = false;  // entities without the property are NULL
-    } else if (ps.col->kind() == Column::Kind::kUnset) {
-      ps.mode = absent;
+    if (ps.col == nullptr || ps.col->kind() == Column::Kind::kUnset) {
+      ps.mode = absent;  // no entity of the bucket carries the property
     } else if (ps.col->kind() == Column::Kind::kMixed) {
-      like_covers_ = false;
+      dict_covers_ = false;
     } else {
       ps.mode = ModeFor(*ps.col, lit_int);
-      if (ps.mode != Mode::kDictLike) like_covers_ = false;
+      if (ps.mode != Mode::kDictText) dict_covers_ = false;
     }
   }
 }
@@ -79,7 +102,10 @@ ColumnFilter::Mode ColumnFilter::ModeFor(const Column& col,
   switch (op_) {
     case Op::kLike:
     case Op::kNotLike:
-      return col_int ? Mode::kRow : Mode::kDictLike;
+    case Op::kContains:
+    case Op::kStartsWith:
+    case Op::kEndsWith:
+      return col_int ? Mode::kRow : Mode::kDictText;
     case Op::kIn:
       // A value of the other kind never Compare-equals a cell.
       if (col_int) return lit_int ? Mode::kIntIn : Mode::kNever;
@@ -136,10 +162,10 @@ bool ColumnFilter::MatchesOther(const PerShard& ps, size_t pos) const {
   }
 }
 
-bool ColumnFilter::MatchLike(uint32_t id) const {
-  bool m = LikeMatch(dict_->Name(id), like_->pattern);
-  like_->verdicts[id].store(m ? kYes : kNo, std::memory_order_relaxed);
-  like_->evals.fetch_add(1, std::memory_order_relaxed);
+bool ColumnFilter::MatchText(uint32_t id) const {
+  bool m = TextHolds(op_, dict_->Name(id), memo_->literal);
+  memo_->verdicts[id].store(m ? kYes : kNo, std::memory_order_relaxed);
+  memo_->evals.fetch_add(1, std::memory_order_relaxed);
   return m;
 }
 

@@ -1,7 +1,7 @@
 // One predicate over a frozen column (storage/columnar.h), compiled per
 // shard: the kernel both executors evaluate `col op literal` through — the
 // SQL executor's single-table filters and the Cypher matcher's inline
-// property constraints.
+// property constraints and single-variable WHERE conjuncts.
 //
 // A filter is built from an operator, its literal(s), the column's string
 // dictionary and one column per shard. The rules below mirror
@@ -19,18 +19,23 @@
 //    `IN` fold to false and `<>` to true;
 //  * string range compares read the dictionary name (same sign as
 //    Value's text ordering);
-//  * `[NOT] LIKE` matches each distinct dictionary string at most once per
-//    filter: verdicts are memoized by dictionary id (one uint32 read and
-//    one byte load per row); an absent cell keeps the row path's
-//    LikeMatch("NULL", pattern) verdict;
-//  * kMixed columns, int columns under LIKE, double or NULL literals and
-//    mixed-kind or empty IN lists are not compiled: compiled(shard) is
-//    false and the caller takes its own row path for that shard.
+//  * the text operators — `[NOT] LIKE`, CONTAINS, STARTS WITH and ENDS
+//    WITH — match the rendered literal (Value::ToString, so an int literal
+//    matches its decimal digits) against each distinct dictionary string
+//    at most once per filter: verdicts are memoized by dictionary id (one
+//    uint32 read and one byte load per row). CONTAINS / STARTS WITH / ENDS
+//    WITH are literal substring / prefix / suffix tests (no wildcards);
+//    LIKE keeps `%` / `_`. An absent cell renders as "NULL", as on the row
+//    path, so `x CONTAINS 'UL'` holds on it;
+//  * kMixed columns, int columns under the text operators, double or NULL
+//    literals of the comparison operators and mixed-kind or empty IN lists
+//    are not compiled: compiled(shard) is false and the caller takes its
+//    own row path for that shard.
 // Modes bind per shard because column kinds can diverge across the shards
 // of a loosely-typed table or property. ReadCell reads one cell as a Value
 // under the same rules (the Cypher evaluator's property reads).
 //
-// Thread-safety: a built filter is immutable except for the LIKE memo,
+// Thread-safety: a built filter is immutable except for the text memo,
 // whose slots are relaxed atomics (racing workers compute and store the
 // same verdict byte), so one filter serves every morsel worker.
 #pragma once
@@ -38,8 +43,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -53,17 +60,26 @@ class ColumnFilter {
  public:
   enum class Op : uint8_t {
     kEq, kNe, kLt, kLe, kGt, kGe,
-    kIn,       // homogeneous literal list (all int or all text)
-    kLike,     // literal[0] rendered as the pattern
+    kIn,          // homogeneous literal list (all int or all text)
+    kLike,        // literal[0] rendered as the pattern
     kNotLike,
+    kContains,    // literal[0] rendered: a substring of the cell
+    kStartsWith,  // ... a prefix of the cell
+    kEndsWith,    // ... a suffix of the cell
   };
+
+  /// Does `text op literal` hold for a text operator (kLike, kNotLike
+  /// before its negation, kContains, kStartsWith, kEndsWith)? The one
+  /// definition of their string semantics: compiled shards memoize it per
+  /// dictionary entry, and the Cypher row path calls it on rendered values.
+  static bool TextHolds(Op op, std::string_view text, std::string_view lit);
 
   /// A filter over `shard_count` shards compiled for none of them.
   explicit ColumnFilter(size_t shard_count) : shards_(shard_count) {}
 
   /// `col op literals` over `cols[shard]` (nullptr: no entity of that
-  /// shard's bucket carries the property). Comparisons and LIKE take one
-  /// literal, kIn the whole list. `dict` is the column's dictionary
+  /// shard's bucket carries the property). Comparisons and the text
+  /// operators take one literal, kIn the whole list. `dict` is the column's dictionary
   /// (nullptr when the property never froze a string).
   ColumnFilter(Op op, std::span<const sql::Value> literals,
                const StringInterner* dict,
@@ -77,7 +93,7 @@ class ColumnFilter {
 
   /// Row-semantics verdict for the cell at `pos` (the entity's bucket
   /// offset) of `shard`. Precondition: compiled(shard). The per-row modes
-  /// of the hot paths (constants, equality, LIKE) dispatch inline; the
+  /// of the hot paths (constants, equality, text) dispatch inline; the
   /// rest call MatchesOther, keeping this small enough to inline.
   bool Matches(size_t shard, size_t pos) const {
     const PerShard& ps = shards_[shard];
@@ -92,9 +108,9 @@ class ColumnFilter {
       }
       case Mode::kDictEq:
         return ps.col->DictAt(pos) == dict_lit_;
-      case Mode::kDictLike: {
+      case Mode::kDictText: {
         uint32_t id = ps.col->DictAt(pos);
-        bool m = id == kNullDictId ? like_->null_match : LikeVerdict(id);
+        bool m = id == kNullDictId ? memo_->null_match : DictVerdict(id);
         return m != (op_ == Op::kNotLike);
       }
       default:
@@ -102,30 +118,53 @@ class ColumnFilter {
     }
   }
 
-  /// True for `col LIKE text` when every shard's column is
-  /// dictionary-encoded or holds no cell yet (an empty shard): the
-  /// dictionary then holds every cell value, so the matching entities are
-  /// exactly those whose dictionary entry's LikeVerdict holds.
-  bool like_covers_column() const {
-    return like_ != nullptr && op_ == Op::kLike && like_covers_;
+  /// True when the dictionary alone decides the filter: a LIKE, CONTAINS,
+  /// STARTS WITH or ENDS WITH whose every shard is dictionary-encoded or
+  /// holds no cell, and whose verdict on an absent cell is false. The
+  /// matching rows are then exactly those whose dictionary entry's
+  /// DictVerdict holds, so an index probe of each hit finds them all.
+  bool dict_covers_column() const { return dict_covers_; }
+
+  /// Dictionary entries the text memo covers (0 for other operators).
+  size_t dict_memo_size() const {
+    return memo_ == nullptr ? 0 : memo_->verdicts.size();
   }
 
-  /// Dictionary entries the LIKE memo covers (0 for other operators).
-  size_t like_dict_size() const {
-    return like_ == nullptr ? 0 : like_->verdicts.size();
+  /// Memoized TextHolds of dictionary entry `id` (id < dict_memo_size()),
+  /// before kNotLike's negation. Safe to call concurrently.
+  bool DictVerdict(uint32_t id) const {
+    uint8_t v = memo_->verdicts[id].load(std::memory_order_relaxed);
+    return v == kUnknown ? MatchText(id) : v == kYes;
   }
 
-  /// Memoized LikeMatch of dictionary entry `id` (id < like_dict_size()).
-  /// Safe to call concurrently.
-  bool LikeVerdict(uint32_t id) const {
-    uint8_t v = like_->verdicts[id].load(std::memory_order_relaxed);
-    return v == kUnknown ? MatchLike(id) : v == kYes;
+  /// Dictionary entries matched against the text literal so far.
+  size_t dict_evals() const {
+    return memo_ == nullptr ? 0
+                            : memo_->evals.load(std::memory_order_relaxed);
   }
 
-  /// Dictionary entries matched against the LIKE pattern so far.
-  size_t like_dict_evals() const {
-    return like_ == nullptr ? 0
-                            : like_->evals.load(std::memory_order_relaxed);
+  /// The dictionary-seed access path both executors plan: the strings
+  /// whose DictVerdict holds, with the summed `count_of(string)` (the rows
+  /// an index probe of that string returns). nullopt unless it can beat
+  /// `bound`, the caller's best path so far: the filter must cover its
+  /// column, the dictionary must be smaller than `bound` (walking it costs
+  /// one verdict per entry), and the summed count must stay below it.
+  struct DictHits {
+    std::vector<sql::Value> keys;
+    size_t count = 0;
+  };
+  template <class CountOf>
+  std::optional<DictHits> CollectDictHits(size_t bound,
+                                          CountOf&& count_of) const {
+    if (!dict_covers_ || dict_memo_size() >= bound) return std::nullopt;
+    DictHits hits;
+    for (uint32_t id = 0; id < dict_memo_size(); ++id) {
+      if (!DictVerdict(id)) continue;
+      hits.keys.emplace_back(std::string(dict_->Name(id)));
+      hits.count += count_of(hits.keys.back());
+      if (hits.count >= bound) return std::nullopt;
+    }
+    return hits;
   }
 
  private:
@@ -141,7 +180,7 @@ class ColumnFilter {
     kDictIn,       // string column IN hashed dictionary-id set
     kDictPresent,  // string column vs int literal: cell present == verdict
     kStrCmp,       // string column `op` text literal via dictionary names
-    kDictLike,     // string column [NOT] LIKE via memoized verdicts
+    kDictText,     // string column text operator via memoized verdicts
   };
 
   struct PerShard {
@@ -151,10 +190,11 @@ class ColumnFilter {
 
   static constexpr uint8_t kUnknown = 0, kNo = 1, kYes = 2;
 
-  /// Per-filter LIKE verdicts by dictionary id (kUnknown until matched).
-  struct LikeMemo {
-    LikeMemo(std::string pat, size_t dict_size);
-    std::string pattern;
+  /// Per-filter text-operator verdicts by dictionary id (kUnknown until
+  /// matched).
+  struct TextMemo {
+    TextMemo(Op op, std::string lit, size_t dict_size);
+    std::string literal;
     bool null_match;  // the row path renders an absent cell as "NULL"
     std::vector<std::atomic<uint8_t>> verdicts;
     std::atomic<size_t> evals{0};
@@ -166,8 +206,8 @@ class ColumnFilter {
   /// Matches for the modes it does not dispatch inline.
   bool MatchesOther(const PerShard& ps, size_t pos) const;
 
-  /// LikeVerdict's first sight of `id`: match and memoize.
-  bool MatchLike(uint32_t id) const;
+  /// DictVerdict's first sight of `id`: match and memoize.
+  bool MatchText(uint32_t id) const;
 
   /// Does `cell op literal` hold given the sign of Compare(cell, literal)?
   bool CmpHolds(int c) const {
@@ -195,8 +235,8 @@ class ColumnFilter {
   std::string str_lit_;
   std::unordered_set<int64_t> int_set_;
   std::unordered_set<uint32_t> dict_set_;
-  std::unique_ptr<LikeMemo> like_;
-  bool like_covers_ = false;
+  std::unique_ptr<TextMemo> memo_;
+  bool dict_covers_ = false;
   std::vector<PerShard> shards_;
 };
 

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -93,6 +95,59 @@ std::vector<storage::ColumnFilter> CompilePropFilters(
   return filters;
 }
 
+/// The column-filter operator of a Cypher comparison or string operator;
+/// false for the others (AND / OR / arithmetic).
+bool ToFilterOp(CypherBinaryOp op, storage::ColumnFilter::Op* out) {
+  using Op = storage::ColumnFilter::Op;
+  switch (op) {
+    case CypherBinaryOp::kEq: *out = Op::kEq; return true;
+    case CypherBinaryOp::kNe: *out = Op::kNe; return true;
+    case CypherBinaryOp::kLt: *out = Op::kLt; return true;
+    case CypherBinaryOp::kLe: *out = Op::kLe; return true;
+    case CypherBinaryOp::kGt: *out = Op::kGt; return true;
+    case CypherBinaryOp::kGe: *out = Op::kGe; return true;
+    case CypherBinaryOp::kContains: *out = Op::kContains; return true;
+    case CypherBinaryOp::kStartsWith: *out = Op::kStartsWith; return true;
+    case CypherBinaryOp::kEndsWith: *out = Op::kEndsWith; return true;
+    default: return false;
+  }
+}
+
+/// A single-variable WHERE conjunct, applied as soon as its variable binds
+/// (the predicate pushdown real graph databases perform; without it a
+/// multi-pattern MATCH would enumerate the full cross product first).
+/// A conjunct of the shape `[NOT] var.prop op literal` (op a comparison,
+/// a string operator or IN) on a node variable with a known label also
+/// compiles into a column filter over that label's buckets; every other
+/// conjunct, and every shard the filter leaves to the row path, is
+/// evaluated through CypherEvaluator.
+struct PushdownFilter {
+  const CypherExpr* expr = nullptr;  // the whole conjunct (row path)
+  std::string_view prop;             // compiled shape: the property read
+  /// Values a positive `=` / IN conjunct allows for `prop`: an index probe
+  /// candidate for seed selection (empty otherwise).
+  std::span<const Value> probe_keys;
+  uint32_t label_id = kNoSymbol;  // kNoSymbol: not compiled
+  bool negated = false;           // the filter's verdict is inverted
+  storage::ColumnFilter filter{0};
+};
+
+using VarFilters = std::vector<PushdownFilter>;
+
+/// WHERE split into per-variable pushdown filters and residual conjuncts
+/// (evaluated on complete bindings).
+struct Pushdown {
+  std::unordered_map<std::string, VarFilters> by_var;
+  std::vector<const CypherExpr*> residual;
+
+  /// The filters of `var`, nullptr when it has none (or is anonymous).
+  const VarFilters* For(const std::string& var) const {
+    if (var.empty()) return nullptr;
+    auto it = by_var.find(var);
+    return it == by_var.end() ? nullptr : &it->second;
+  }
+};
+
 /// A node pattern with its label resolved to the graph's interned id and
 /// its variable to the query's slot, so candidate checks compare integers
 /// instead of strings. When the label is known, inline property
@@ -105,6 +160,7 @@ struct ResolvedNode {
   uint32_t label_id = kNoSymbol;  // kNoSymbol: label absent, matches nothing
   uint32_t var_slot = kNoSymbol;  // kNoSymbol: anonymous node
   std::vector<storage::ColumnFilter> filters;  // per pat->props, or empty
+  const VarFilters* pushdown = nullptr;        // the variable's WHERE filters
 
   bool Matches(const Node& node, const PropertyGraph& graph) const {
     if (has_label && node.label_id != label_id) return false;
@@ -124,6 +180,7 @@ struct ResolvedRel {
   uint32_t type_id = kNoSymbol;
   uint32_t var_slot = kNoSymbol;
   std::vector<storage::ColumnFilter> filters;  // per pat->props, or empty
+  const VarFilters* pushdown = nullptr;        // the variable's WHERE filters
 
   bool Matches(const Edge& edge, const PropertyGraph& graph) const {
     if (has_type && edge.type_id != type_id) return false;
@@ -134,7 +191,7 @@ struct ResolvedRel {
 };
 
 ResolvedNode ResolveNode(const PropertyGraph& graph, const VarTable& vars,
-                         const NodePattern& pat) {
+                         const Pushdown& pushdown, const NodePattern& pat) {
   ResolvedNode r;
   r.pat = &pat;
   if (!pat.label.empty()) {
@@ -142,6 +199,7 @@ ResolvedNode ResolveNode(const PropertyGraph& graph, const VarTable& vars,
     r.label_id = graph.LookupLabel(pat.label);
   }
   if (!pat.var.empty()) r.var_slot = vars.nodes.Lookup(pat.var);
+  r.pushdown = pushdown.For(pat.var);
   // Column filters need a known label (the column buckets are per label);
   // an unknown label matches nothing regardless.
   if (r.has_label && r.label_id != kNoSymbol) {
@@ -153,7 +211,7 @@ ResolvedNode ResolveNode(const PropertyGraph& graph, const VarTable& vars,
 }
 
 ResolvedRel ResolveRel(const PropertyGraph& graph, const VarTable& vars,
-                       const RelPattern& pat) {
+                       const Pushdown& pushdown, const RelPattern& pat) {
   ResolvedRel r;
   r.pat = &pat;
   if (!pat.type.empty()) {
@@ -161,6 +219,7 @@ ResolvedRel ResolveRel(const PropertyGraph& graph, const VarTable& vars,
     r.type_id = graph.LookupEdgeType(pat.type);
   }
   if (!pat.var.empty()) r.var_slot = vars.edges.Lookup(pat.var);
+  r.pushdown = pushdown.For(pat.var);
   if (r.has_type && r.type_id != kNoSymbol) {
     r.filters = CompilePropFilters(graph, pat.props, [&](size_t s, uint32_t p) {
       return graph.EdgeColumn(s, r.type_id, p);
@@ -214,15 +273,6 @@ void PushUsedEdge(FrameBinding& b, EdgeId id) { b.used_edges.push_back(id); }
 /// The matcher's insert/recurse/erase discipline is strictly LIFO, so the
 /// most recent PushUsedEdge is the one released.
 void PopUsedEdge(FrameBinding& b) { b.used_edges.pop_back(); }
-
-/// How selective a node pattern is, for choosing the search seed.
-int ConstraintScore(const ResolvedNode& rn, const FrameBinding& binding) {
-  if (NodeBound(binding, rn)) return 100;
-  int score = 0;
-  if (!rn.pat->label.empty()) ++score;
-  score += 2 * static_cast<int>(rn.pat->props.size());
-  return score;
-}
 
 /// Evaluate a WHERE / RETURN expression against a (possibly partially)
 /// bound row.
@@ -324,11 +374,16 @@ class CypherEvaluator {
       case CypherBinaryOp::kGt: return l.Compare(r) > 0;
       case CypherBinaryOp::kGe: return l.Compare(r) >= 0;
       case CypherBinaryOp::kContains:
-        return l.ToString().find(r.ToString()) != std::string::npos;
       case CypherBinaryOp::kStartsWith:
-        return StartsWith(l.ToString(), r.ToString());
-      case CypherBinaryOp::kEndsWith:
-        return EndsWith(l.ToString(), r.ToString());
+      case CypherBinaryOp::kEndsWith: {
+        storage::ColumnFilter::Op fop;
+        ToFilterOp(op, &fop);
+        if (l.is_text() && r.is_text()) {
+          return storage::ColumnFilter::TextHolds(fop, l.AsText(), r.AsText());
+        }
+        return storage::ColumnFilter::TextHolds(fop, l.ToString(),
+                                                r.ToString());
+      }
       default:
         return false;
     }
@@ -423,18 +478,164 @@ void CollectVars(const CypherExpr& e, std::unordered_set<std::string>* vars) {
   }
 }
 
-/// Single-variable WHERE conjuncts, applied as soon as their variable binds
-/// (the predicate pushdown real graph databases perform; without it a
-/// multi-pattern MATCH would enumerate the full cross product first).
-using PushdownFilters =
-    std::unordered_map<std::string, std::vector<const CypherExpr*>>;
+/// Pushdown filter of conjunct `c`, whose only variable is `var`;
+/// `labels` maps node variables to the label of a labeled occurrence.
+PushdownFilter CompileConjunct(
+    const CypherExpr& c, const std::string& var,
+    const std::unordered_map<std::string, std::string_view>& labels,
+    const PropertyGraph& graph) {
+  using Op = storage::ColumnFilter::Op;
+  PushdownFilter f;
+  f.expr = &c;
+  const CypherExpr* e = &c;
+  bool negated = false;
+  while (e->kind == CypherExprKind::kNot) {
+    negated = !negated;
+    e = e->lhs.get();
+  }
+  Op op = Op::kIn;
+  std::span<const Value> literals;
+  if (e->kind == CypherExprKind::kInList &&
+      e->lhs->kind == CypherExprKind::kPropRef) {
+    literals = e->in_list;
+    negated = negated != e->negated;
+  } else if (e->kind == CypherExprKind::kBinary &&
+             e->lhs->kind == CypherExprKind::kPropRef &&
+             e->rhs->kind == CypherExprKind::kLiteral &&
+             ToFilterOp(e->op, &op)) {
+    literals = std::span<const Value>(&e->rhs->literal, 1);
+  } else {
+    return f;
+  }
+  f.prop = e->lhs->prop;
+  if (!negated && (op == Op::kEq || op == Op::kIn)) f.probe_keys = literals;
+  auto label = labels.find(var);
+  uint32_t label_id = label == labels.end()
+                          ? kNoSymbol
+                          : graph.LookupLabel(label->second);
+  if (label_id == kNoSymbol) return f;
+  uint32_t prop_id = graph.LookupPropName(f.prop);
+  std::vector<const storage::Column*> cols(graph.shard_count());
+  for (size_t s = 0; s < cols.size(); ++s) {
+    cols[s] = graph.NodeColumn(s, label_id, prop_id);
+  }
+  f.filter = storage::ColumnFilter(op, literals, graph.PropDict(prop_id), cols);
+  f.label_id = label_id;
+  f.negated = negated;
+  return f;
+}
+
+/// Split WHERE into pushdown filters (single-variable conjuncts, compiled
+/// where they have a column-filter shape) and residual conjuncts. The one
+/// split both the executor and EstimateCypherCost plan from.
+Pushdown PlanPushdown(const CypherQuery& query, const PropertyGraph& graph) {
+  // A node variable bound to a node of another label fails its labeled
+  // pattern anyway, so any labeled occurrence decides the bucket.
+  std::unordered_map<std::string, std::string_view> labels;
+  for (const PatternPart& part : query.patterns) {
+    for (const NodePattern& n : part.nodes) {
+      if (!n.var.empty() && !n.label.empty()) labels.emplace(n.var, n.label);
+    }
+  }
+  std::vector<const CypherExpr*> conjuncts;
+  SplitConjuncts(query.where.get(), &conjuncts);
+  Pushdown pushdown;
+  for (const CypherExpr* c : conjuncts) {
+    std::unordered_set<std::string> cvars;
+    CollectVars(*c, &cvars);
+    if (cvars.size() == 1) {
+      const std::string& var = *cvars.begin();
+      pushdown.by_var[var].push_back(CompileConjunct(*c, var, labels, graph));
+    } else {
+      pushdown.residual.push_back(c);
+    }
+  }
+  return pushdown;
+}
+
+/// The access path of a chain's start node, with the number of seeds it
+/// visits:
+///  * kIndex: probe an indexed property with `keys` — an inline
+///    constraint, or a positive WHERE `=` / IN (summed per-value counts);
+///  * kDict: a covering string filter (ColumnFilter::CollectDictHits) on
+///    an indexed property, probed with the dictionary strings it accepts;
+///  * kLabelScan: every node of the label;
+///  * kFullScan: every node (unlabeled pattern).
+struct SeedPlan {
+  enum class Kind : uint8_t { kFullScan, kLabelScan, kIndex, kDict };
+  Kind kind = Kind::kFullScan;
+  std::string_view prop;   // kIndex / kDict
+  std::vector<Value> keys;  // kIndex / kDict
+  size_t count = 0;
+};
+
+/// Cheapest access path of `pat` as a chain start, ranked by exact
+/// per-value index cardinalities summed over every shard
+/// (ProbeCountNodes), never materializing a candidate. Index probes beat
+/// the label scan; the dictionary seed is tried only when its dictionary
+/// is smaller than the best count so far, the rule the SQL planner's
+/// ChooseAccessPath applies. The one estimate behind seed selection, the
+/// chain direction and EstimateCypherCost.
+SeedPlan EstimateSeedCount(const NodePattern& pat, const VarFilters* filters,
+                           const PropertyGraph& graph) {
+  SeedPlan best;
+  if (pat.label.empty()) {
+    best.count = graph.node_count();
+    return best;
+  }
+  best.count = static_cast<size_t>(-1);
+  auto consider_index = [&](std::string_view prop,
+                            std::span<const Value> keys) {
+    if (!graph.HasNodeIndex(pat.label, prop)) return;
+    size_t count = 0;
+    for (const Value& v : keys) {
+      count += graph.ProbeCountNodes(pat.label, prop, v);
+    }
+    if (count < best.count) {
+      best = {SeedPlan::Kind::kIndex, prop, {keys.begin(), keys.end()}, count};
+    }
+  };
+  for (const PropConstraint& pc : pat.props) {
+    consider_index(pc.key, std::span<const Value>(&pc.value, 1));
+  }
+  if (filters != nullptr) {
+    for (const PushdownFilter& f : *filters) {
+      if (!f.probe_keys.empty()) consider_index(f.prop, f.probe_keys);
+    }
+  }
+  size_t labeled = 0;
+  for (size_t s = 0; s < graph.shard_count(); ++s) {
+    labeled += graph.NodesWithLabel(pat.label, s).size();
+  }
+  if (filters != nullptr) {
+    uint32_t label_id = graph.LookupLabel(pat.label);
+    for (const PushdownFilter& f : *filters) {
+      if (f.label_id != label_id || f.negated ||
+          !graph.HasNodeIndex(pat.label, f.prop)) {
+        continue;
+      }
+      auto hits = f.filter.CollectDictHits(
+          std::min(best.count, labeled), [&](const Value& v) {
+            return graph.ProbeCountNodes(pat.label, f.prop, v);
+          });
+      if (hits.has_value()) {
+        best = {SeedPlan::Kind::kDict, f.prop, std::move(hits->keys),
+                hits->count};
+      }
+    }
+  }
+  if (best.count == static_cast<size_t>(-1)) {
+    best = {SeedPlan::Kind::kLabelScan, {}, {}, labeled};
+  }
+  return best;
+}
 
 /// Start-node candidates for one chain: either per-shard non-owning spans
 /// (index buckets or label buckets, one per storage shard, iterated lazily
 /// so LIMIT pushdown can stop early without materializing the tail), an
-/// owned list (bound variable, multi-value probe unions), or a full node
-/// scan. The per-shard layout is what lets the parallel driver carve each
-/// shard's seeds into morsels.
+/// owned list (multi-value probe unions), or a full node scan. The
+/// per-shard layout is what lets the parallel driver carve each shard's
+/// seeds into morsels.
 struct SeedSet {
   SmallVector<const std::vector<NodeId>*, 8> spans;  // indexed by shard
   std::vector<NodeId> owned;                         // owning storage
@@ -443,6 +644,39 @@ struct SeedSet {
   /// exactly their shard's seeds instead of skip-scanning the whole list.
   std::vector<std::vector<NodeId>> owned_by_shard;
   bool full_scan = false;
+
+  /// Materialize `plan` for `pat`: a single probe value or a label scan
+  /// stays lazily iterated per-shard spans; a multi-value probe becomes
+  /// the sorted, deduplicated union of its buckets.
+  static SeedSet Of(const SeedPlan& plan, const NodePattern& pat,
+                    const PropertyGraph& graph) {
+    SeedSet seeds;
+    size_t shards = graph.shard_count();
+    if (plan.kind == SeedPlan::Kind::kFullScan) {
+      seeds.full_scan = true;
+    } else if (plan.kind == SeedPlan::Kind::kLabelScan) {
+      for (size_t s = 0; s < shards; ++s) {
+        seeds.spans.push_back(&graph.NodesWithLabel(pat.label, s));
+      }
+    } else if (plan.keys.size() == 1) {
+      for (size_t s = 0; s < shards; ++s) {
+        seeds.spans.push_back(
+            &graph.ProbeNodes(pat.label, plan.prop, plan.keys[0], s));
+      }
+    } else {
+      for (const Value& v : plan.keys) {
+        for (size_t s = 0; s < shards; ++s) {
+          const std::vector<NodeId>& bucket =
+              graph.ProbeNodes(pat.label, plan.prop, v, s);
+          seeds.owned.insert(seeds.owned.end(), bucket.begin(), bucket.end());
+        }
+      }
+      std::sort(seeds.owned.begin(), seeds.owned.end());
+      seeds.owned.erase(std::unique(seeds.owned.begin(), seeds.owned.end()),
+                        seeds.owned.end());
+    }
+    return seeds;
+  }
 
   size_t SeedCount(const PropertyGraph& graph) const {
     if (full_scan) return graph.node_count();
@@ -554,11 +788,9 @@ class RowSink {
 class Matcher {
  public:
   Matcher(const PropertyGraph& graph, const MatchOptions& options,
-          const PushdownFilters& pushdown, const CypherEvaluator& eval,
-          MatchStats* stats, RowSink& sink)
+          const CypherEvaluator& eval, MatchStats* stats, RowSink& sink)
       : graph_(graph),
         options_(options),
-        pushdown_(pushdown),
         eval_(eval),
         stats_(stats),
         sink_(sink),
@@ -572,18 +804,31 @@ class Matcher {
   };
 
   /// A pattern part prepared for repeated matching: the forward and
-  /// reversed chains with labels/types resolved once, reused across every
-  /// binding the part extends.
+  /// reversed chains with labels/types resolved once, the direction the
+  /// part is matched in, and — unless an earlier part binds the start —
+  /// the start's seed set, planned once and reused across every binding
+  /// the part extends.
   struct PreparedPart {
     const PatternPart* fwd = nullptr;
     PatternPart rev;
     ResolvedPart resolved_fwd;
     ResolvedPart resolved_rev;
+    bool reversed = false;     // match resolved_rev (seed from the last node)
+    bool start_bound = false;  // an earlier part binds the start variable
+    SeedSet seeds;             // !start_bound: the start's candidates
+
+    const ResolvedPart& chain() const {
+      return reversed ? resolved_rev : resolved_fwd;
+    }
   };
 
+  /// Resolve every part and choose its direction (ChooseDirection).
   Status PrepareParts(const std::vector<PatternPart>& parts,
-                      const VarTable& vars) {
+                      const VarTable& vars, const Pushdown& pushdown) {
     own_parts_.reserve(parts.size());
+    // Which variables earlier parts bind: the matcher descends part by
+    // part, so at part k exactly the named nodes of parts < k are bound.
+    std::unordered_set<std::string_view> bound;
     for (const PatternPart& part : parts) {
       if (part.nodes.empty()) {
         return Status::InvalidArgument("empty pattern part");
@@ -591,8 +836,12 @@ class Matcher {
       PreparedPart pp;
       pp.fwd = &part;
       pp.rev = Reverse(part);
-      pp.resolved_fwd = Resolve(part, vars);
-      pp.resolved_rev = Resolve(pp.rev, vars);
+      pp.resolved_fwd = Resolve(part, vars, pushdown);
+      pp.resolved_rev = Resolve(pp.rev, vars, pushdown);
+      ChooseDirection(pp, bound, pushdown);
+      for (const NodePattern& n : part.nodes) {
+        if (!n.var.empty()) bound.insert(n.var);
+      }
       own_parts_.push_back(std::move(pp));
     }
     parts_ = &own_parts_;
@@ -624,45 +873,40 @@ class Matcher {
     shared_cap_ = cap;
   }
 
-  /// Materialize the top-level seed set once, mirroring MatchFrom's
-  /// direction choice on the (empty) top-level binding. The parallel
-  /// driver sizes its fan-out threshold on the result (SeedCount) and
-  /// shares it across every morsel worker (SetTopSeeds), so a multi-value
-  /// probe union is built a single time instead of once per worker.
-  /// Precondition: PrepareParts succeeded and parts are non-empty.
-  SeedSet PlanTopSeeds(const FrameBinding& binding) {
-    return SelectSeeds(TopSeedNode(binding), binding);
-  }
-
-  /// Use a precomputed seed set for part 0 instead of re-deriving it.
-  /// `seeds` must come from PlanTopSeeds on an identically-prepared
-  /// matcher (the direction choice is deterministic on the empty binding)
-  /// and must outlive this matcher's Run.
-  void SetTopSeeds(const SeedSet* seeds) { shared_top_seeds_ = seeds; }
+  /// Part 0's seed set, which the parallel driver sizes its fan-out on
+  /// and carves into morsels. Precondition: PrepareParts succeeded and
+  /// parts are non-empty (part 0's start is never bound).
+  SeedSet& TopSeeds() { return own_parts_[0].seeds; }
 
  private:
-  /// Choose a part's search direction: seed from the more-constrained
-  /// endpoint. The single authority for both the matcher (MatchFrom) and
-  /// the parallel driver's seed plan (TopSeedNode) — they must agree or
-  /// workers would iterate seeds for the wrong chain endpoint.
-  const ResolvedPart& ChooseDirection(const PreparedPart& pp,
-                                      const FrameBinding& binding) const {
-    int fwd = ConstraintScore(pp.resolved_fwd.nodes.front(), binding);
-    int bwd = ConstraintScore(pp.resolved_fwd.nodes.back(), binding);
-    return bwd > fwd ? pp.resolved_rev : pp.resolved_fwd;
-  }
-
-  /// The seed node of part 0 under MatchFrom's direction choice.
-  const ResolvedNode& TopSeedNode(const FrameBinding& binding) const {
-    return ChooseDirection((*parts_)[0], binding).nodes[0];
+  /// Choose a part's search direction once, at prepare time: seed from an
+  /// end that an earlier part binds (one seed per binding), the first end
+  /// if both are; otherwise from the end whose EstimateSeedCount is
+  /// smaller (the first on a tie), whose seeds are materialized here.
+  void ChooseDirection(PreparedPart& pp,
+                       const std::unordered_set<std::string_view>& bound,
+                       const Pushdown& pushdown) const {
+    const NodePattern& first = pp.fwd->nodes.front();
+    const NodePattern& last = pp.fwd->nodes.back();
+    auto is_bound = [&](const NodePattern& n) {
+      return !n.var.empty() && bound.count(n.var) > 0;
+    };
+    if (is_bound(first) || is_bound(last)) {
+      pp.reversed = !is_bound(first);
+      pp.start_bound = true;
+      return;
+    }
+    SeedPlan fwd = EstimateSeedCount(first, pushdown.For(first.var), graph_);
+    SeedPlan rev = EstimateSeedCount(last, pushdown.For(last.var), graph_);
+    pp.reversed = rev.count < fwd.count;
+    pp.seeds = SeedSet::Of(pp.reversed ? rev : fwd,
+                           pp.reversed ? last : first, graph_);
   }
 
   bool MatchFrom(size_t part_idx, FrameBinding& binding) {
     if (part_idx == parts_->size()) return sink_(binding);
     const PreparedPart& pp = (*parts_)[part_idx];
-    const ResolvedPart& rp = ChooseDirection(pp, binding);
-    return MatchChainFrom(rp, /*reversed=*/&rp == &pp.resolved_rev, part_idx,
-                          binding);
+    return MatchChainFrom(pp, part_idx, binding);
   }
 
   static PatternPart Reverse(const PatternPart& part) {
@@ -672,145 +916,64 @@ class Matcher {
     return rev;
   }
 
-  ResolvedPart Resolve(const PatternPart& part, const VarTable& vars) const {
+  ResolvedPart Resolve(const PatternPart& part, const VarTable& vars,
+                       const Pushdown& pushdown) const {
     ResolvedPart rp;
     rp.nodes.reserve(part.nodes.size());
     rp.rels.reserve(part.rels.size());
     for (const NodePattern& n : part.nodes) {
-      rp.nodes.push_back(ResolveNode(graph_, vars, n));
+      rp.nodes.push_back(ResolveNode(graph_, vars, pushdown, n));
     }
     for (const RelPattern& r : part.rels) {
-      rp.rels.push_back(ResolveRel(graph_, vars, r));
+      rp.rels.push_back(ResolveRel(graph_, vars, pushdown, r));
     }
     return rp;
   }
 
-  /// Evaluate the pushed-down filters of `var` on the binding.
-  bool PassesFilters(const std::string& var,
+  /// Evaluate the pushed-down filters of node `id`, just bound to `rn`'s
+  /// variable: a compiled filter reads one column cell (a node of another
+  /// label fails the variable's labeled pattern anyway), the rest Eval.
+  bool PassesFilters(const ResolvedNode& rn, NodeId id,
                      const FrameBinding& binding) const {
-    if (var.empty()) return true;
-    auto it = pushdown_.find(var);
-    if (it == pushdown_.end()) return true;
-    for (const CypherExpr* f : it->second) {
-      auto v = eval_.Eval(*f, binding);
-      if (!v.ok() || !CypherEvaluator::Truthy(v.value())) return false;
+    if (rn.pushdown == nullptr) return true;
+    for (const PushdownFilter& f : *rn.pushdown) {
+      if (f.label_id != kNoSymbol) {
+        const Node& node = graph_.node(id);
+        if (node.label_id != f.label_id) return false;
+        size_t shard = graph_.ShardOf(id);
+        if (f.filter.compiled(shard)) {
+          if (f.filter.Matches(shard, node.label_pos) == f.negated) {
+            return false;
+          }
+          continue;
+        }
+      }
+      if (!EvalTrue(*f.expr, binding)) return false;
     }
     return true;
   }
 
-  /// Access-path selection for the chain's start node. Competing index
-  /// probes (inline properties and indexed WHERE equality / IN filters) are
-  /// ranked by exact per-value cardinality (summed over every storage
-  /// shard, so the ranking stays exact on sharded graphs). Candidates
-  /// still pass through ResolvedNode::Matches at visit time, so the
-  /// winning probe needs no re-filtering here, and single-value probes
-  /// stay lazily iterated per-shard spans.
-  SeedSet SelectSeeds(const ResolvedNode& rnode, const FrameBinding& binding) {
-    const NodePattern& pat = *rnode.pat;
-    SeedSet seeds;
-    if (NodeBound(binding, rnode)) {
-      seeds.owned.push_back(BoundNode(binding, rnode));
-      return seeds;
+  /// The pushed-down filters of a relationship variable (row path).
+  bool PassesFilters(const ResolvedRel& rr,
+                     const FrameBinding& binding) const {
+    if (rr.pushdown == nullptr) return true;
+    for (const PushdownFilter& f : *rr.pushdown) {
+      if (!EvalTrue(*f.expr, binding)) return false;
     }
-    if (pat.label.empty()) {
-      seeds.full_scan = true;
-      return seeds;
-    }
-
-    // One probe-able access path: an indexed property plus the value(s) an
-    // equality / IN constraint allows for it. Ranking uses ProbeCountNodes
-    // (a per-shard bucket-size sum) without materializing anything; only
-    // the winner's buckets become seed spans.
-    struct Option {
-      std::string_view prop;
-      const Value* eq = nullptr;
-      const std::vector<Value>* multi = nullptr;
-      size_t count = 0;
-    };
-    SmallVector<Option, 4> options;
-    for (const PropConstraint& pc : pat.props) {
-      if (!graph_.HasNodeIndex(pat.label, pc.key)) continue;
-      Option o;
-      o.prop = pc.key;
-      o.eq = &pc.value;
-      o.count = graph_.ProbeCountNodes(pat.label, pc.key, pc.value);
-      options.push_back(o);
-    }
-    // Index seek from WHERE predicates (Neo4j-style): an indexed equality /
-    // IN filter on this variable beats a label scan.
-    if (!pat.var.empty()) {
-      auto fit = pushdown_.find(pat.var);
-      if (fit != pushdown_.end()) {
-        for (const CypherExpr* f : fit->second) {
-          Option o;
-          if (f->kind == CypherExprKind::kBinary &&
-              f->op == CypherBinaryOp::kEq &&
-              f->lhs->kind == CypherExprKind::kPropRef &&
-              f->rhs->kind == CypherExprKind::kLiteral) {
-            o.prop = f->lhs->prop;
-            o.eq = &f->rhs->literal;
-          } else if (f->kind == CypherExprKind::kInList && !f->negated &&
-                     f->lhs->kind == CypherExprKind::kPropRef) {
-            o.prop = f->lhs->prop;
-            o.multi = &f->in_list;
-          }
-          if (o.prop.empty() || !graph_.HasNodeIndex(pat.label, o.prop)) {
-            continue;
-          }
-          if (o.eq != nullptr) {
-            o.count = graph_.ProbeCountNodes(pat.label, o.prop, *o.eq);
-          } else {
-            for (const Value& v : *o.multi) {
-              o.count += graph_.ProbeCountNodes(pat.label, o.prop, v);
-            }
-          }
-          options.push_back(o);
-        }
-      }
-    }
-
-    if (!options.empty()) {
-      const Option* best = &options[0];
-      for (const Option& o : options) {
-        if (o.count < best->count) best = &o;
-      }
-      if (best->eq != nullptr) {
-        for (size_t s = 0; s < graph_.shard_count(); ++s) {
-          seeds.spans.push_back(
-              &graph_.ProbeNodes(pat.label, best->prop, *best->eq, s));
-        }
-      } else {
-        for (const Value& v : *best->multi) {
-          for (size_t s = 0; s < graph_.shard_count(); ++s) {
-            for (NodeId id : graph_.ProbeNodes(pat.label, best->prop, v, s)) {
-              seeds.owned.push_back(id);
-            }
-          }
-        }
-        std::sort(seeds.owned.begin(), seeds.owned.end());
-        seeds.owned.erase(std::unique(seeds.owned.begin(), seeds.owned.end()),
-                          seeds.owned.end());
-      }
-      return seeds;
-    }
-    for (size_t s = 0; s < graph_.shard_count(); ++s) {
-      seeds.spans.push_back(&graph_.NodesWithLabel(pat.label, s));
-    }
-    return seeds;
+    return true;
   }
 
-  bool MatchChainFrom(const ResolvedPart& rp, bool reversed, size_t part_idx,
+  bool EvalTrue(const CypherExpr& e, const FrameBinding& binding) const {
+    auto v = eval_.Eval(e, binding);
+    return v.ok() && CypherEvaluator::Truthy(v.value());
+  }
+
+  bool MatchChainFrom(const PreparedPart& pp, size_t part_idx,
                       FrameBinding& binding) {
+    const ResolvedPart& rp = pp.chain();
+    bool reversed = pp.reversed;
     const ResolvedNode& rseed = rp.nodes[0];
-    SeedSet local_seeds;
-    // Part 0 of a parallel worker reuses the driver's precomputed seed set
-    // (same direction choice on the empty binding) instead of re-deriving
-    // — in particular re-materializing a multi-value probe union.
-    const SeedSet* shared =
-        part_idx == 0 && shared_top_seeds_ != nullptr ? shared_top_seeds_
-                                                      : nullptr;
-    if (shared == nullptr) local_seeds = SelectSeeds(rseed, binding);
-    const SeedSet& seeds = shared != nullptr ? *shared : local_seeds;
+    const SeedSet& seeds = pp.seeds;
     // Bind/unbind the seed variable in place: Extend() restores the binding
     // on backtrack, so the whole search threads one binding with no copies.
     bool bindable = !rseed.pat->var.empty() && !NodeBound(binding, rseed);
@@ -825,7 +988,7 @@ class Matcher {
       if (!rseed.Matches(graph_.node(seed), graph_)) return true;
       if (bindable) {
         SetNode(binding, rseed, seed);
-        if (!PassesFilters(rseed.pat->var, binding)) return true;
+        if (!PassesFilters(rseed, seed, binding)) return true;
       }
       return Extend(rp, reversed, part_idx, 0, seed, binding);
     };
@@ -847,7 +1010,10 @@ class Matcher {
       return top && shared_claimed_ != nullptr &&
              shared_claimed_->load(std::memory_order_relaxed) >= shared_cap_;
     };
-    if (seeds.full_scan) {
+    if (pp.start_bound) {
+      // An earlier part bound the start: its node is the only seed.
+      keep_going = !budget_spent() && visit(BoundNode(binding, rseed));
+    } else if (seeds.full_scan) {
       // A restricted walk iterates the shard's k-th node, so a morsel's
       // [lo, hi) positions map directly.
       if (only_shard >= 0) {
@@ -944,8 +1110,8 @@ class Matcher {
         }
         PushUsedEdge(binding, eid);
         bool pass =
-            (!node_was_new || PassesFilters(next_rnode.pat->var, binding)) &&
-            (!edge_was_new || PassesFilters(rel.var, binding));
+            (!node_was_new || PassesFilters(next_rnode, next, binding)) &&
+            (!edge_was_new || PassesFilters(rrel, binding));
         bool keep_going = true;
         if (pass) {
           keep_going = Extend(rp, reversed, part_idx, idx + 1, next, binding);
@@ -980,7 +1146,7 @@ class Matcher {
         (depth > 0 || min_len == 0)) {
       bool node_was_new = BindNode(next_rnode, cur, binding);
       bool keep_going = true;
-      if (!node_was_new || PassesFilters(next_rnode.pat->var, binding)) {
+      if (!node_was_new || PassesFilters(next_rnode, cur, binding)) {
         keep_going = Extend(rp, reversed, part_idx, idx + 1, cur, binding);
       }
       if (node_was_new) ClearNode(binding, next_rnode);
@@ -1022,7 +1188,6 @@ class Matcher {
 
   const PropertyGraph& graph_;
   const MatchOptions& options_;
-  const PushdownFilters& pushdown_;
   const CypherEvaluator& eval_;
   MatchStats* stats_;
   RowSink& sink_;
@@ -1035,7 +1200,6 @@ class Matcher {
   // ids).
   size_t morsel_lo_ = 0;
   size_t morsel_hi_ = static_cast<size_t>(-1);
-  const SeedSet* shared_top_seeds_ = nullptr;  // driver-owned part-0 seeds
   const std::atomic<size_t>* shared_claimed_ = nullptr;
   size_t shared_cap_ = 0;
   DeadlinePoller deadline_;  // polled with the cancel flag / LIMIT budget
@@ -1044,9 +1208,8 @@ class Matcher {
 Result<GraphBlockResult> RunPipeline(
     const CypherQuery& query, const PropertyGraph& graph,
     const MatchOptions& options, MatchStats* stats, const VarTable& vars,
-    const PushdownFilters& pushdown,
-    const std::vector<const CypherExpr*>& residual,
-    const CypherEvaluator& eval) {
+    const Pushdown& pushdown, const CypherEvaluator& eval,
+    obs::TraceSpan::Clock::time_point start) {
   GraphBlockResult result;
   for (const CypherReturnItem& item : query.items) {
     result.columns.push_back(item.alias.empty() ? item.expr->ToString()
@@ -1058,38 +1221,38 @@ Result<GraphBlockResult> RunPipeline(
   size_t local_cap = query.limit >= 0 ? static_cast<size_t>(query.limit)
                                       : static_cast<size_t>(-1);
 
+  // The serial run counts into its own stats, which its worker span
+  // carries; a parallel run's workers count into theirs.
+  MatchStats serial_stats;
   storage::WorkerRows serial_rs;
-  RowSink sink(query, eval, residual, /*partition_distinct=*/false, local_cap,
-               /*shared_claimed=*/nullptr, /*shared_cap=*/0, stats,
-               &serial_rs);
-  Matcher matcher(graph, options, pushdown, eval, stats, sink);
+  RowSink sink(query, eval, pushdown.residual, /*partition_distinct=*/false,
+               local_cap, /*shared_claimed=*/nullptr, /*shared_cap=*/0,
+               &serial_stats, &serial_rs);
+  Matcher matcher(graph, options, eval, &serial_stats, sink);
   // Structural validation always runs, so a LIMIT 0 query still reports
   // malformed-pattern errors; only the search itself is skipped (runtime
   // evaluation errors are suppressed past a satisfied limit, and 0 is
   // satisfied up front).
-  RAPTOR_RETURN_NOT_OK(matcher.PrepareParts(query.patterns, vars));
+  RAPTOR_RETURN_NOT_OK(matcher.PrepareParts(query.patterns, vars, pushdown));
   if (query.limit != 0) {
     FrameBinding binding;
     InitBinding(binding, vars);
     // Fan out under the shared rule (storage/shard_parallel.h), sized by
-    // the top-level seed set. The set is materialized once, only after
-    // the cheap conditions hold, and shared by every morsel worker; when
-    // the threshold rejects it, the set was by definition small and the
-    // serial matcher re-derives it cheaply.
-    SeedSet top_seeds;
+    // the top-level seed set that PrepareParts planned; every morsel
+    // worker shares it through the prepared parts.
     bool parallel =
         !query.patterns.empty() &&
         storage::FanOut(options.parallel_shards, graph.shard_count(),
                         query.limit, options.parallel_min_seeds, [&] {
-                          top_seeds = matcher.PlanTopSeeds(binding);
-                          return top_seeds.SeedCount(graph);
+                          return matcher.TopSeeds().SeedCount(graph);
                         });
     if (parallel) {
-      // Pre-split any materialized seed union (multi-value probes, bound
-      // vars) into per-shard sub-lists so morsels slice them by position,
+      // Pre-split any materialized seed union (multi-value probes,
+      // dictionary seeds) into per-shard sub-lists so morsels slice them by position,
       // and count each shard's seeds under the iteration scheme
       // MatchChainFrom uses (full-scan positions, span offsets, or the
       // pre-split owned sub-lists).
+      SeedSet& top_seeds = matcher.TopSeeds();
       top_seeds.SplitOwnedByShard(graph);
       std::vector<size_t> counts(graph.shard_count(), 0);
       for (size_t s = 0; s < counts.size(); ++s) {
@@ -1111,14 +1274,13 @@ Result<GraphBlockResult> RunPipeline(
             return [&, worker_eval = CypherEvaluator(graph, vars)](
                        const storage::Morsel& mo, MatchStats* ws,
                        storage::WorkerRows* rs) {
-              RowSink morsel_sink(query, worker_eval, residual,
+              RowSink morsel_sink(query, worker_eval, pushdown.residual,
                                   /*partition_distinct=*/query.distinct,
                                   budget.local_cap, budget.shared_claimed(),
                                   budget.shared_cap, ws, rs);
-              Matcher morsel_matcher(graph, options, pushdown, worker_eval,
-                                     ws, morsel_sink);
+              Matcher morsel_matcher(graph, options, worker_eval, ws,
+                                     morsel_sink);
               morsel_matcher.SharePreparedParts(matcher);
-              morsel_matcher.SetTopSeeds(&top_seeds);
               morsel_matcher.RestrictTopSeedsToMorsel(
                   static_cast<int>(mo.shard), mo.lo, mo.hi);
               if (budget.shared) {
@@ -1133,6 +1295,8 @@ Result<GraphBlockResult> RunPipeline(
           }));
     } else {
       matcher.Run(binding);
+      storage::WorkerSpan(options.trace, 0, start, serial_stats);
+      if (stats != nullptr) stats->Add(serial_stats);
       RAPTOR_RETURN_NOT_OK(sink.error());
       result.rows.Adopt(std::move(serial_rs.rows));
     }
@@ -1193,6 +1357,7 @@ Result<GraphBlockResult> ExecuteCypherBlocks(const CypherQuery& query,
                                              const PropertyGraph& graph,
                                              const MatchOptions& options,
                                              MatchStats* stats) {
+  auto start = obs::TraceSpan::Clock::now();
   // Intern every pattern variable into a dense slot up front; the frame
   // binding and the evaluator resolve variables through this table.
   VarTable vars;
@@ -1206,25 +1371,8 @@ Result<GraphBlockResult> ExecuteCypherBlocks(const CypherQuery& query,
   }
 
   CypherEvaluator eval(graph, vars);
-
-  // Split WHERE into single-variable conjuncts (pushed into matching) and
-  // residual conjuncts (evaluated on complete bindings).
-  std::vector<const CypherExpr*> conjuncts;
-  SplitConjuncts(query.where.get(), &conjuncts);
-  PushdownFilters pushdown;
-  std::vector<const CypherExpr*> residual;
-  for (const CypherExpr* c : conjuncts) {
-    std::unordered_set<std::string> cvars;
-    CollectVars(*c, &cvars);
-    if (cvars.size() == 1) {
-      pushdown[*cvars.begin()].push_back(c);
-    } else {
-      residual.push_back(c);
-    }
-  }
-
-  return RunPipeline(query, graph, options, stats, vars, pushdown, residual,
-                     eval);
+  return RunPipeline(query, graph, options, stats, vars,
+                     PlanPushdown(query, graph), eval, start);
 }
 
 Result<GraphResultSet> ExecuteCypher(const CypherQuery& query,
@@ -1296,73 +1444,10 @@ Result<GraphBlockResult> GraphDatabase::QueryBlocks(
   return run();
 }
 
-namespace {
-
-/// Seed-cardinality estimate for `pat` as a chain start: the cheapest
-/// probe-able access path among indexed inline properties and single-var
-/// WHERE equality / IN filters (the exact rank SelectSeeds computes), the
-/// label bucket when nothing probes, the whole graph when unlabeled.
-double EstimateSeedCount(
-    const NodePattern& pat, const PropertyGraph& graph,
-    const std::vector<const CypherExpr*>* var_filters) {
-  if (pat.label.empty()) return static_cast<double>(graph.node_count());
-  size_t best = static_cast<size_t>(-1);
-  for (const PropConstraint& pc : pat.props) {
-    if (!graph.HasNodeIndex(pat.label, pc.key)) continue;
-    best = std::min(best, graph.ProbeCountNodes(pat.label, pc.key, pc.value));
-  }
-  if (var_filters != nullptr) {
-    for (const CypherExpr* f : *var_filters) {
-      std::string_view prop;
-      size_t count = 0;
-      if (f->kind == CypherExprKind::kBinary && f->op == CypherBinaryOp::kEq &&
-          f->lhs->kind == CypherExprKind::kPropRef &&
-          f->rhs->kind == CypherExprKind::kLiteral &&
-          graph.HasNodeIndex(pat.label, f->lhs->prop)) {
-        prop = f->lhs->prop;
-        count = graph.ProbeCountNodes(pat.label, prop, f->rhs->literal);
-      } else if (f->kind == CypherExprKind::kInList && !f->negated &&
-                 f->lhs->kind == CypherExprKind::kPropRef &&
-                 graph.HasNodeIndex(pat.label, f->lhs->prop)) {
-        prop = f->lhs->prop;
-        for (const Value& v : f->in_list) {
-          count += graph.ProbeCountNodes(pat.label, prop, v);
-        }
-      } else {
-        continue;
-      }
-      best = std::min(best, count);
-    }
-  }
-  if (best != static_cast<size_t>(-1)) return static_cast<double>(best);
-  size_t labeled = 0;
-  for (size_t s = 0; s < graph.shard_count(); ++s) {
-    labeled += graph.NodesWithLabel(pat.label, s).size();
-  }
-  return static_cast<double>(labeled);
-}
-
-}  // namespace
-
 double EstimateCypherCost(const CypherQuery& query, const PropertyGraph& graph,
                           const MatchOptions& options) {
-  // Single-variable WHERE conjuncts indexed by variable — the same pushdown
-  // split ExecuteCypherBlocks performs before matching.
-  std::vector<const CypherExpr*> conjuncts;
-  SplitConjuncts(query.where.get(), &conjuncts);
-  std::unordered_map<std::string, std::vector<const CypherExpr*>> pushdown;
-  for (const CypherExpr* c : conjuncts) {
-    std::unordered_set<std::string> cvars;
-    CollectVars(*c, &cvars);
-    if (cvars.size() == 1) pushdown[*cvars.begin()].push_back(c);
-  }
-  auto filters_for = [&](const NodePattern& pat)
-      -> const std::vector<const CypherExpr*>* {
-    if (pat.var.empty()) return nullptr;
-    auto it = pushdown.find(pat.var);
-    return it == pushdown.end() ? nullptr : &it->second;
-  };
-
+  // The pushdown split and seed estimate the matcher plans from.
+  Pushdown pushdown = PlanPushdown(query, graph);
   double total = 0.0;
   for (const PatternPart& part : query.patterns) {
     if (part.nodes.empty()) continue;
@@ -1374,12 +1459,14 @@ double EstimateCypherCost(const CypherQuery& query, const PropertyGraph& graph,
       }
       radius += static_cast<double>(std::max(hops, 1));
     }
-    // The matcher seeds from whichever chain end is cheaper (ChooseDirection
-    // re-resolves per binding; on the empty binding it is this static rank).
-    double fwd = EstimateSeedCount(part.nodes.front(), graph,
-                                   filters_for(part.nodes.front()));
-    double rev = EstimateSeedCount(part.nodes.back(), graph,
-                                   filters_for(part.nodes.back()));
+    // The matcher seeds a part no earlier part binds from its cheaper end
+    // (ChooseDirection); a bound start is priced the same way.
+    const NodePattern& first = part.nodes.front();
+    const NodePattern& last = part.nodes.back();
+    double fwd = static_cast<double>(
+        EstimateSeedCount(first, pushdown.For(first.var), graph).count);
+    double rev = static_cast<double>(
+        EstimateSeedCount(last, pushdown.For(last.var), graph).count);
     total += std::min(fwd, rev) * (1.0 + radius);
   }
   return total;

@@ -6,12 +6,18 @@
 //    depth-first, threading variable bindings through (shared variables
 //    join parts); a completed binding streams straight into the row sink
 //    instead of materializing a binding list per part;
-//  * the more-constrained endpoint of a chain seeds the search (bound
-//    variable > most selective index probe > label scan > full scan),
-//    ranking competing index probes by per-value cardinality;
+//  * each chain is matched from one end, chosen once per query: an end
+//    an earlier part binds, else the end with the smaller seed-count
+//    estimate. A labeled start's access path is the cheapest of an index
+//    probe (inline constraint or WHERE `=` / IN, ranked by exact
+//    per-value cardinality), a dictionary seed (a WHERE string predicate
+//    matched once against the property's dictionary, its hits probed
+//    through the index) and a label scan; an unlabeled start scans every
+//    node. The same estimate prices EstimateCypherCost;
 //  * variable-length relationships expand by bounded DFS with relationship
 //    uniqueness (Cypher's relationship-isomorphism semantics);
-//  * WHERE is evaluated on fully bound rows; the row sink applies DISTINCT
+//  * single-variable WHERE conjuncts run as soon as their variable binds,
+//    the rest on fully bound rows; the row sink applies DISTINCT
 //    through an incremental seen-set and stops the whole search — including
 //    seed iteration — once LIMIT rows have been emitted, so `LIMIT 1` over
 //    a label scan visits only the seeds it needs.
@@ -28,15 +34,17 @@
 // Queries that stay serial (parallel_shards = 1, tiny seed sets, small
 // pushed limits) run one matcher over every shard in order.
 //
-// Columnar predicate scans: inline property constraints compile into
+// Columnar predicate scans: inline property constraints, and pushed-down
+// WHERE conjuncts `[NOT] var.prop op literal` on a labeled node variable
+// (comparisons, IN, CONTAINS, STARTS WITH, ENDS WITH), compile into
 // storage::ColumnFilters (storage/column_filter.h, the kernel the SQL
-// executor shares) and WHERE property references read cells through
-// storage::ReadCell, over the graph's frozen per-(shard × label) column
+// executor shares) over the graph's frozen per-(shard × label) column
 // vectors instead of probing each node's PropertyMap — string literals
-// resolve to a dictionary id once per query and compare as uint32s.
-// Unlabeled patterns, and columns that cannot represent a value exactly
-// (doubles, NULLs, mixed types), keep the PropertyMap row path per
-// predicate.
+// resolve to a dictionary id once per query and compare as uint32s, and
+// string operators are matched once per dictionary entry. Other WHERE
+// property references read cells through storage::ReadCell. Unlabeled
+// patterns, and columns that cannot represent a value exactly (doubles,
+// NULLs, mixed types), keep the PropertyMap row path per predicate.
 #pragma once
 
 #include <atomic>
@@ -136,8 +144,9 @@ struct MatchOptions {
   storage::QueryResultCache<GraphBlockResult>* result_cache = nullptr;
   /// EXPLAIN ANALYZE hook: when non-null, the parallel driver hangs one
   /// timed child span per morsel worker under it (seed, row, and steal
-  /// counters included) and QueryBlocks records subresult
-  /// cache hits. Null (the default) costs one pointer test per query.
+  /// counters included), a serial query one `morsel_worker[0]` span over
+  /// its planning and matching (storage::WorkerSpan), and QueryBlocks
+  /// records subresult cache hits. Null (the default) costs one pointer test per query.
   /// Must outlive the call.
   obs::TraceSpan* trace = nullptr;
 };
@@ -156,12 +165,12 @@ Result<GraphBlockResult> ExecuteCypherBlocks(const CypherQuery& query,
                                              MatchStats* stats = nullptr);
 
 /// Plan-time cost estimate in "nodes visited" units: per pattern part, the
-/// cheaper of the forward/reverse chain-start seed cardinalities (the same
-/// ProbeCountNodes / label-bucket rank SelectSeeds applies at run time,
-/// including indexed WHERE equality / IN pushdown) scaled by the pattern
-/// radius (1 + summed relationship lengths, varlen capped by
-/// options.unbounded_varlen_cap). Touches only index statistics — no node
-/// or edge visits — so admission layers can price a hunt before running it.
+/// cheaper of the forward/reverse chain-start seed counts (the estimate
+/// the matcher chooses seeds and directions by: index probes, dictionary
+/// seeds and label buckets) scaled by the pattern radius (1 + summed
+/// relationship lengths, varlen capped by options.unbounded_varlen_cap).
+/// Touches only index statistics and property dictionaries — no node or
+/// edge visits — so admission layers can price a hunt before running it.
 double EstimateCypherCost(const CypherQuery& query, const PropertyGraph& graph,
                           const MatchOptions& options = {});
 

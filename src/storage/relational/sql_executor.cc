@@ -345,8 +345,8 @@ struct AccessPath {
 ///  * index: an equality / IN conjunct on an indexed column (IN sums its
 ///    per-value counts, an upper bound on the deduplicated union);
 ///  * like-dict: `col LIKE text` on an indexed column whose dictionary
-///    covers it (ColumnFilter::like_covers_column) and is smaller than
-///    the best count so far — match the whole dictionary, probe the hits;
+///    covers it and is smaller than the best count so far — match the
+///    whole dictionary, probe the hits (ColumnFilter::CollectDictHits);
 ///  * join-seed (the driving alias only): an indexed column equi-joined
 ///    to an alias already filtered, probed with that alias's distinct key
 ///    values.
@@ -370,21 +370,12 @@ AccessPath ChooseAccessPath(size_t a, const std::vector<const Expr*>& filters,
   }
   auto bound = [&] { return std::min(best.count, table->row_count()); };
   for (const ColumnPredicate& p : compiled) {
-    const storage::ColumnFilter& like = p.filter;
-    if (!like.like_covers_column() || !table->HasIndex(p.col_idx) ||
-        like.like_dict_size() >= bound()) {
-      continue;
-    }
-    std::vector<Value> keys;
-    size_t count = 0;
-    for (uint32_t id = 0; id < like.like_dict_size() && count < bound();
-         ++id) {
-      if (!like.LikeVerdict(id)) continue;
-      keys.emplace_back(std::string(table->ColumnDict(p.col_idx).Name(id)));
-      count += table->ProbeCount(p.col_idx, keys.back());
-    }
-    if (count < bound()) {
-      best = {"like-dict", p.col_idx, std::move(keys), count};
+    if (p.col_idx < 0 || !table->HasIndex(p.col_idx)) continue;
+    auto hits = p.filter.CollectDictHits(bound(), [&](const Value& v) {
+      return table->ProbeCount(p.col_idx, v);
+    });
+    if (hits.has_value()) {
+      best = {"like-dict", p.col_idx, std::move(hits->keys), hits->count};
     }
   }
   if (a != 0) return best;
@@ -822,10 +813,11 @@ std::string ResultSet::ToString(size_t max_rows) const {
 Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
                                            const Catalog& catalog,
                                            const SelectOptions& options,
-                                           ExecStats* stats) {
-  ExecStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  const ExecStats before = *stats;
+                                           ExecStats* caller_stats) {
+  auto start = obs::TraceSpan::Clock::now();
+  // This query's counters, folded into `caller_stats` once it has run.
+  ExecStats query_stats;
+  ExecStats* stats = &query_stats;
 
   // Bind all table refs (FROM list then JOINs, left-deep order).
   std::vector<std::string> aliases;
@@ -1095,6 +1087,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       pipeline.SetCancelFlag(options.cancel);
       pipeline.SetDeadline(options.deadline);
       pipeline.Run();
+      storage::WorkerSpan(options.trace, 0, start, query_stats);
       RAPTOR_RETURN_NOT_OK(pipeline.error());
       result.rows.Adopt(std::move(serial_rs.rows));
     } else {
@@ -1160,20 +1153,19 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
   }
   for (const std::vector<ColumnPredicate>& preds : compiled) {
     for (const ColumnPredicate& p : preds) {
-      stats->like_dict_evals += p.filter.like_dict_evals();
+      stats->like_dict_evals += p.filter.dict_evals();
     }
   }
   if (options.trace != nullptr) {
-    auto add = [&](const char* name, size_t now, size_t was) {
-      options.trace->Add(name, static_cast<int64_t>(now - was));
+    auto add = [&](const char* name, size_t n) {
+      options.trace->Add(name, static_cast<int64_t>(n));
     };
-    add("index_probe_rows", stats->index_probe_rows, before.index_probe_rows);
-    add("base_rows_scanned", stats->base_rows_scanned,
-        before.base_rows_scanned);
-    add("columnar_filter_rows", stats->columnar_filter_rows,
-        before.columnar_filter_rows);
-    add("like_dict_evals", stats->like_dict_evals, before.like_dict_evals);
+    add("index_probe_rows", stats->index_probe_rows);
+    add("base_rows_scanned", stats->base_rows_scanned);
+    add("columnar_filter_rows", stats->columnar_filter_rows);
+    add("like_dict_evals", stats->like_dict_evals);
   }
+  if (caller_stats != nullptr) caller_stats->Add(query_stats);
   if (options.cancel != nullptr &&
       options.cancel->load(std::memory_order_relaxed)) {
     return Status::Cancelled("sql query cancelled");

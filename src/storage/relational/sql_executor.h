@@ -140,7 +140,8 @@ struct SelectOptions {
   storage::QueryResultCache<BlockResultSet>* result_cache = nullptr;
   /// EXPLAIN ANALYZE hook: when non-null, the parallel driver hangs one
   /// timed child span per morsel worker under it (scan, probe, and steal
-  /// counters included), the executor adds the statement's
+  /// counters included) and a serial statement one `morsel_worker[0]`
+  /// span over its whole execution (storage::WorkerSpan), the executor adds the statement's
   /// index_probe_rows / base_rows_scanned / columnar_filter_rows /
   /// like_dict_evals counters and one `access.<alias>` note per alias
   /// (`index:<col>`, `like-dict:<col>`, `join-seed:<col>` or `scan`), and

@@ -164,6 +164,21 @@ inline Status MergeShardRuns(std::vector<MorselRun>& runs, bool distinct,
   return Status::OK();
 }
 
+/// The storage span of one executor worker: with `trace` set, hang a
+/// `morsel_worker[w]` span covering [start, now) on it, carrying `stats`
+/// (Stats::WriteSpan). RunMorsels opens one per morsel worker, and both
+/// executors open worker 0 around a query that stays serial, so a trace
+/// credits storage work to storage whether or not the query fanned out.
+template <class Stats>
+void WorkerSpan(obs::TraceSpan* trace, size_t w,
+                obs::TraceSpan::Clock::time_point start, const Stats& stats) {
+  if (trace == nullptr) return;
+  obs::TraceSpan* span =
+      trace->AddChild("morsel_worker[" + std::to_string(w) + "]");
+  span->SetWindow(start, obs::TraceSpan::Clock::now());
+  stats.WriteSpan(span);
+}
+
 /// The morsel driver: carve each shard's `shard_counts[s]` input positions
 /// into shard-major morsels of `morsel_size`, run them on
 /// min(parallel_shards, morsels) workers of ThreadPool::Shared(), fold the
@@ -173,7 +188,7 @@ inline Status MergeShardRuns(std::vector<MorselRun>& runs, bool distinct,
 /// through the executor's own pipeline (owning any per-worker state, such
 /// as an evaluator's caches) and returns the error that stopped it; a
 /// failed morsel stops its worker and fails the merge. With `trace` set,
-/// every worker hangs a timed `morsel_worker[w]` span carrying its stats.
+/// every worker hangs its WorkerSpan.
 /// `Stats` provides morsels_executed / morsels_stolen, Add and WriteSpan.
 template <class Stats, class MakeWorker>
 Status RunMorsels(const std::vector<size_t>& shard_counts, int morsel_size,
@@ -205,12 +220,7 @@ Status RunMorsels(const std::vector<size_t>& shard_counts, int morsel_size,
       runs[m].error = run_morsel(morsels[m], ws, &runs[m].rs);
       if (!runs[m].error.ok()) break;  // the merge surfaces it
     }
-    if (trace != nullptr) {
-      obs::TraceSpan* span =
-          trace->AddChild("morsel_worker[" + std::to_string(w) + "]");
-      span->SetWindow(start, obs::TraceSpan::Clock::now());
-      ws->WriteSpan(span);
-    }
+    WorkerSpan(trace, w, start, *ws);
   });
   if (stats != nullptr) {
     for (const Stats& ws : worker_stats) stats->Add(ws);

@@ -145,20 +145,43 @@ TEST_P(CypherDifferentialTest, EveryScheduleAgreesWithOracle) {
   // consecutive, so they cover every shard twice; the double pid (i = 2)
   // and the text pid (i = 5) land on different shards and demote the pid
   // column there to kMixed, where inline constraints take the row path.
+  // They alone carry a `user` string (three values, so its dictionary is
+  // far smaller than the proc label and a string predicate on it seeds
+  // from the dictionary; every other proc reads NULL there), and a `spawn`
+  // ring links them.
+  const char* kUsers[] = {"root", "daemon", "nobody"};
+  std::vector<graphdb::NodeId> pid_procs;
   for (int i = 0; i < 8; ++i) {
     graphdb::Value pid = i == 2   ? graphdb::Value(3.0)
                          : i == 5 ? graphdb::Value("3")
                                   : graphdb::Value(int64_t{i % 4});
     std::string exe = "/usr/sbin/pid" + std::to_string(i);
-    graphdb::NodeId p = g.AddNode(
-        "proc", {{"exename", graphdb::Value(exe)}, {"pid", pid}});
+    graphdb::NodeId p =
+        g.AddNode("proc", {{"exename", graphdb::Value(exe)},
+                           {"pid", pid},
+                           {"user", graphdb::Value(kUsers[i % 3])}});
     g.AddEdge(p, sg.files[i % sg.files.size()], "op1",
               {{"start_time", graphdb::Value(int64_t{i})}});
+    pid_procs.push_back(p);
+  }
+  for (size_t i = 0; i < pid_procs.size(); ++i) {
+    g.AddEdge(pid_procs[i], pid_procs[(i + 1) % pid_procs.size()], "spawn",
+              {});
+  }
+  // Files whose names hold LIKE's wildcard characters, each twice (so the
+  // name dictionary is smaller than the file label), next to names that
+  // a wildcard reading of `%` or `_` would also match.
+  for (const char* name : {"/tmp/50%_off", "/tmp/50x_off", "/tmp/a_b",
+                           "/tmp/axb"}) {
+    for (int copy = 0; copy < 2; ++copy) {
+      g.AddNode("file", {{"name", graphdb::Value(name)}});
+    }
   }
   // Randomize index availability so both probe and scan seeding run.
   if (seed % 2 == 0) g.CreateNodeIndex("proc", "exename");
   if (seed % 3 != 1) g.CreateNodeIndex("file", "name");
   if (seed % 4 < 2) g.CreateNodeIndex("proc", "pid");
+  if (seed % 4 != 3) g.CreateNodeIndex("proc", "user");
 
   const CatalogQuery catalog[] = {
       {"MATCH (p:proc)-[e:op1]->(f:file) RETURN p.exename, f.name", false},
@@ -221,6 +244,46 @@ TEST_P(CypherDifferentialTest, EveryScheduleAgreesWithOracle) {
       {"MATCH (f:file {pid: 1}) RETURN f.name", false},
       {"MATCH (p:proc {exename: '/bin/none'}) RETURN p.exename", false},
       {"MATCH (p:proc {pid: 3.0}) RETURN p.exename", false},
+      // String operators on a property most procs lack: an absent cell
+      // renders as "NULL", so 'UL', 'NU' and 'LL' match it and the
+      // dictionary alone cannot seed those; 'ot' and NOT 'o' can and
+      // cannot respectively.
+      {"MATCH (p:proc) WHERE p.user CONTAINS 'UL' RETURN p.exename", false},
+      {"MATCH (p:proc)-[e]->(f:file) WHERE p.user STARTS WITH 'NU' "
+       "RETURN p.exename, f.name",
+       false},
+      {"MATCH (p:proc) WHERE p.user ENDS WITH 'LL' RETURN p.exename, p.user",
+       false},
+      {"MATCH (p:proc) WHERE p.user ENDS WITH 'ot' RETURN p.exename, p.user",
+       false},
+      {"MATCH (p:proc) WHERE NOT p.user CONTAINS 'o' RETURN p.exename",
+       false},
+      // The same operators on the pid column: int, double and text cells,
+      // kMixed on two shards, absent on most procs.
+      {"MATCH (p:proc) WHERE p.pid CONTAINS '3' RETURN p.exename, p.pid",
+       false},
+      {"MATCH (p:proc) WHERE p.pid STARTS WITH 'N' RETURN p.exename", false},
+      {"MATCH (p:proc) WHERE p.pid ENDS WITH '1' RETURN p.exename, p.pid",
+       false},
+      // `%` and `_` are literal characters outside LIKE.
+      {"MATCH (f:file) WHERE f.name CONTAINS 'a_b' RETURN f.name", false},
+      {"MATCH (f:file) WHERE f.name STARTS WITH '/tmp/50%' RETURN f.name",
+       false},
+      {"MATCH (f:file) WHERE f.name ENDS WITH '%_off' RETURN f.name", false},
+      // An int literal against a string column: `=` folds to false,
+      // CONTAINS matches the literal's digits.
+      {"MATCH (f:file) WHERE f.name = 3 RETURN f.name", false},
+      {"MATCH (p:proc)-[e]->(f:file) WHERE f.name CONTAINS 1 "
+       "RETURN p.exename, f.name",
+       false},
+      // The only selective predicate sits on the chain's last node, so the
+      // chain is matched in reverse: a dictionary seed and an index probe.
+      {"MATCH (a:proc)-[e1:spawn]->(b:proc)-[e2:spawn]->(c:proc) "
+       "WHERE c.user ENDS WITH 't' RETURN a.exename, b.exename, c.exename",
+       false},
+      {"MATCH (p:proc)-[e:op1]->(f:file) WHERE f.name = '/data/f3' "
+       "RETURN p.exename, f.name",
+       false},
       // Unknown labels and types match nothing, except a zero-length path.
       {"MATCH (p:socket) RETURN p.exename", false},
       {"MATCH (p:proc)-[e:nope]->(f) RETURN p.exename", false},

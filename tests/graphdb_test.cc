@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/trace.h"
+#include "storage/column_filter.h"
 #include "storage/graphdb/cypher_executor.h"
 #include "storage/graphdb/cypher_parser.h"
 #include "tests/fixtures/synthetic_graph.h"
@@ -461,6 +463,148 @@ TEST(ShardedGraphTest, SmallLimitStaysSerial) {
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_GT(full.value().rows.size(), 1u);
   EXPECT_GT(full_stats.morsels_executed, 0u);
+}
+
+TEST_F(GraphDbTest, StringPredicateSeedsFromDictionary) {
+  // Four files share one name, so the name dictionary (4 entries) is
+  // smaller than the file label (7 nodes): the CONTAINS on the chain's last
+  // node is matched against the dictionary once, its one hit probed
+  // through the index, and the chain runs from that file backwards.
+  PropertyGraph& g = db_.graph();
+  for (int i = 0; i < 4; ++i) {
+    g.AddNode("file", {{"name", Value("/tmp/dup")}});
+  }
+  MatchStats stats;
+  auto rs = db_.Query(
+      "MATCH (p:proc)-[e:read]->(f:file) WHERE f.name CONTAINS 'passwd' "
+      "RETURN p.exename, f.name",
+      &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs.value().rows.size(), 1u);
+  EXPECT_EQ(rs.value().rows[0][0].AsText(), "/bin/tar");
+  EXPECT_EQ(stats.seed_candidates, 1u);  // /etc/passwd, not 3 procs
+
+  // 'UL' also matches an absent cell ("NULL"), so the dictionary does not
+  // cover the predicate; the ip node lacks `name` but is not a file.
+  MatchStats scan_stats;
+  auto nulls = db_.Query(
+      "MATCH (f:file) WHERE f.name CONTAINS 'UL' RETURN f.name", &scan_stats);
+  ASSERT_TRUE(nulls.ok()) << nulls.status().ToString();
+  EXPECT_TRUE(nulls.value().rows.empty());
+  EXPECT_EQ(scan_stats.seed_candidates, 7u);  // label scan
+}
+
+TEST_F(GraphDbTest, SerialQueryOpensWorkerSpan) {
+  // A query that stays serial still hangs one storage worker span with its
+  // counters, like each worker of a fanned-out one.
+  auto root = obs::TraceSpan::Root("execute");
+  MatchOptions opts;
+  opts.parallel_shards = 1;
+  opts.trace = root.get();
+  MatchStats stats;
+  auto rs = db_.QueryBlocks("MATCH (p:proc)-[e]->(o) RETURN p.exename", opts,
+                            &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  auto children = root->children();
+  ASSERT_EQ(children.size(), 1u);
+  EXPECT_EQ(children[0]->name(), "morsel_worker[0]");
+  EXPECT_EQ(children[0]->counter("seeds_visited"), 3);
+  EXPECT_EQ(children[0]->counter("rows_emitted"), 5);
+  EXPECT_EQ(stats.seed_candidates, 3u);
+}
+
+// ColumnFilter's string operators over one shard: "/etc/passwd" at 0, an
+// absent cell at 1, "/tmp/a_b" at 2, plus an int column and a shard with
+// no column.
+class ColumnFilterTest : public ::testing::Test {
+ protected:
+  using Op = storage::ColumnFilter::Op;
+
+  void SetUp() override {
+    text_.Append(0, Value("/etc/passwd"), &dict_);
+    text_.Append(2, Value("/tmp/a_b"), &dict_);
+    ints_.Append(0, Value(int64_t{13}), &dict_);
+  }
+
+  storage::ColumnFilter Make(Op op, Value lit,
+                             std::vector<const storage::Column*> cols) {
+    return storage::ColumnFilter(op, std::span<const Value>(&lit, 1), &dict_,
+                                 cols);
+  }
+
+  StringInterner dict_;
+  storage::Column text_, ints_;
+};
+
+TEST_F(ColumnFilterTest, ContainsStartsWithEndsWithMatchLiterally) {
+  auto contains = Make(Op::kContains, Value("a_b"), {&text_});
+  ASSERT_TRUE(contains.compiled(0));
+  EXPECT_FALSE(contains.Matches(0, 0));
+  EXPECT_FALSE(contains.Matches(0, 1));
+  EXPECT_TRUE(contains.Matches(0, 2));
+  // `_` and `%` are plain characters: no wildcard reading.
+  EXPECT_FALSE(Make(Op::kContains, Value("a%"), {&text_}).Matches(0, 2));
+  EXPECT_FALSE(Make(Op::kContains, Value("/e_c"), {&text_}).Matches(0, 0));
+  auto starts = Make(Op::kStartsWith, Value("/etc/"), {&text_});
+  EXPECT_TRUE(starts.Matches(0, 0));
+  EXPECT_FALSE(starts.Matches(0, 2));
+  auto ends = Make(Op::kEndsWith, Value("_b"), {&text_});
+  EXPECT_FALSE(ends.Matches(0, 0));
+  EXPECT_TRUE(ends.Matches(0, 2));
+  // An int literal renders as its digits.
+  storage::Column digits;
+  digits.Append(0, Value("f1"), &dict_);
+  EXPECT_TRUE(Make(Op::kContains, Value(int64_t{1}), {&digits}).Matches(0, 0));
+  EXPECT_TRUE(storage::ColumnFilter::TextHolds(Op::kEndsWith, "abc", ""));
+}
+
+TEST_F(ColumnFilterTest, AbsentCellRendersAsNull) {
+  for (Op op : {Op::kContains, Op::kStartsWith, Op::kEndsWith}) {
+    Value lit(op == Op::kContains     ? "UL"
+              : op == Op::kStartsWith ? "NU"
+                                      : "LL");
+    // The absent cell and a shard with no column both read "NULL".
+    auto f = Make(op, lit, {&text_, nullptr});
+    EXPECT_TRUE(f.Matches(0, 1));
+    EXPECT_FALSE(f.Matches(0, 0));
+    ASSERT_TRUE(f.compiled(1));
+    EXPECT_TRUE(f.Matches(1, 0));
+    // ... so the dictionary alone cannot seed it.
+    EXPECT_FALSE(f.dict_covers_column());
+  }
+  auto f = Make(Op::kContains, Value("passwd"), {&text_, nullptr});
+  ASSERT_TRUE(f.compiled(1));
+  EXPECT_FALSE(f.Matches(1, 0));
+  EXPECT_TRUE(f.dict_covers_column());
+}
+
+TEST_F(ColumnFilterTest, IntAndMixedColumnsStayOnRowPath) {
+  storage::Column mixed;
+  mixed.Append(0, Value(1.5), &dict_);
+  auto f = Make(Op::kContains, Value("1"), {&ints_, &mixed, &text_});
+  EXPECT_FALSE(f.compiled(0));
+  EXPECT_FALSE(f.compiled(1));
+  EXPECT_TRUE(f.compiled(2));
+  EXPECT_FALSE(f.dict_covers_column());
+}
+
+TEST_F(ColumnFilterTest, DictionaryVerdictsAreMemoizedAndSeedHits) {
+  auto f = Make(Op::kStartsWith, Value("/tmp"), {&text_});
+  ASSERT_TRUE(f.dict_covers_column());
+  ASSERT_EQ(f.dict_memo_size(), 2u);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(f.Matches(0, 2));
+  EXPECT_FALSE(f.Matches(0, 0));
+  EXPECT_EQ(f.dict_evals(), 2u);  // each entry matched once
+  auto count_of = [](const Value& v) { return v.AsText().size(); };
+  auto hits = f.CollectDictHits(100, count_of);
+  ASSERT_TRUE(hits.has_value());
+  ASSERT_EQ(hits->keys.size(), 1u);
+  EXPECT_EQ(hits->keys[0].AsText(), "/tmp/a_b");
+  EXPECT_EQ(hits->count, 8u);
+  // No better than the bound: the dictionary is not smaller, or the hits'
+  // count reaches it.
+  EXPECT_FALSE(f.CollectDictHits(2, count_of).has_value());
+  EXPECT_FALSE(f.CollectDictHits(8, count_of).has_value());
 }
 
 TEST_F(GraphDbTest, QueryRoundTrip) {
