@@ -22,7 +22,6 @@ std::string_view TrimView(std::string_view s);
 std::string Trim(std::string_view s);
 
 std::string ToLower(std::string_view s);
-std::string ToUpper(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/strings.h"
+#include "storage/graphdb/cypher_parser.h"
+#include "storage/relational/sql_parser.h"
 
 namespace raptor::engine {
 
@@ -24,14 +26,6 @@ std::string SqlColumn(std::string_view attr) {
   return attr == "group" ? "grp" : std::string(attr);
 }
 
-std::string SqlQuote(const std::string& v) {
-  return "'" + ReplaceAll(v, "'", "''") + "'";
-}
-
-std::string CypherQuote(const std::string& v) {
-  return "'" + ReplaceAll(v, "'", "\\'") + "'";
-}
-
 std::string DefaultAttr(EntityType type) {
   return std::string(audit::SystemEntity::DefaultAttribute(type));
 }
@@ -45,12 +39,12 @@ Result<std::string> CompareToSql(const std::string& alias,
                                  const std::string& attr, CompareOp op,
                                  const std::string& value, bool is_number) {
   std::string col = alias + "." + SqlColumn(attr);
+  std::string rhs = is_number ? value : QuoteString(sql::kSqlLex, value);
   if (!is_number && value.find('%') != std::string::npos) {
-    if (op == CompareOp::kEq) return col + " LIKE " + SqlQuote(value);
-    if (op == CompareOp::kNe) return col + " NOT LIKE " + SqlQuote(value);
+    if (op == CompareOp::kEq) return col + " LIKE " + rhs;
+    if (op == CompareOp::kNe) return col + " NOT LIKE " + rhs;
     return Status::Unsupported("wildcards require = or != comparison");
   }
-  std::string rhs = is_number ? value : SqlQuote(value);
   return col + " " + tbql::CompareOpName(op) + " " + rhs;
 }
 
@@ -68,7 +62,9 @@ Result<std::string> AttrExprToSql(const AttrExpr& e, const std::string& alias,
     case AttrExprKind::kInList: {
       std::vector<std::string> vals;
       vals.reserve(e.values.size());
-      for (const std::string& v : e.values) vals.push_back(SqlQuote(v));
+      for (const std::string& v : e.values) {
+        vals.push_back(QuoteString(sql::kSqlLex, v));
+      }
       return alias + "." + SqlColumn(e.attr) +
              (e.negated ? " NOT IN (" : " IN (") + Join(vals, ", ") + ")";
     }
@@ -98,7 +94,7 @@ Result<std::string> AttrExprToSql(const AttrExpr& e, const std::string& alias,
 std::string OpExprToSql(const OpExpr& e, const std::string& event_alias) {
   switch (e.kind) {
     case OpExprKind::kOp:
-      return event_alias + ".op = " + SqlQuote(e.op);
+      return event_alias + ".op = " + QuoteString(sql::kSqlLex, e.op);
     case OpExprKind::kNot:
       return "NOT (" + OpExprToSql(*e.lhs, event_alias) + ")";
     case OpExprKind::kAnd:
@@ -170,20 +166,21 @@ Result<std::string> CompareToCypher(const std::string& var,
     if (core.find('%') != std::string::npos) {
       return Status::Unsupported("interior wildcards unsupported in Cypher");
     }
+    std::string literal = QuoteString(graphdb::kCypherLex, core);
     std::string cond;
     if (leading && trailing) {
-      cond = prop + " CONTAINS " + CypherQuote(core);
+      cond = prop + " CONTAINS " + literal;
     } else if (trailing) {
-      cond = prop + " STARTS WITH " + CypherQuote(core);
+      cond = prop + " STARTS WITH " + literal;
     } else if (leading) {
-      cond = prop + " ENDS WITH " + CypherQuote(core);
+      cond = prop + " ENDS WITH " + literal;
     } else {
-      cond = prop + " = " + CypherQuote(core);
+      cond = prop + " = " + literal;
     }
     if (op == CompareOp::kNe) cond = "NOT (" + cond + ")";
     return cond;
   }
-  std::string rhs = is_number ? value : CypherQuote(value);
+  std::string rhs = is_number ? value : QuoteString(graphdb::kCypherLex, value);
   const char* opname = op == CompareOp::kNe ? "<>" : tbql::CompareOpName(op);
   return prop + " " + opname + " " + rhs;
 }
@@ -200,7 +197,9 @@ Result<std::string> AttrExprToCypher(const AttrExpr& e, const std::string& var,
     case AttrExprKind::kInList: {
       std::vector<std::string> vals;
       vals.reserve(e.values.size());
-      for (const std::string& v : e.values) vals.push_back(CypherQuote(v));
+      for (const std::string& v : e.values) {
+        vals.push_back(QuoteString(graphdb::kCypherLex, v));
+      }
       std::string cond =
           var + "." + e.attr + " IN [" + Join(vals, ", ") + "]";
       if (e.negated) cond = "NOT (" + cond + ")";
@@ -232,7 +231,7 @@ Result<std::string> AttrExprToCypher(const AttrExpr& e, const std::string& var,
 std::string OpExprToCypher(const OpExpr& e, const std::string& edge_var) {
   switch (e.kind) {
     case OpExprKind::kOp:
-      return edge_var + ".op = " + CypherQuote(e.op);
+      return edge_var + ".op = " + QuoteString(graphdb::kCypherLex, e.op);
     case OpExprKind::kNot:
       return "NOT (" + OpExprToCypher(*e.lhs, edge_var) + ")";
     case OpExprKind::kAnd:

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#include "storage/graphdb/cypher_parser.h"
+#include "storage/relational/sql_parser.h"
+#include "tbql/parser.h"
+
 namespace raptor::huntlib {
 
 namespace {
@@ -27,6 +31,16 @@ Technique Make(std::string id, std::string name, Tactic tactic,
   t.ioc_slots = std::move(slots);
   t.references = {Attack(t.id)};
   return t;
+}
+
+/// The string-literal syntax of `dialect`'s query text.
+const LexSpec& DialectLex(QueryDialect dialect) {
+  switch (dialect) {
+    case QueryDialect::kTbql: return tbql::kTbqlLex;
+    case QueryDialect::kCypher: return graphdb::kCypherLex;
+    case QueryDialect::kSql: return sql::kSqlLex;
+  }
+  return tbql::kTbqlLex;
 }
 
 std::vector<Technique> BuildCatalog() {
@@ -222,10 +236,13 @@ std::string Instantiate(const Technique& technique,
     out.append(tmpl, pos, open - pos);
     std::string key = tmpl.substr(open + 1, close - open - 1);
     auto it = params.find(key);
-    if (it != params.end()) out += it->second;
-    // Missing parameters substitute empty: TBQL templates wrap slots in
-    // %-wildcards and Cypher slots sit inside CONTAINS, so an empty value
-    // means "match anything" either way.
+    // Every slot sits inside a string literal of the template's dialect:
+    // escaping the value keeps it there. Missing parameters substitute
+    // empty: TBQL templates wrap slots in %-wildcards and Cypher slots sit
+    // inside CONTAINS, so an empty value means "match anything" either way.
+    if (it != params.end()) {
+      out += EscapeString(DialectLex(technique.dialect), it->second);
+    }
     pos = close + 1;
   }
   return out;

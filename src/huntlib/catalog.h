@@ -74,9 +74,11 @@ const Technique* FindTechnique(std::string_view id);
 /// All catalog techniques under one tactic.
 std::vector<const Technique*> TechniquesForTactic(Tactic tactic);
 
-/// Substitute `{param}` placeholders in the technique's template. Missing
-/// parameters substitute empty (match anything); unknown keys in `params`
-/// are ignored. The result always parses under the technique's dialect.
+/// Substitute `{param}` placeholders in the technique's template, each
+/// value escaped as the body of the dialect's string literal the slot sits
+/// in. Missing parameters substitute empty (match anything); unknown keys
+/// in `params` are ignored. The result always parses under the technique's
+/// dialect, whatever quotes or backslashes a value holds.
 std::string Instantiate(const Technique& technique,
                         const std::map<std::string, std::string>& params = {});
 

@@ -122,38 +122,4 @@ void HuntLibrary::DetachAll() {
   attachments_.clear();
 }
 
-void HuntLibrary::CollectMetrics(obs::MetricsRegistry* registry) const {
-  // Aggregate per technique id: a fleet commonly stamps the same
-  // technique onto many tenants, and the MQO question ("which techniques
-  // dedupe?") is about the technique, not the subscription.
-  std::map<std::string, service::StandingHandle::RefreshStats> per_technique;
-  for (const Attachment& a : attachments_) {
-    std::string key =
-        a.spec.technique_id.empty() ? "untagged" : a.spec.technique_id;
-    service::StandingHandle::RefreshStats s = a.handle.refresh_stats();
-    service::StandingHandle::RefreshStats& agg = per_technique[key];
-    agg.refreshes += s.refreshes;
-    agg.incremental += s.incremental;
-    agg.dedup_followed += s.dedup_followed;
-    agg.alerts += s.alerts;
-  }
-  for (const auto& [technique, s] : per_technique) {
-    obs::MetricLabels labels{{"technique", technique}};
-    registry->Counter("raptor_technique_refreshes_total",
-                      "Standing refreshes delivered, by technique",
-                      static_cast<double>(s.refreshes), labels);
-    registry->Counter("raptor_technique_incremental_total",
-                      "Dirty-seeded incremental refreshes, by technique",
-                      static_cast<double>(s.incremental), labels);
-    registry->Counter(
-        "raptor_technique_mqo_followed_total",
-        "Refreshes served from a structural twin's execution, by technique",
-        static_cast<double>(s.dedup_followed), labels);
-    registry->Counter("raptor_technique_alerts_total",
-                      "Refreshes that delivered a non-empty delta, by "
-                      "technique",
-                      static_cast<double>(s.alerts), labels);
-  }
-}
-
 }  // namespace raptor::huntlib

@@ -88,15 +88,6 @@ class HuntLibrary {
   /// Cancel every attached standing hunt and drop the handles.
   void DetachAll();
 
-  /// Per-technique refresh attribution across the attached fleet:
-  /// raptor_technique_{refreshes,incremental,mqo_followed,alerts}_total
-  /// counters labeled {technique=<ATT&CK id>} ("untagged" for free-form
-  /// CTI hunts with no recognized id), aggregated from each handle's
-  /// StandingHandle::refresh_stats. mqo_followed counts refreshes served
-  /// from a structural twin's execution — the per-technique view of the
-  /// service-wide raptor_mqo_dedup_hits_total.
-  void CollectMetrics(obs::MetricsRegistry* registry) const;
-
   struct Attachment {
     HuntSpec spec;
     service::StandingHandle handle;

@@ -53,16 +53,6 @@ int DepTree::Lca(int a, int b) const {
   return -1;
 }
 
-std::string DepTree::ToString() const {
-  std::string out;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    const DepNode& n = nodes_[i];
-    out += StrFormat("%2zu %-18s %-6s %-10s head=%d\n", i, n.text.c_str(),
-                     PosName(n.pos), n.deprel.c_str(), n.head);
-  }
-  return out;
-}
-
 namespace {
 
 /// Implements the chunk-then-attach parse. Operates on mutable node array.

@@ -50,9 +50,6 @@ class DepTree {
   /// Recompute root after head edits.
   void Reindex();
 
-  /// Pretty printer for debugging and tests.
-  std::string ToString() const;
-
  private:
   std::vector<DepNode> nodes_;
   int root_ = -1;

@@ -158,27 +158,6 @@ Pos TagOne(const std::string& raw, bool sentence_initial) {
 
 }  // namespace
 
-const char* PosName(Pos pos) {
-  switch (pos) {
-    case Pos::kNoun: return "NOUN";
-    case Pos::kPropn: return "PROPN";
-    case Pos::kVerb: return "VERB";
-    case Pos::kAux: return "AUX";
-    case Pos::kDet: return "DET";
-    case Pos::kAdp: return "ADP";
-    case Pos::kPron: return "PRON";
-    case Pos::kAdv: return "ADV";
-    case Pos::kAdj: return "ADJ";
-    case Pos::kNum: return "NUM";
-    case Pos::kCconj: return "CCONJ";
-    case Pos::kSconj: return "SCONJ";
-    case Pos::kPart: return "PART";
-    case Pos::kPunct: return "PUNCT";
-    case Pos::kX: return "X";
-  }
-  return "?";
-}
-
 std::vector<Pos> TagTokens(const std::vector<Token>& tokens) {
   std::vector<Pos> tags(tokens.size());
   for (size_t i = 0; i < tokens.size(); ++i) {

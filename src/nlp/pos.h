@@ -33,8 +33,6 @@ enum class Pos {
   kX,
 };
 
-const char* PosName(Pos pos);
-
 /// Tag a tokenized sentence. Applies lexicon lookups, suffix heuristics and
 /// contextual repair rules (infinitival "to", participles after
 /// determiners, sentence-initial capitalization).

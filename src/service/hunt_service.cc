@@ -102,9 +102,6 @@ struct StandingState {
   uint64_t delivered_epoch = 0;
   size_t total_rows = 0;
   bool detached = false;  // service destroyed; no further refreshes
-  /// Per-subscription refresh attribution (StandingHandle::refresh_stats):
-  /// how this subscription's refreshes were served. Guarded by mu.
-  StandingHandle::RefreshStats refresh_stats;
 
   // Refresh-only: every row ever delivered (set semantics for deltas).
   std::unordered_set<std::vector<sql::Value>, sql::ValueRowHash,
@@ -143,12 +140,6 @@ size_t StandingHandle::total_rows() const {
   if (state_ == nullptr) return 0;
   std::lock_guard<std::mutex> lock(state_->mu);
   return state_->total_rows;
-}
-
-StandingHandle::RefreshStats StandingHandle::refresh_stats() const {
-  if (state_ == nullptr) return {};
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->refresh_stats;
 }
 
 bool StandingHandle::WaitEpoch(uint64_t epoch,
@@ -649,11 +640,6 @@ size_t HuntService::standing_count() const {
   return n;
 }
 
-size_t HuntService::InFlight() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queued_ + running_.size();
-}
-
 HuntService::Stats HuntService::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats out = stats_;
@@ -1066,8 +1052,8 @@ void HuntService::WorkerLoop() {
     HuntResponse response;
     Process(state, &status, &response);
     // Leave running_ BEFORE finishing the ticket: a waiter observing
-    // done() must also observe InFlight() without this hunt, and a drained
-    // running set must wake any ingest waiting to mutate.
+    // done() must also observe the running set without this hunt, and a
+    // drained running set must wake any ingest waiting to mutate.
     bool wake_ingest = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -1484,7 +1470,6 @@ void HuntService::RunStanding(const StandingPtr& sub) {
   // first subscription to claim the (canonical key, epoch) entry executes;
   // the rest reuse its response and pay only their own delta computation.
   std::shared_ptr<const HuntResponse> shared;
-  bool dedup_followed = false;
   if (!incremental && failure.ok()) {
     std::shared_ptr<SharedRefresh> entry;
     bool leader = true;
@@ -1530,7 +1515,6 @@ void HuntService::RunStanding(const StandingPtr& sub) {
       shared = entry->response;
       lock.unlock();
       if (shared != nullptr) {
-        dedup_followed = true;
         std::lock_guard<std::mutex> service_lock(mu_);
         ++stats_.standing_dedup_hits;
       }
@@ -1633,10 +1617,6 @@ void HuntService::RunStanding(const StandingPtr& sub) {
     std::lock_guard<std::mutex> lock(sub->mu);
     sub->total_rows += update.delta.row_count();
     update.total_rows = sub->total_rows;
-    ++sub->refresh_stats.refreshes;
-    if (incremental) ++sub->refresh_stats.incremental;
-    if (dedup_followed) ++sub->refresh_stats.dedup_followed;
-    if (!update.delta.empty()) ++sub->refresh_stats.alerts;
   }
   if (!sub->cancelled.load(std::memory_order_relaxed)) {
     if (sub->sink.on_update != nullptr) sub->sink.on_update(update);

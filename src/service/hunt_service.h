@@ -234,18 +234,6 @@ class StandingHandle {
   uint64_t delivered_epoch() const;
   size_t total_rows() const;
 
-  /// Per-subscription refresh attribution (MQO observability): total
-  /// refreshes delivered, how many ran dirty-seeded incremental passes,
-  /// and how many were served from a structural twin's execution (this
-  /// subscription was a dedupe follower, not the leader).
-  struct RefreshStats {
-    size_t refreshes = 0;
-    size_t incremental = 0;
-    size_t dedup_followed = 0;
-    size_t alerts = 0;
-  };
-  RefreshStats refresh_stats() const;
-
   /// Block until refreshes covering `epoch` have been processed (or the
   /// subscription is cancelled / the service shuts down). True when the
   /// epoch was reached; with a non-negative timeout, false on expiry.
@@ -501,9 +489,6 @@ class HuntService {
 
   /// Registered (not cancelled) standing hunts.
   size_t standing_count() const;
-
-  /// Queued + running hunts (Ingest waits for running ones to drain).
-  size_t InFlight() const;
 
   struct Stats {
     size_t submitted = 0;

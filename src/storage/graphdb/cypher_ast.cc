@@ -1,6 +1,8 @@
 #include "storage/graphdb/cypher_ast.h"
 
+#include "common/query_lexer.h"
 #include "common/strings.h"
+#include "storage/graphdb/cypher_parser.h"
 
 namespace raptor::graphdb {
 
@@ -25,9 +27,41 @@ const char* CypherBinaryOpName(CypherBinaryOp op) {
 
 namespace {
 
-std::string QuoteLiteral(const Value& v) {
-  if (v.is_text()) return "'" + ReplaceAll(v.AsText(), "'", "\\'") + "'";
+std::string LiteralText(const Value& v) {
+  if (v.is_text()) return QuoteString(kCypherLex, v.AsText());
+  if (v.is_double()) return FormatFloat(v.AsDouble());
   return v.ToString();
+}
+
+/// The grammar level that reads `e` back: 3 a primary (a literal, a
+/// variable, a property or a parenthesized AND/OR), 2 an additive chain,
+/// 1 a comparison, 0 NOT.
+int Level(const CypherExpr& e) {
+  switch (e.kind) {
+    case CypherExprKind::kLiteral:
+    case CypherExprKind::kPropRef:
+    case CypherExprKind::kVarRef:
+      return 3;
+    case CypherExprKind::kBinary:
+      if (e.op == CypherBinaryOp::kAnd || e.op == CypherBinaryOp::kOr) {
+        return 3;
+      }
+      if (e.op == CypherBinaryOp::kAdd || e.op == CypherBinaryOp::kSub) {
+        return 2;
+      }
+      return 1;
+    case CypherExprKind::kInList:
+      return 1;
+    case CypherExprKind::kNot:
+      return 0;
+  }
+  return 0;
+}
+
+/// `e` where the parser reads a `level` operand, parenthesized if it binds
+/// more loosely, so the printed text parses back to the same tree.
+std::string Operand(const CypherExpr& e, int level) {
+  return Level(e) >= level ? e.ToString() : "(" + e.ToString() + ")";
 }
 
 std::string PropsToString(const std::vector<PropConstraint>& props) {
@@ -35,7 +69,7 @@ std::string PropsToString(const std::vector<PropConstraint>& props) {
   std::vector<std::string> parts;
   parts.reserve(props.size());
   for (const PropConstraint& p : props) {
-    parts.push_back(p.key + ": " + QuoteLiteral(p.value));
+    parts.push_back(p.key + ": " + LiteralText(p.value));
   }
   return " {" + Join(parts, ", ") + "}";
 }
@@ -45,7 +79,7 @@ std::string PropsToString(const std::vector<PropConstraint>& props) {
 std::string CypherExpr::ToString() const {
   switch (kind) {
     case CypherExprKind::kLiteral:
-      return QuoteLiteral(literal);
+      return LiteralText(literal);
     case CypherExprKind::kPropRef:
       return var + "." + prop;
     case CypherExprKind::kVarRef:
@@ -55,17 +89,20 @@ std::string CypherExpr::ToString() const {
     case CypherExprKind::kInList: {
       std::vector<std::string> parts;
       parts.reserve(in_list.size());
-      for (const Value& v : in_list) parts.push_back(QuoteLiteral(v));
-      return lhs->ToString() + (negated ? " NOT IN [" : " IN [") +
+      for (const Value& v : in_list) parts.push_back(LiteralText(v));
+      return Operand(*lhs, 2) + (negated ? " NOT IN [" : " IN [") +
              Join(parts, ", ") + "]";
     }
     case CypherExprKind::kBinary: {
-      std::string l = lhs->ToString();
-      std::string r = rhs->ToString();
       if (op == CypherBinaryOp::kAnd || op == CypherBinaryOp::kOr) {
-        return "(" + l + " " + CypherBinaryOpName(op) + " " + r + ")";
+        return "(" + lhs->ToString() + " " + CypherBinaryOpName(op) + " " +
+               rhs->ToString() + ")";
       }
-      return l + " " + CypherBinaryOpName(op) + " " + r;
+      // Arithmetic reads its right operand as a primary.
+      bool primary_rhs =
+          op == CypherBinaryOp::kAdd || op == CypherBinaryOp::kSub;
+      return Operand(*lhs, 2) + " " + CypherBinaryOpName(op) + " " +
+             Operand(*rhs, primary_rhs ? 3 : 2);
     }
   }
   return "?";
@@ -100,7 +137,7 @@ std::string CypherQuery::ToString() const {
   if (distinct) out += "DISTINCT ";
   std::vector<std::string> item_strs;
   for (const CypherReturnItem& item : items) {
-    std::string s = item.expr->ToString();
+    std::string s = Operand(*item.expr, 3);
     if (!item.alias.empty()) s += " AS " + item.alias;
     item_strs.push_back(std::move(s));
   }

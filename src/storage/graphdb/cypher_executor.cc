@@ -630,6 +630,18 @@ SeedPlan EstimateSeedCount(const NodePattern& pat, const VarFilters* filters,
   return best;
 }
 
+/// The end of `part` an earlier part binds (`is_bound(var)`), which the
+/// matcher seeds the part from, once per binding: the first node when both
+/// ends are bound; null when neither is. The one rule behind
+/// Matcher::ChooseDirection and EstimateCypherCost.
+template <typename IsBound>
+const NodePattern* BoundStart(const PatternPart& part, IsBound is_bound) {
+  for (const NodePattern* n : {&part.nodes.front(), &part.nodes.back()}) {
+    if (!n->var.empty() && is_bound(n->var)) return n;
+  }
+  return nullptr;
+}
+
 /// Start-node candidates for one chain: either per-shard non-owning spans
 /// (index buckets or label buckets, one per storage shard, iterated lazily
 /// so LIMIT pushdown can stop early without materializing the tail), an
@@ -879,20 +891,19 @@ class Matcher {
   SeedSet& TopSeeds() { return own_parts_[0].seeds; }
 
  private:
-  /// Choose a part's search direction once, at prepare time: seed from an
-  /// end that an earlier part binds (one seed per binding), the first end
-  /// if both are; otherwise from the end whose EstimateSeedCount is
-  /// smaller (the first on a tie), whose seeds are materialized here.
+  /// Choose a part's search direction once, at prepare time: seed from
+  /// the end an earlier part binds (BoundStart); otherwise from the end
+  /// whose EstimateSeedCount is smaller (the first on a tie), whose seeds
+  /// are materialized here.
   void ChooseDirection(PreparedPart& pp,
                        const std::unordered_set<std::string_view>& bound,
                        const Pushdown& pushdown) const {
     const NodePattern& first = pp.fwd->nodes.front();
     const NodePattern& last = pp.fwd->nodes.back();
-    auto is_bound = [&](const NodePattern& n) {
-      return !n.var.empty() && bound.count(n.var) > 0;
-    };
-    if (is_bound(first) || is_bound(last)) {
-      pp.reversed = !is_bound(first);
+    const NodePattern* start = BoundStart(
+        *pp.fwd, [&](const std::string& var) { return bound.count(var) > 0; });
+    if (start != nullptr) {
+      pp.reversed = start != &first;
       pp.start_bound = true;
       return;
     }
@@ -1338,21 +1349,6 @@ void MatchStats::WriteSpan(obs::TraceSpan* span) const {
   span->Set("morsels_stolen", static_cast<int64_t>(morsels_stolen));
 }
 
-std::string GraphResultSet::ToString(size_t max_rows) const {
-  std::string out = Join(columns, " | ") + "\n";
-  size_t n = std::min(max_rows, rows.size());
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<std::string> cells;
-    cells.reserve(rows[i].size());
-    for (const Value& v : rows[i]) cells.push_back(v.ToString());
-    out += Join(cells, " | ") + "\n";
-  }
-  if (rows.size() > n) {
-    out += StrFormat("... (%zu more rows)\n", rows.size() - n);
-  }
-  return out;
-}
-
 Result<GraphBlockResult> ExecuteCypherBlocks(const CypherQuery& query,
                                              const PropertyGraph& graph,
                                              const MatchOptions& options,
@@ -1392,11 +1388,6 @@ Result<GraphResultSet> GraphDatabase::Query(std::string_view cypher,
   auto query = ParseCypher(cypher);
   if (!query.ok()) return query.status();
   return ExecuteCypher(query.value(), graph_, options_, stats);
-}
-
-Result<GraphResultSet> GraphDatabase::Execute(const CypherQuery& query,
-                                              MatchStats* stats) const {
-  return ExecuteCypher(query, graph_, options_, stats);
 }
 
 Result<GraphBlockResult> GraphDatabase::QueryBlocks(std::string_view cypher,
@@ -1448,6 +1439,9 @@ double EstimateCypherCost(const CypherQuery& query, const PropertyGraph& graph,
                           const MatchOptions& options) {
   // The pushdown split and seed estimate the matcher plans from.
   Pushdown pushdown = PlanPushdown(query, graph);
+  // Seeds of the part that first binds each variable: a later part
+  // starting at that variable runs once per such seed.
+  std::unordered_map<std::string_view, double> binder_seeds;
   double total = 0.0;
   for (const PatternPart& part : query.patterns) {
     if (part.nodes.empty()) continue;
@@ -1459,15 +1453,26 @@ double EstimateCypherCost(const CypherQuery& query, const PropertyGraph& graph,
       }
       radius += static_cast<double>(std::max(hops, 1));
     }
-    // The matcher seeds a part no earlier part binds from its cheaper end
-    // (ChooseDirection); a bound start is priced the same way.
-    const NodePattern& first = part.nodes.front();
-    const NodePattern& last = part.nodes.back();
-    double fwd = static_cast<double>(
-        EstimateSeedCount(first, pushdown.For(first.var), graph).count);
-    double rev = static_cast<double>(
-        EstimateSeedCount(last, pushdown.For(last.var), graph).count);
-    total += std::min(fwd, rev) * (1.0 + radius);
+    // Priced the way the matcher runs the part (ChooseDirection): from a
+    // bound start once per binding, else from its cheaper end.
+    double seeds = 0.0;
+    const NodePattern* start =
+        BoundStart(part, [&](const std::string& var) {
+          return binder_seeds.count(var) > 0;
+        });
+    if (start != nullptr) {
+      seeds = binder_seeds.at(start->var);
+    } else {
+      const NodePattern& first = part.nodes.front();
+      const NodePattern& last = part.nodes.back();
+      seeds = static_cast<double>(std::min(
+          EstimateSeedCount(first, pushdown.For(first.var), graph).count,
+          EstimateSeedCount(last, pushdown.For(last.var), graph).count));
+    }
+    total += seeds * (1.0 + radius);
+    for (const NodePattern& n : part.nodes) {
+      if (!n.var.empty()) binder_seeds.emplace(n.var, seeds);
+    }
   }
   return total;
 }

@@ -73,8 +73,6 @@ namespace raptor::graphdb {
 struct GraphResultSet {
   std::vector<std::string> columns;
   std::vector<std::vector<Value>> rows;
-
-  std::string ToString(size_t max_rows = 20) const;
 };
 
 /// Chunked result: rows live in per-morsel blocks after a parallel run,
@@ -164,11 +162,13 @@ Result<GraphBlockResult> ExecuteCypherBlocks(const CypherQuery& query,
                                              const MatchOptions& options = {},
                                              MatchStats* stats = nullptr);
 
-/// Plan-time cost estimate in "nodes visited" units: per pattern part, the
-/// cheaper of the forward/reverse chain-start seed counts (the estimate
-/// the matcher chooses seeds and directions by: index probes, dictionary
-/// seeds and label buckets) scaled by the pattern radius (1 + summed
-/// relationship lengths, varlen capped by options.unbounded_varlen_cap).
+/// Plan-time cost estimate in "nodes visited" units: per pattern part, its
+/// seed count scaled by the pattern radius (1 + summed relationship
+/// lengths, varlen capped by options.unbounded_varlen_cap). A part whose
+/// end an earlier part binds runs once per binding, so its seed count is
+/// that earlier part's; any other part seeds from the cheaper of its
+/// forward/reverse chain starts (the estimate the matcher chooses seeds
+/// and directions by: index probes, dictionary seeds and label buckets).
 /// Touches only index statistics and property dictionaries — no node or
 /// edge visits — so admission layers can price a hunt before running it.
 double EstimateCypherCost(const CypherQuery& query, const PropertyGraph& graph,
@@ -192,8 +192,6 @@ class GraphDatabase {
 
   Result<GraphResultSet> Query(std::string_view cypher,
                                MatchStats* stats = nullptr) const;
-  Result<GraphResultSet> Execute(const CypherQuery& query,
-                                 MatchStats* stats = nullptr) const;
 
   /// Streaming variants returning chunked block results. The options
   /// overload lets per-request settings (HuntService cancellation flags)

@@ -1,6 +1,8 @@
 #include "storage/relational/sql_ast.h"
 
+#include "common/query_lexer.h"
 #include "common/strings.h"
+#include "storage/relational/sql_parser.h"
 
 namespace raptor::sql {
 
@@ -54,27 +56,36 @@ std::unique_ptr<Expr> Expr::MakeNot(std::unique_ptr<Expr> inner) {
   return e;
 }
 
-std::unique_ptr<Expr> Expr::Clone() const {
-  auto e = std::make_unique<Expr>();
-  e->kind = kind;
-  e->literal = literal;
-  e->table = table;
-  e->column = column;
-  e->op = op;
-  e->in_list = in_list;
-  e->negated = negated;
-  if (lhs) e->lhs = lhs->Clone();
-  if (rhs) e->rhs = rhs->Clone();
-  return e;
-}
-
 namespace {
 
-std::string QuoteLiteral(const Value& v) {
-  if (v.is_text()) {
-    return "'" + ReplaceAll(v.AsText(), "'", "''") + "'";
-  }
+std::string LiteralText(const Value& v) {
+  if (v.is_text()) return QuoteString(kSqlLex, v.AsText());
+  if (v.is_double()) return FormatFloat(v.AsDouble());
   return v.ToString();
+}
+
+/// The grammar level that reads `e` back: 3 a primary (a literal, a column
+/// or a parenthesized AND/OR), 2 an additive chain, 1 a comparison, 0 NOT.
+int Level(const Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kLiteral:
+    case ExprKind::kColumnRef:
+      return 3;
+    case ExprKind::kBinary:
+      if (e.op == BinaryOp::kAnd || e.op == BinaryOp::kOr) return 3;
+      return e.op == BinaryOp::kAdd || e.op == BinaryOp::kSub ? 2 : 1;
+    case ExprKind::kInList:
+      return 1;
+    case ExprKind::kUnaryNot:
+      return 0;
+  }
+  return 0;
+}
+
+/// `e` where the parser reads a `level` operand, parenthesized if it binds
+/// more loosely, so the printed text parses back to the same tree.
+std::string Operand(const Expr& e, int level) {
+  return Level(e) >= level ? e.ToString() : "(" + e.ToString() + ")";
 }
 
 }  // namespace
@@ -82,7 +93,7 @@ std::string QuoteLiteral(const Value& v) {
 std::string Expr::ToString() const {
   switch (kind) {
     case ExprKind::kLiteral:
-      return QuoteLiteral(literal);
+      return LiteralText(literal);
     case ExprKind::kColumnRef:
       return table.empty() ? column : table + "." + column;
     case ExprKind::kUnaryNot:
@@ -90,17 +101,20 @@ std::string Expr::ToString() const {
     case ExprKind::kInList: {
       std::vector<std::string> parts;
       parts.reserve(in_list.size());
-      for (const Value& v : in_list) parts.push_back(QuoteLiteral(v));
-      return lhs->ToString() + (negated ? " NOT IN (" : " IN (") +
+      for (const Value& v : in_list) parts.push_back(LiteralText(v));
+      return Operand(*lhs, 2) + (negated ? " NOT IN (" : " IN (") +
              Join(parts, ", ") + ")";
     }
     case ExprKind::kBinary: {
-      std::string l = lhs->ToString();
-      std::string r = rhs->ToString();
       if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
-        return "(" + l + " " + BinaryOpName(op) + " " + r + ")";
+        return "(" + lhs->ToString() + " " + BinaryOpName(op) + " " +
+               rhs->ToString() + ")";
       }
-      return l + " " + BinaryOpName(op) + " " + r;
+      // Arithmetic and LIKE read their right operand as a primary.
+      bool primary_rhs = op == BinaryOp::kAdd || op == BinaryOp::kSub ||
+                         op == BinaryOp::kLike || op == BinaryOp::kNotLike;
+      return Operand(*lhs, 2) + " " + BinaryOpName(op) + " " +
+             Operand(*rhs, primary_rhs ? 3 : 2);
     }
   }
   return "?";

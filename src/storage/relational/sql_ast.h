@@ -64,9 +64,6 @@ struct Expr {
                                           std::unique_ptr<Expr> rhs);
   static std::unique_ptr<Expr> MakeNot(std::unique_ptr<Expr> inner);
 
-  /// Deep copy.
-  std::unique_ptr<Expr> Clone() const;
-
   /// Render back to SQL text (used by tests and the scheduler's constraint
   /// injection).
   std::string ToString() const;

@@ -795,21 +795,6 @@ void ExecStats::WriteSpan(obs::TraceSpan* span) const {
   span->Set("morsels_stolen", static_cast<int64_t>(morsels_stolen));
 }
 
-std::string ResultSet::ToString(size_t max_rows) const {
-  std::string out = Join(columns, " | ") + "\n";
-  size_t n = std::min(max_rows, rows.size());
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<std::string> cells;
-    cells.reserve(rows[i].size());
-    for (const Value& v : rows[i]) cells.push_back(v.ToString());
-    out += Join(cells, " | ") + "\n";
-  }
-  if (rows.size() > n) {
-    out += StrFormat("... (%zu more rows)\n", rows.size() - n);
-  }
-  return out;
-}
-
 Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
                                            const Catalog& catalog,
                                            const SelectOptions& options,
@@ -1176,9 +1161,9 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
 
   // --- ORDER BY / DISTINCT / LIMIT -------------------------------------------
   if (!stmt.order_by.empty()) {
-    // Evaluate order keys against result rows is not possible (rows are
-    // projected); instead sort tuples is gone. Re-evaluate on result rows by
-    // matching the order expr to a projected column where possible.
+    // Result rows hold only the projected columns, so each ORDER BY key
+    // must name one of them: match its printed text to a column header
+    // and sort on that column.
     std::vector<int> key_cols;
     std::vector<bool> desc;
     for (const OrderItem& o : stmt.order_by) {

@@ -72,8 +72,6 @@ namespace raptor::sql {
 struct ResultSet {
   std::vector<std::string> columns;
   std::vector<Row> rows;
-
-  std::string ToString(size_t max_rows = 20) const;
 };
 
 /// Chunked result: rows live in per-morsel blocks after a parallel scan,

@@ -1,359 +1,162 @@
 #include "storage/relational/sql_parser.h"
 
-#include <cctype>
-#include <unordered_set>
-
-#include "common/strings.h"
-
 namespace raptor::sql {
 
 namespace {
 
-const std::unordered_set<std::string>& Keywords() {
-  static const std::unordered_set<std::string> kKeywords = {
-      "SELECT", "DISTINCT", "FROM", "JOIN",  "ON",    "WHERE", "AND",
-      "OR",     "NOT",      "LIKE", "IN",    "ORDER", "BY",    "ASC",
-      "DESC",   "LIMIT",    "AS",   "NULL",
-  };
-  return kKeywords;
-}
+constexpr std::string_view kKeywords[] = {
+    "SELECT", "DISTINCT", "FROM", "JOIN", "ON",    "WHERE", "AND",
+    "OR",     "NOT",      "LIKE", "IN",   "ORDER", "BY",    "ASC",
+    "DESC",   "LIMIT",    "AS",   "NULL",
+};
+constexpr std::string_view kTwoCharSymbols[] = {"<=", ">=", "!=", "<>"};
 
 }  // namespace
 
-Result<std::vector<Token>> LexSql(std::string_view sql) {
-  std::vector<Token> tokens;
-  size_t i = 0;
-  while (i < sql.size()) {
-    char c = sql[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    Token tok;
-    tok.pos = i;
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = i;
-      while (i < sql.size() && (std::isalnum(static_cast<unsigned char>(sql[i])) ||
-                                sql[i] == '_')) {
-        ++i;
-      }
-      std::string word(sql.substr(start, i - start));
-      std::string upper = ToUpper(word);
-      if (Keywords().count(upper)) {
-        tok.kind = TokenKind::kKeyword;
-        tok.text = upper;
-      } else {
-        tok.kind = TokenKind::kIdent;
-        tok.text = word;
-      }
-    } else if (std::isdigit(static_cast<unsigned char>(c))) {
-      size_t start = i;
-      bool is_float = false;
-      while (i < sql.size() && (std::isdigit(static_cast<unsigned char>(sql[i])) ||
-                                sql[i] == '.')) {
-        if (sql[i] == '.') is_float = true;
-        ++i;
-      }
-      tok.kind = is_float ? TokenKind::kFloat : TokenKind::kInt;
-      tok.text = std::string(sql.substr(start, i - start));
-    } else if (c == '\'') {
-      ++i;
-      std::string s;
-      bool closed = false;
-      while (i < sql.size()) {
-        if (sql[i] == '\'') {
-          if (i + 1 < sql.size() && sql[i + 1] == '\'') {
-            s.push_back('\'');
-            i += 2;
-          } else {
-            ++i;
-            closed = true;
-            break;
-          }
-        } else {
-          s.push_back(sql[i++]);
-        }
-      }
-      if (!closed) {
-        return Status::ParseError(
-            StrFormat("unterminated string literal at offset %zu", tok.pos));
-      }
-      tok.kind = TokenKind::kString;
-      tok.text = std::move(s);
-    } else {
-      // Multi-char operators first.
-      static const char* kTwoChar[] = {"<=", ">=", "!=", "<>"};
-      tok.kind = TokenKind::kSymbol;
-      bool matched = false;
-      for (const char* op : kTwoChar) {
-        if (sql.substr(i, 2) == op) {
-          tok.text = op;
-          i += 2;
-          matched = true;
-          break;
-        }
-      }
-      if (!matched) {
-        static const std::string kSingle = "=<>(),.*+-";
-        if (kSingle.find(c) == std::string::npos) {
-          return Status::ParseError(
-              StrFormat("unexpected character '%c' at offset %zu", c, i));
-        }
-        tok.text = std::string(1, c);
-        ++i;
-      }
-    }
-    tokens.push_back(std::move(tok));
-  }
-  Token end;
-  end.kind = TokenKind::kEnd;
-  end.pos = sql.size();
-  tokens.push_back(end);
-  return tokens;
-}
+const LexSpec kSqlLex{kKeywords, kTwoCharSymbols, "=<>(),.*+-", '\'',
+                      EscapeStyle::kDoubled, /*floats=*/true};
 
 namespace {
 
-// Local helper: propagate Status failures out of Result-returning methods.
-#define RAPTOR_RETURN_NOT_OK_R(expr)          \
-  do {                                        \
-    ::raptor::Status _st = (expr);            \
-    if (!_st.ok()) return _st;                \
-  } while (0)
-
 /// Recursive-descent parser over the token stream.
-class Parser {
+class Parser : private TokenCursor {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  using TokenCursor::TokenCursor;
 
   Result<SelectStmt> ParseSelectStmt() {
     SelectStmt stmt;
-    RAPTOR_RETURN_NOT_OK_R(ExpectKeyword("SELECT"));
+    RAPTOR_RETURN_NOT_OK(ExpectKeyword("SELECT"));
     if (AcceptKeyword("DISTINCT")) stmt.distinct = true;
     // Select list.
-    while (true) {
+    do {
       SelectItem item;
       if (AcceptSymbol("*")) {
         item.star = true;
       } else {
-        auto expr = ParseExpr();
-        if (!expr.ok()) return expr.status();
-        item.expr = std::move(expr).value();
+        RAPTOR_ASSIGN_OR_RETURN(item.expr, ParseExpr());
         if (AcceptKeyword("AS")) {
-          if (Peek().kind != TokenKind::kIdent) {
-            return Err("expected alias after AS");
-          }
-          item.alias = Next().text;
+          RAPTOR_ASSIGN_OR_RETURN(item.alias, Ident("alias after AS"));
         }
       }
       stmt.items.push_back(std::move(item));
-      if (!AcceptSymbol(",")) break;
-    }
-    RAPTOR_RETURN_NOT_OK_R(ExpectKeyword("FROM"));
-    while (true) {
-      auto tref = ParseTableRef();
-      if (!tref.ok()) return tref.status();
-      stmt.from.push_back(std::move(tref).value());
-      if (!AcceptSymbol(",")) break;
-    }
+    } while (AcceptSymbol(","));
+    RAPTOR_RETURN_NOT_OK(ExpectKeyword("FROM"));
+    do {
+      RAPTOR_ASSIGN_OR_RETURN(TableRef tref, ParseTableRef());
+      stmt.from.push_back(std::move(tref));
+    } while (AcceptSymbol(","));
     while (AcceptKeyword("JOIN")) {
       JoinClause join;
-      auto tref = ParseTableRef();
-      if (!tref.ok()) return tref.status();
-      join.table = std::move(tref).value();
-      RAPTOR_RETURN_NOT_OK_R(ExpectKeyword("ON"));
-      auto on = ParseExpr();
-      if (!on.ok()) return on.status();
-      join.on = std::move(on).value();
+      RAPTOR_ASSIGN_OR_RETURN(join.table, ParseTableRef());
+      RAPTOR_RETURN_NOT_OK(ExpectKeyword("ON"));
+      RAPTOR_ASSIGN_OR_RETURN(join.on, ParseExpr());
       stmt.joins.push_back(std::move(join));
     }
     if (AcceptKeyword("WHERE")) {
-      auto where = ParseExpr();
-      if (!where.ok()) return where.status();
-      stmt.where = std::move(where).value();
+      RAPTOR_ASSIGN_OR_RETURN(stmt.where, ParseExpr());
     }
     if (AcceptKeyword("ORDER")) {
-      RAPTOR_RETURN_NOT_OK_R(ExpectKeyword("BY"));
-      while (true) {
+      RAPTOR_RETURN_NOT_OK(ExpectKeyword("BY"));
+      do {
         OrderItem item;
-        auto expr = ParseExpr();
-        if (!expr.ok()) return expr.status();
-        item.expr = std::move(expr).value();
-        if (AcceptKeyword("DESC")) {
-          item.descending = true;
-        } else {
-          AcceptKeyword("ASC");
-        }
+        RAPTOR_ASSIGN_OR_RETURN(item.expr, ParseExpr());
+        item.descending = AcceptKeyword("DESC");
+        if (!item.descending) AcceptKeyword("ASC");
         stmt.order_by.push_back(std::move(item));
-        if (!AcceptSymbol(",")) break;
-      }
+      } while (AcceptSymbol(","));
     }
     if (AcceptKeyword("LIMIT")) {
-      if (Peek().kind != TokenKind::kInt) return Err("expected LIMIT count");
-      stmt.limit = std::stoll(Next().text);
+      RAPTOR_ASSIGN_OR_RETURN(stmt.limit, Int("LIMIT count"));
     }
-    if (Peek().kind != TokenKind::kEnd) {
+    if (!PeekKind(TokenKind::kEnd)) {
       return Err("trailing tokens after statement: '" + Peek().text + "'");
     }
     return stmt;
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  const Token& Next() { return tokens_[pos_++]; }
-
-  bool AcceptKeyword(std::string_view kw) {
-    if (Peek().kind == TokenKind::kKeyword && Peek().text == kw) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool AcceptSymbol(std::string_view sym) {
-    if (Peek().kind == TokenKind::kSymbol && Peek().text == sym) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  Status ExpectKeyword(std::string_view kw) {
-    if (!AcceptKeyword(kw)) {
-      return Status::ParseError(StrFormat("expected %s at offset %zu, got '%s'",
-                                          std::string(kw).c_str(), Peek().pos,
-                                          Peek().text.c_str()));
-    }
-    return Status::OK();
-  }
-  Status ExpectSymbol(std::string_view sym) {
-    if (!AcceptSymbol(sym)) {
-      return Status::ParseError(StrFormat("expected %s at offset %zu, got '%s'",
-                                          std::string(sym).c_str(), Peek().pos,
-                                          Peek().text.c_str()));
-    }
-    return Status::OK();
-  }
-  Status Err(std::string msg) const {
-    return Status::ParseError(
-        StrFormat("%s (at offset %zu)", msg.c_str(), Peek().pos));
-  }
-
   Result<TableRef> ParseTableRef() {
-    if (Peek().kind != TokenKind::kIdent) return Err("expected table name");
     TableRef ref;
-    ref.table = Next().text;
-    if (Peek().kind == TokenKind::kIdent) ref.alias = Next().text;
+    RAPTOR_ASSIGN_OR_RETURN(ref.table, Ident("table name"));
+    if (PeekKind(TokenKind::kIdent)) ref.alias = Next().text;
     return ref;
   }
 
   // expr := and_expr (OR and_expr)*
   Result<std::unique_ptr<Expr>> ParseExpr() {
-    auto lhs = ParseAnd();
-    if (!lhs.ok()) return lhs.status();
-    auto node = std::move(lhs).value();
+    RAPTOR_ASSIGN_OR_RETURN(auto node, ParseAnd());
     while (AcceptKeyword("OR")) {
-      auto rhs = ParseAnd();
-      if (!rhs.ok()) return rhs.status();
-      node = Expr::MakeBinary(BinaryOp::kOr, std::move(node),
-                              std::move(rhs).value());
+      RAPTOR_ASSIGN_OR_RETURN(auto rhs, ParseAnd());
+      node = Expr::MakeBinary(BinaryOp::kOr, std::move(node), std::move(rhs));
     }
     return node;
   }
 
   Result<std::unique_ptr<Expr>> ParseAnd() {
-    auto lhs = ParseNot();
-    if (!lhs.ok()) return lhs.status();
-    auto node = std::move(lhs).value();
+    RAPTOR_ASSIGN_OR_RETURN(auto node, ParseNot());
     while (AcceptKeyword("AND")) {
-      auto rhs = ParseNot();
-      if (!rhs.ok()) return rhs.status();
-      node = Expr::MakeBinary(BinaryOp::kAnd, std::move(node),
-                              std::move(rhs).value());
+      RAPTOR_ASSIGN_OR_RETURN(auto rhs, ParseNot());
+      node = Expr::MakeBinary(BinaryOp::kAnd, std::move(node), std::move(rhs));
     }
     return node;
   }
 
   Result<std::unique_ptr<Expr>> ParseNot() {
     if (AcceptKeyword("NOT")) {
-      auto inner = ParseNot();
-      if (!inner.ok()) return inner.status();
-      return Expr::MakeNot(std::move(inner).value());
+      RAPTOR_ASSIGN_OR_RETURN(auto inner, ParseNot());
+      return Expr::MakeNot(std::move(inner));
     }
     return ParseComparison();
   }
 
   Result<std::unique_ptr<Expr>> ParseAdditive() {
-    auto lhs = ParsePrimary();
-    if (!lhs.ok()) return lhs.status();
-    auto node = std::move(lhs).value();
-    while (true) {
-      BinaryOp op;
-      if (AcceptSymbol("+")) {
-        op = BinaryOp::kAdd;
-      } else if (AcceptSymbol("-")) {
-        op = BinaryOp::kSub;
-      } else {
-        break;
-      }
-      auto rhs = ParsePrimary();
-      if (!rhs.ok()) return rhs.status();
-      node = Expr::MakeBinary(op, std::move(node), std::move(rhs).value());
+    RAPTOR_ASSIGN_OR_RETURN(auto node, ParsePrimary());
+    while (PeekSymbol("+") || PeekSymbol("-")) {
+      BinaryOp op = Next().text == "+" ? BinaryOp::kAdd : BinaryOp::kSub;
+      RAPTOR_ASSIGN_OR_RETURN(auto rhs, ParsePrimary());
+      node = Expr::MakeBinary(op, std::move(node), std::move(rhs));
     }
     return node;
   }
 
   Result<std::unique_ptr<Expr>> ParseComparison() {
-    auto lhs = ParseAdditive();
-    if (!lhs.ok()) return lhs.status();
-    auto node = std::move(lhs).value();
+    RAPTOR_ASSIGN_OR_RETURN(auto node, ParseAdditive());
 
-    // LIKE / NOT LIKE / IN / NOT IN
-    bool negated = false;
-    size_t save = pos_;
-    if (AcceptKeyword("NOT")) negated = true;
+    // LIKE / NOT LIKE / IN / NOT IN; a bare NOT belongs to ParseNot.
+    bool negated = PeekKeyword("NOT") &&
+                   (PeekKeyword("LIKE", 1) || PeekKeyword("IN", 1));
+    if (negated) Next();
     if (AcceptKeyword("LIKE")) {
-      auto rhs = ParsePrimary();
-      if (!rhs.ok()) return rhs.status();
+      RAPTOR_ASSIGN_OR_RETURN(auto rhs, ParsePrimary());
       return Expr::MakeBinary(negated ? BinaryOp::kNotLike : BinaryOp::kLike,
-                              std::move(node), std::move(rhs).value());
+                              std::move(node), std::move(rhs));
     }
     if (AcceptKeyword("IN")) {
-      RAPTOR_RETURN_NOT_OK_R(ExpectSymbol("("));
+      RAPTOR_RETURN_NOT_OK(ExpectSymbol("("));
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::kInList;
       e->negated = negated;
       e->lhs = std::move(node);
-      while (true) {
-        auto lit = ParsePrimary();
-        if (!lit.ok()) return lit.status();
-        auto v = std::move(lit).value();
+      do {
+        RAPTOR_ASSIGN_OR_RETURN(auto v, ParsePrimary());
         if (v->kind != ExprKind::kLiteral) {
           return Err("IN list must contain literals");
         }
         e->in_list.push_back(std::move(v->literal));
-        if (!AcceptSymbol(",")) break;
-      }
-      RAPTOR_RETURN_NOT_OK_R(ExpectSymbol(")"));
-      return std::unique_ptr<Expr>(std::move(e));
+      } while (AcceptSymbol(","));
+      RAPTOR_RETURN_NOT_OK(ExpectSymbol(")"));
+      return e;
     }
-    if (negated) pos_ = save;  // bare NOT belongs to ParseNot
 
-    struct OpMap {
-      const char* sym;
-      BinaryOp op;
-    };
-    static const OpMap kOps[] = {
+    static const std::pair<std::string_view, BinaryOp> kOps[] = {
         {"=", BinaryOp::kEq},  {"!=", BinaryOp::kNe}, {"<>", BinaryOp::kNe},
         {"<=", BinaryOp::kLe}, {">=", BinaryOp::kGe}, {"<", BinaryOp::kLt},
         {">", BinaryOp::kGt},
     };
-    for (const OpMap& m : kOps) {
-      if (AcceptSymbol(m.sym)) {
-        auto rhs = ParseAdditive();
-        if (!rhs.ok()) return rhs.status();
-        return Expr::MakeBinary(m.op, std::move(node), std::move(rhs).value());
+    for (const auto& [sym, op] : kOps) {
+      if (AcceptSymbol(sym)) {
+        RAPTOR_ASSIGN_OR_RETURN(auto rhs, ParseAdditive());
+        return Expr::MakeBinary(op, std::move(node), std::move(rhs));
       }
     }
     return node;
@@ -363,41 +166,32 @@ class Parser {
     const Token& tok = Peek();
     switch (tok.kind) {
       case TokenKind::kInt: {
-        Next();
-        return Expr::MakeLiteral(Value(static_cast<int64_t>(std::stoll(tok.text))));
+        RAPTOR_ASSIGN_OR_RETURN(int64_t v, Int("integer literal"));
+        return Expr::MakeLiteral(Value(v));
       }
       case TokenKind::kFloat: {
-        Next();
-        return Expr::MakeLiteral(Value(std::stod(tok.text)));
+        RAPTOR_ASSIGN_OR_RETURN(double v, Float("float literal"));
+        return Expr::MakeLiteral(Value(v));
       }
-      case TokenKind::kString: {
-        Next();
-        return Expr::MakeLiteral(Value(tok.text));
-      }
+      case TokenKind::kString:
+        return Expr::MakeLiteral(Value(Next().text));
       case TokenKind::kKeyword:
-        if (tok.text == "NULL") {
-          Next();
-          return Expr::MakeLiteral(Value::Null());
-        }
+        if (AcceptKeyword("NULL")) return Expr::MakeLiteral(Value::Null());
         return Err("unexpected keyword '" + tok.text + "'");
       case TokenKind::kIdent: {
-        Next();
-        std::string first = tok.text;
+        std::string first = Next().text;
         if (AcceptSymbol(".")) {
-          if (Peek().kind != TokenKind::kIdent) {
-            return Err("expected column name after '.'");
-          }
-          return Expr::MakeColumn(first, Next().text);
+          RAPTOR_ASSIGN_OR_RETURN(std::string column,
+                                  Ident("column name after '.'"));
+          return Expr::MakeColumn(std::move(first), std::move(column));
         }
-        return Expr::MakeColumn("", first);
+        return Expr::MakeColumn("", std::move(first));
       }
       case TokenKind::kSymbol:
-        if (tok.text == "(") {
-          Next();
-          auto inner = ParseExpr();
-          if (!inner.ok()) return inner.status();
-          RAPTOR_RETURN_NOT_OK_R(ExpectSymbol(")"));
-          return std::move(inner).value();
+        if (AcceptSymbol("(")) {
+          RAPTOR_ASSIGN_OR_RETURN(auto inner, ParseExpr());
+          RAPTOR_RETURN_NOT_OK(ExpectSymbol(")"));
+          return inner;
         }
         return Err("unexpected symbol '" + tok.text + "'");
       case TokenKind::kEnd:
@@ -405,20 +199,13 @@ class Parser {
     }
     return Err("unexpected token");
   }
-
-#undef RAPTOR_RETURN_NOT_OK_R
-
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
 };
 
 }  // namespace
 
 Result<SelectStmt> ParseSelect(std::string_view sql) {
-  auto tokens = LexSql(sql);
-  if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(tokens).value());
-  return parser.ParseSelectStmt();
+  RAPTOR_ASSIGN_OR_RETURN(auto tokens, Lex(sql, kSqlLex));
+  return Parser(std::move(tokens)).ParseSelectStmt();
 }
 
 }  // namespace raptor::sql

@@ -1,35 +1,17 @@
-// Hand-written lexer + recursive-descent parser for the SQL subset.
+// Recursive-descent parser for the SQL subset over the shared query lexer.
 #pragma once
 
-#include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
+#include "common/query_lexer.h"
 #include "common/status.h"
 #include "storage/relational/sql_ast.h"
 
 namespace raptor::sql {
 
-enum class TokenKind {
-  kIdent,
-  kKeyword,   // normalized upper-case
-  kInt,
-  kFloat,
-  kString,
-  kSymbol,    // punctuation / operators, e.g. "=", "<=", ",", "(", ")"
-  kEnd,
-};
-
-struct Token {
-  TokenKind kind = TokenKind::kEnd;
-  std::string text;   // keyword text is upper-cased
-  size_t pos = 0;     // byte offset in the input, for error messages
-};
-
-/// Tokenize SQL text. Keywords are case-insensitive; string literals use
-/// single quotes with '' escaping.
-Result<std::vector<Token>> LexSql(std::string_view sql);
+/// SQL's lexical rules: upper-case keywords, 'single-quoted' strings with
+/// '' escaping, integers and digits.digits floats.
+extern const LexSpec kSqlLex;
 
 /// Parse a single SELECT statement.
 Result<SelectStmt> ParseSelect(std::string_view sql);

@@ -9,15 +9,6 @@
 
 namespace raptor::sql {
 
-const char* ColumnTypeName(ColumnType type) {
-  switch (type) {
-    case ColumnType::kInt64: return "INT";
-    case ColumnType::kDouble: return "DOUBLE";
-    case ColumnType::kText: return "TEXT";
-  }
-  return "?";
-}
-
 int64_t Value::AsInt() const {
   if (is_int()) return std::get<int64_t>(v_);
   if (is_double()) return static_cast<int64_t>(std::get<double>(v_));

@@ -18,8 +18,6 @@ enum class ColumnType {
   kText,
 };
 
-const char* ColumnTypeName(ColumnType type);
-
 /// A dynamically typed cell: NULL, INT64, DOUBLE or TEXT.
 class Value {
  public:

@@ -1,6 +1,9 @@
 #include "tbql/ast.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
+#include "tbql/parser.h"
 
 namespace raptor::tbql {
 
@@ -16,43 +19,23 @@ const char* CompareOpName(CompareOp op) {
   return "?";
 }
 
-namespace {
-
-std::string QuoteValue(const std::string& value, bool is_number) {
-  if (is_number) return value;
-  return "\"" + value + "\"";
-}
-
-}  // namespace
-
-std::unique_ptr<AttrExpr> AttrExpr::Clone() const {
-  auto e = std::make_unique<AttrExpr>();
-  e->kind = kind;
-  e->qualifier = qualifier;
-  e->attr = attr;
-  e->op = op;
-  e->value = value;
-  e->value_is_number = value_is_number;
-  e->values = values;
-  e->negated = negated;
-  if (lhs) e->lhs = lhs->Clone();
-  if (rhs) e->rhs = rhs->Clone();
-  return e;
-}
-
 std::string AttrExpr::ToString() const {
+  std::string value_text =
+      value_is_number ? value : QuoteString(kTbqlLex, value);
   switch (kind) {
     case AttrExprKind::kCompare: {
       std::string a = qualifier.empty() ? attr : qualifier + "." + attr;
-      return a + " " + CompareOpName(op) + " " + QuoteValue(value, value_is_number);
+      return a + " " + CompareOpName(op) + " " + value_text;
     }
     case AttrExprKind::kBareValue:
-      return std::string(negated ? "!" : "") + QuoteValue(value, value_is_number);
+      return std::string(negated ? "!" : "") + value_text;
     case AttrExprKind::kInList: {
       std::string a = qualifier.empty() ? attr : qualifier + "." + attr;
       std::vector<std::string> qs;
       qs.reserve(values.size());
-      for (const std::string& v : values) qs.push_back("\"" + v + "\"");
+      for (const std::string& v : values) {
+        qs.push_back(QuoteString(kTbqlLex, v));
+      }
       return a + (negated ? " not in (" : " in (") + Join(qs, ", ") + ")";
     }
     case AttrExprKind::kAnd:
@@ -63,15 +46,6 @@ std::string AttrExpr::ToString() const {
       return "!(" + lhs->ToString() + ")";
   }
   return "?";
-}
-
-std::unique_ptr<OpExpr> OpExpr::Clone() const {
-  auto e = std::make_unique<OpExpr>();
-  e->kind = kind;
-  e->op = op;
-  if (lhs) e->lhs = lhs->Clone();
-  if (rhs) e->rhs = rhs->Clone();
-  return e;
 }
 
 std::string OpExpr::ToString() const {
@@ -121,6 +95,9 @@ std::string TimeWindow::ToString() const {
     case WindowKind::kAfter:
       return StrFormat("after %lld", static_cast<long long>(from));
     case WindowKind::kLast:
+      if (last_amount % 1000000 != 0) {
+        return StrFormat("last %lld us", static_cast<long long>(last_amount));
+      }
       return StrFormat("last %lld sec",
                        static_cast<long long>(last_amount / 1000000));
   }
@@ -136,7 +113,8 @@ std::string EntityRef::ToString(bool with_filter) const {
 std::string PathSpec::ToString() const {
   if (!is_path) return "";
   std::string out = fuzzy_arrow ? "~>" : "->";
-  if (!(min_len == 1 && max_len == 1)) {
+  // A bare "->" reads back as length 1, a bare "~>" as unbounded.
+  if (fuzzy_arrow || !(min_len == 1 && max_len == 1)) {
     out += "(";
     if (min_len != 1 || max_len < 0) out += std::to_string(min_len);
     out += "~";
@@ -171,9 +149,13 @@ std::string TemporalRel::ToString() const {
     case TemporalOp::kWithin: out += "within"; break;
   }
   if (min_gap >= 0 || max_gap >= 0) {
-    out += StrFormat("[%lld-%lld sec]",
-                     static_cast<long long>(min_gap < 0 ? 0 : min_gap / 1000000),
-                     static_cast<long long>(max_gap < 0 ? 0 : max_gap / 1000000));
+    long long lo = std::max<audit::Timestamp>(min_gap, 0);
+    long long hi = std::max<audit::Timestamp>(max_gap, 0);
+    if (lo % 1000000 != 0 || hi % 1000000 != 0) {
+      out += StrFormat("[%lld-%lld us]", lo, hi);
+    } else {
+      out += StrFormat("[%lld-%lld sec]", lo / 1000000, hi / 1000000);
+    }
   }
   return out + " " + right;
 }

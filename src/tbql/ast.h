@@ -53,7 +53,6 @@ struct AttrExpr {
   std::unique_ptr<AttrExpr> lhs;  // kAnd / kOr / kNot
   std::unique_ptr<AttrExpr> rhs;
 
-  std::unique_ptr<AttrExpr> Clone() const;
   std::string ToString() const;
 };
 
@@ -67,7 +66,6 @@ struct OpExpr {
   std::unique_ptr<OpExpr> lhs;
   std::unique_ptr<OpExpr> rhs;
 
-  std::unique_ptr<OpExpr> Clone() const;
   std::string ToString() const;
 
   /// Evaluate against a concrete operation name.

@@ -1,8 +1,8 @@
 #include "tbql/parser.h"
 
-#include <cctype>
+#include <algorithm>
+#include <limits>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/strings.h"
 
@@ -10,22 +10,19 @@ namespace raptor::tbql {
 
 namespace {
 
-enum class Tok { kIdent, kKeyword, kInt, kString, kSymbol, kEnd };
-
-struct Token {
-  Tok kind = Tok::kEnd;
-  std::string text;
-  size_t pos = 0;
+constexpr std::string_view kKeywords[] = {
+    "file", "proc", "ip", "as",   "with",   "before",   "after", "within",
+    "from", "to",   "at", "last", "return", "distinct", "in",    "not",
 };
+constexpr std::string_view kTwoCharSymbols[] = {"~>", "->", "&&", "||",
+                                                "!=", "<=", ">="};
 
-const std::unordered_set<std::string>& Keywords() {
-  static const std::unordered_set<std::string> kKeywords = {
-      "file", "proc", "ip",     "as", "with",   "before",   "after",
-      "within", "from", "to",   "at", "last",   "return",   "distinct",
-      "in",   "not",
-  };
-  return kKeywords;
-}
+}  // namespace
+
+const LexSpec kTbqlLex{kKeywords, kTwoCharSymbols, "[](),.!=<>~-", '"',
+                       EscapeStyle::kBackslash, /*floats=*/false};
+
+namespace {
 
 Result<audit::Timestamp> UnitScale(const std::string& unit) {
   static const std::unordered_map<std::string, audit::Timestamp> kUnits = {
@@ -49,163 +46,55 @@ Result<audit::Timestamp> UnitScale(const std::string& unit) {
   return it->second;
 }
 
-Result<std::vector<Token>> Lex(std::string_view text) {
-  std::vector<Token> tokens;
-  size_t i = 0;
-  while (i < text.size()) {
-    char c = text[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    Token tok;
-    tok.pos = i;
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = i;
-      while (i < text.size() &&
-             (std::isalnum(static_cast<unsigned char>(text[i])) ||
-              text[i] == '_')) {
-        ++i;
-      }
-      std::string word(text.substr(start, i - start));
-      if (Keywords().count(ToLower(word))) {
-        tok.kind = Tok::kKeyword;
-        tok.text = ToLower(word);
-      } else {
-        tok.kind = Tok::kIdent;
-        tok.text = word;
-      }
-    } else if (std::isdigit(static_cast<unsigned char>(c))) {
-      size_t start = i;
-      while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) {
-        ++i;
-      }
-      tok.kind = Tok::kInt;
-      tok.text = std::string(text.substr(start, i - start));
-    } else if (c == '"') {
-      ++i;
-      std::string s;
-      bool closed = false;
-      while (i < text.size()) {
-        if (text[i] == '\\' && i + 1 < text.size() && text[i + 1] == '"') {
-          s.push_back('"');
-          i += 2;
-        } else if (text[i] == '"') {
-          ++i;
-          closed = true;
-          break;
-        } else {
-          s.push_back(text[i++]);
-        }
-      }
-      if (!closed) {
-        return Status::ParseError(
-            StrFormat("unterminated string at offset %zu", tok.pos));
-      }
-      tok.kind = Tok::kString;
-      tok.text = std::move(s);
-    } else {
-      tok.kind = Tok::kSymbol;
-      static const char* kMulti[] = {"~>", "->", "&&", "||", "!=", "<=", ">="};
-      bool matched = false;
-      for (const char* op : kMulti) {
-        if (text.substr(i, 2) == op) {
-          tok.text = op;
-          i += 2;
-          matched = true;
-          break;
-        }
-      }
-      if (!matched) {
-        static const std::string kSingle = "[](),.!=<>~-";
-        if (kSingle.find(c) == std::string::npos) {
-          return Status::ParseError(
-              StrFormat("unexpected character '%c' at offset %zu", c, i));
-        }
-        tok.text = std::string(1, c);
-        ++i;
-      }
-    }
-    tokens.push_back(std::move(tok));
-  }
-  Token end;
-  end.kind = Tok::kEnd;
-  end.pos = text.size();
-  tokens.push_back(end);
-  return tokens;
-}
-
-#define TBQL_RETURN_NOT_OK(expr)              \
-  do {                                        \
-    ::raptor::Status _st = (expr);            \
-    if (!_st.ok()) return _st;                \
-  } while (0)
-
-class Parser {
+class Parser : private TokenCursor {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  using TokenCursor::TokenCursor;
 
   Result<TbqlQuery> Parse() {
     TbqlQuery query;
     // Global filters until the first entity-type keyword.
     while (!PeekEntityType() && !PeekKeyword("return") &&
-           Peek().kind != Tok::kEnd) {
+           !PeekKind(TokenKind::kEnd)) {
       if (PeekWindowStart()) {
-        auto w = ParseWindow();
-        if (!w.ok()) return w.status();
-        query.global_windows.push_back(std::move(w).value());
+        RAPTOR_ASSIGN_OR_RETURN(TimeWindow w, ParseWindow());
+        query.global_windows.push_back(w);
       } else {
-        auto f = ParseAttrExpr();
-        if (!f.ok()) return f.status();
-        query.global_attr_filters.push_back(std::move(f).value());
+        RAPTOR_ASSIGN_OR_RETURN(auto f, ParseAttrExpr());
+        query.global_attr_filters.push_back(std::move(f));
       }
     }
     // Patterns.
     while (PeekEntityType()) {
-      auto p = ParsePattern();
-      if (!p.ok()) return p.status();
-      query.patterns.push_back(std::move(p).value());
+      RAPTOR_ASSIGN_OR_RETURN(Pattern p, ParsePattern());
+      query.patterns.push_back(std::move(p));
     }
     if (query.patterns.empty()) {
       return Err("a TBQL query requires at least one pattern");
     }
     // Relationship clause.
     if (AcceptKeyword("with")) {
-      while (true) {
-        TBQL_RETURN_NOT_OK(ParseRelItem(&query));
-        if (!AcceptSymbol(",")) break;
-      }
+      do {
+        RAPTOR_RETURN_NOT_OK(ParseRelItem(&query));
+      } while (AcceptSymbol(","));
     }
     // Return clause.
-    TBQL_RETURN_NOT_OK(ExpectKeyword("return"));
+    RAPTOR_RETURN_NOT_OK(ExpectKeyword("return"));
     if (AcceptKeyword("distinct")) query.distinct = true;
-    while (true) {
-      if (Peek().kind != Tok::kIdent) return Err("expected return item");
+    do {
       ReturnItem item;
-      item.id = Next().text;
+      RAPTOR_ASSIGN_OR_RETURN(item.id, Ident("return item"));
       if (AcceptSymbol(".")) {
-        if (Peek().kind != Tok::kIdent) return Err("expected attribute name");
-        item.attr = Next().text;
+        RAPTOR_ASSIGN_OR_RETURN(item.attr, Ident("attribute name"));
       }
       query.returns.push_back(std::move(item));
-      if (!AcceptSymbol(",")) break;
-    }
-    if (Peek().kind != Tok::kEnd) {
+    } while (AcceptSymbol(","));
+    if (!PeekKind(TokenKind::kEnd)) {
       return Err("trailing tokens: '" + Peek().text + "'");
     }
     return query;
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  const Token& Next() { return tokens_[pos_++]; }
-
-  bool PeekKeyword(std::string_view kw, size_t ahead = 0) const {
-    return Peek(ahead).kind == Tok::kKeyword && Peek(ahead).text == kw;
-  }
   bool PeekEntityType() const {
     return PeekKeyword("file") || PeekKeyword("proc") || PeekKeyword("ip");
   }
@@ -213,57 +102,25 @@ class Parser {
     return PeekKeyword("from") || PeekKeyword("at") || PeekKeyword("before") ||
            PeekKeyword("after") || PeekKeyword("last");
   }
-  bool AcceptKeyword(std::string_view kw) {
-    if (PeekKeyword(kw)) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool AcceptSymbol(std::string_view sym) {
-    if (Peek().kind == Tok::kSymbol && Peek().text == sym) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  Status ExpectKeyword(std::string_view kw) {
-    if (!AcceptKeyword(kw)) {
-      return Status::ParseError(
-          StrFormat("expected '%s' at offset %zu, got '%s'",
-                    std::string(kw).c_str(), Peek().pos, Peek().text.c_str()));
-    }
-    return Status::OK();
-  }
-  Status ExpectSymbol(std::string_view sym) {
-    if (!AcceptSymbol(sym)) {
-      return Status::ParseError(
-          StrFormat("expected '%s' at offset %zu, got '%s'",
-                    std::string(sym).c_str(), Peek().pos, Peek().text.c_str()));
-    }
-    return Status::OK();
-  }
-  Status Err(std::string msg) const {
-    return Status::ParseError(
-        StrFormat("%s (at offset %zu)", msg.c_str(), Peek().pos));
-  }
 
-  Result<audit::Timestamp> ParseTimestamp() {
-    if (Peek().kind != Tok::kInt) return Err("expected integer timestamp");
-    return static_cast<audit::Timestamp>(std::stoll(Next().text));
+  /// The time unit that follows, in microseconds; `amount` of it must fit
+  /// a timestamp.
+  Result<audit::Timestamp> ParseUnit(int64_t amount) {
+    RAPTOR_ASSIGN_OR_RETURN(std::string unit, Ident("time unit"));
+    RAPTOR_ASSIGN_OR_RETURN(audit::Timestamp scale, UnitScale(unit));
+    if (amount > std::numeric_limits<audit::Timestamp>::max() / scale) {
+      return Err("time span out of range");
+    }
+    return scale;
   }
 
   Result<TimeWindow> ParseWindow() {
     TimeWindow w;
     if (AcceptKeyword("from")) {
       w.kind = WindowKind::kRange;
-      auto from = ParseTimestamp();
-      if (!from.ok()) return from.status();
-      w.from = from.value();
-      TBQL_RETURN_NOT_OK(ExpectKeyword("to"));
-      auto to = ParseTimestamp();
-      if (!to.ok()) return to.status();
-      w.to = to.value();
+      RAPTOR_ASSIGN_OR_RETURN(w.from, Int("integer timestamp"));
+      RAPTOR_RETURN_NOT_OK(ExpectKeyword("to"));
+      RAPTOR_ASSIGN_OR_RETURN(w.to, Int("integer timestamp"));
       return w;
     }
     if (AcceptKeyword("at")) {
@@ -274,52 +131,70 @@ class Parser {
       w.kind = WindowKind::kAfter;
     } else if (AcceptKeyword("last")) {
       w.kind = WindowKind::kLast;
-      if (Peek().kind != Tok::kInt) return Err("expected amount after 'last'");
-      long long amount = std::stoll(Next().text);
-      if (Peek().kind != Tok::kIdent) return Err("expected time unit");
-      auto scale = UnitScale(Next().text);
-      if (!scale.ok()) return scale.status();
-      w.last_amount = amount * scale.value();
+      RAPTOR_ASSIGN_OR_RETURN(int64_t amount, Int("amount after 'last'"));
+      RAPTOR_ASSIGN_OR_RETURN(audit::Timestamp scale, ParseUnit(amount));
+      w.last_amount = amount * scale;
       return w;
     } else {
       return Err("expected time window");
     }
-    auto ts = ParseTimestamp();
-    if (!ts.ok()) return ts.status();
-    w.from = ts.value();
+    RAPTOR_ASSIGN_OR_RETURN(w.from, Int("integer timestamp"));
     return w;
+  }
+
+  /// A string or integer literal's text. Integers must fit int64, the type
+  /// the backends compare them as.
+  Result<std::string> ParseValue(std::string_view what, bool* is_number) {
+    std::string text = Peek().text;
+    *is_number = PeekKind(TokenKind::kInt);
+    if (*is_number) {
+      RAPTOR_RETURN_NOT_OK(Int(what).status());
+    } else if (PeekKind(TokenKind::kString)) {
+      Next();
+    } else {
+      return Err("expected " + std::string(what));
+    }
+    return text;
+  }
+
+  bool PeekValue() const {
+    return PeekKind(TokenKind::kString) || PeekKind(TokenKind::kInt);
+  }
+
+  Result<CompareOp> ParseCompareOp() {
+    static const std::pair<std::string_view, CompareOp> kOps[] = {
+        {"=", CompareOp::kEq},  {"!=", CompareOp::kNe},
+        {"<=", CompareOp::kLe}, {">=", CompareOp::kGe},
+        {"<", CompareOp::kLt},  {">", CompareOp::kGt},
+    };
+    for (const auto& [sym, op] : kOps) {
+      if (AcceptSymbol(sym)) return op;
+    }
+    return Err("expected comparison operator");
   }
 
   // ------------------------------------------------------------- attr_exp
   Result<std::unique_ptr<AttrExpr>> ParseAttrExpr() { return ParseAttrOr(); }
 
   Result<std::unique_ptr<AttrExpr>> ParseAttrOr() {
-    auto lhs = ParseAttrAnd();
-    if (!lhs.ok()) return lhs.status();
-    auto node = std::move(lhs).value();
+    RAPTOR_ASSIGN_OR_RETURN(auto node, ParseAttrAnd());
     while (AcceptSymbol("||")) {
-      auto rhs = ParseAttrAnd();
-      if (!rhs.ok()) return rhs.status();
       auto e = std::make_unique<AttrExpr>();
       e->kind = AttrExprKind::kOr;
       e->lhs = std::move(node);
-      e->rhs = std::move(rhs).value();
+      RAPTOR_ASSIGN_OR_RETURN(e->rhs, ParseAttrAnd());
       node = std::move(e);
     }
     return node;
   }
 
   Result<std::unique_ptr<AttrExpr>> ParseAttrAnd() {
-    auto lhs = ParseAttrUnary();
-    if (!lhs.ok()) return lhs.status();
-    auto node = std::move(lhs).value();
+    RAPTOR_ASSIGN_OR_RETURN(auto node, ParseAttrUnary());
     while (AcceptSymbol("&&")) {
-      auto rhs = ParseAttrUnary();
-      if (!rhs.ok()) return rhs.status();
       auto e = std::make_unique<AttrExpr>();
       e->kind = AttrExprKind::kAnd;
       e->lhs = std::move(node);
-      e->rhs = std::move(rhs).value();
+      RAPTOR_ASSIGN_OR_RETURN(e->rhs, ParseAttrUnary());
       node = std::move(e);
     }
     return node;
@@ -327,124 +202,86 @@ class Parser {
 
   Result<std::unique_ptr<AttrExpr>> ParseAttrUnary() {
     if (AcceptSymbol("!")) {
+      auto e = std::make_unique<AttrExpr>();
       // "!value" bare-negation sugar, or !(...) general negation.
-      if (Peek().kind == Tok::kString || Peek().kind == Tok::kInt) {
-        auto e = std::make_unique<AttrExpr>();
+      if (PeekValue()) {
         e->kind = AttrExprKind::kBareValue;
         e->negated = true;
-        e->value_is_number = Peek().kind == Tok::kInt;
-        e->value = Next().text;
-        return std::unique_ptr<AttrExpr>(std::move(e));
+        RAPTOR_ASSIGN_OR_RETURN(e->value,
+                                ParseValue("value", &e->value_is_number));
+      } else {
+        e->kind = AttrExprKind::kNot;
+        RAPTOR_ASSIGN_OR_RETURN(e->lhs, ParseAttrUnary());
       }
-      auto inner = ParseAttrUnary();
-      if (!inner.ok()) return inner.status();
-      auto e = std::make_unique<AttrExpr>();
-      e->kind = AttrExprKind::kNot;
-      e->lhs = std::move(inner).value();
-      return std::unique_ptr<AttrExpr>(std::move(e));
+      return e;
     }
     return ParseAttrPrimary();
   }
 
   Result<std::unique_ptr<AttrExpr>> ParseAttrPrimary() {
     if (AcceptSymbol("(")) {
-      auto inner = ParseAttrExpr();
-      if (!inner.ok()) return inner.status();
-      TBQL_RETURN_NOT_OK(ExpectSymbol(")"));
-      return std::move(inner).value();
-    }
-    if (Peek().kind == Tok::kString || Peek().kind == Tok::kInt) {
-      auto e = std::make_unique<AttrExpr>();
-      e->kind = AttrExprKind::kBareValue;
-      e->value_is_number = Peek().kind == Tok::kInt;
-      e->value = Next().text;
-      return std::unique_ptr<AttrExpr>(std::move(e));
-    }
-    if (Peek().kind != Tok::kIdent) {
-      return Err("expected attribute or value");
+      RAPTOR_ASSIGN_OR_RETURN(auto inner, ParseAttrExpr());
+      RAPTOR_RETURN_NOT_OK(ExpectSymbol(")"));
+      return inner;
     }
     auto e = std::make_unique<AttrExpr>();
-    e->attr = Next().text;
+    if (PeekValue()) {
+      e->kind = AttrExprKind::kBareValue;
+      RAPTOR_ASSIGN_OR_RETURN(e->value,
+                              ParseValue("value", &e->value_is_number));
+      return e;
+    }
+    RAPTOR_ASSIGN_OR_RETURN(e->attr, Ident("attribute or value"));
     if (AcceptSymbol(".")) {
-      if (Peek().kind != Tok::kIdent) return Err("expected attribute name");
       e->qualifier = e->attr;
-      e->attr = Next().text;
+      RAPTOR_ASSIGN_OR_RETURN(e->attr, Ident("attribute name"));
     }
     // "attr not? in (v1, v2, ...)"
     bool neg = AcceptKeyword("not");
     if (AcceptKeyword("in")) {
       e->kind = AttrExprKind::kInList;
       e->negated = neg;
-      TBQL_RETURN_NOT_OK(ExpectSymbol("("));
-      while (true) {
-        if (Peek().kind != Tok::kString && Peek().kind != Tok::kInt) {
-          return Err("expected value in list");
-        }
-        e->values.push_back(Next().text);
-        if (!AcceptSymbol(",")) break;
-      }
-      TBQL_RETURN_NOT_OK(ExpectSymbol(")"));
-      return std::unique_ptr<AttrExpr>(std::move(e));
+      RAPTOR_RETURN_NOT_OK(ExpectSymbol("("));
+      do {
+        bool is_number = false;
+        RAPTOR_ASSIGN_OR_RETURN(std::string v,
+                                ParseValue("value in list", &is_number));
+        e->values.push_back(std::move(v));
+      } while (AcceptSymbol(","));
+      RAPTOR_RETURN_NOT_OK(ExpectSymbol(")"));
+      return e;
     }
     if (neg) return Err("'not' must be followed by 'in'");
     // "attr bop value"
     e->kind = AttrExprKind::kCompare;
-    struct OpMap {
-      const char* sym;
-      CompareOp op;
-    };
-    static const OpMap kOps[] = {
-        {"=", CompareOp::kEq},  {"!=", CompareOp::kNe},
-        {"<=", CompareOp::kLe}, {">=", CompareOp::kGe},
-        {"<", CompareOp::kLt},  {">", CompareOp::kGt},
-    };
-    bool matched = false;
-    for (const OpMap& m : kOps) {
-      if (AcceptSymbol(m.sym)) {
-        e->op = m.op;
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) return Err("expected comparison operator");
-    if (Peek().kind != Tok::kString && Peek().kind != Tok::kInt) {
-      return Err("expected comparison value");
-    }
-    e->value_is_number = Peek().kind == Tok::kInt;
-    e->value = Next().text;
-    return std::unique_ptr<AttrExpr>(std::move(e));
+    RAPTOR_ASSIGN_OR_RETURN(e->op, ParseCompareOp());
+    RAPTOR_ASSIGN_OR_RETURN(
+        e->value, ParseValue("comparison value", &e->value_is_number));
+    return e;
   }
 
   // --------------------------------------------------------------- op_exp
   Result<std::unique_ptr<OpExpr>> ParseOpExpr() { return ParseOpOr(); }
 
   Result<std::unique_ptr<OpExpr>> ParseOpOr() {
-    auto lhs = ParseOpAnd();
-    if (!lhs.ok()) return lhs.status();
-    auto node = std::move(lhs).value();
+    RAPTOR_ASSIGN_OR_RETURN(auto node, ParseOpAnd());
     while (AcceptSymbol("||")) {
-      auto rhs = ParseOpAnd();
-      if (!rhs.ok()) return rhs.status();
       auto e = std::make_unique<OpExpr>();
       e->kind = OpExprKind::kOr;
       e->lhs = std::move(node);
-      e->rhs = std::move(rhs).value();
+      RAPTOR_ASSIGN_OR_RETURN(e->rhs, ParseOpAnd());
       node = std::move(e);
     }
     return node;
   }
 
   Result<std::unique_ptr<OpExpr>> ParseOpAnd() {
-    auto lhs = ParseOpUnary();
-    if (!lhs.ok()) return lhs.status();
-    auto node = std::move(lhs).value();
+    RAPTOR_ASSIGN_OR_RETURN(auto node, ParseOpUnary());
     while (AcceptSymbol("&&")) {
-      auto rhs = ParseOpUnary();
-      if (!rhs.ok()) return rhs.status();
       auto e = std::make_unique<OpExpr>();
       e->kind = OpExprKind::kAnd;
       e->lhs = std::move(node);
-      e->rhs = std::move(rhs).value();
+      RAPTOR_ASSIGN_OR_RETURN(e->rhs, ParseOpUnary());
       node = std::move(e);
     }
     return node;
@@ -452,30 +289,26 @@ class Parser {
 
   Result<std::unique_ptr<OpExpr>> ParseOpUnary() {
     if (AcceptSymbol("!")) {
-      auto inner = ParseOpUnary();
-      if (!inner.ok()) return inner.status();
       auto e = std::make_unique<OpExpr>();
       e->kind = OpExprKind::kNot;
-      e->lhs = std::move(inner).value();
-      return std::unique_ptr<OpExpr>(std::move(e));
+      RAPTOR_ASSIGN_OR_RETURN(e->lhs, ParseOpUnary());
+      return e;
     }
     if (AcceptSymbol("(")) {
-      auto inner = ParseOpExpr();
-      if (!inner.ok()) return inner.status();
-      TBQL_RETURN_NOT_OK(ExpectSymbol(")"));
-      return std::move(inner).value();
+      RAPTOR_ASSIGN_OR_RETURN(auto inner, ParseOpExpr());
+      RAPTOR_RETURN_NOT_OK(ExpectSymbol(")"));
+      return inner;
     }
-    // Operation names: plain identifiers, plus the keywords that double as
-    // operations ("before"/"after" never appear here).
-    if (Peek().kind != Tok::kIdent) return Err("expected operation name");
-    std::string op = ToLower(Next().text);
+    // Operation names are plain identifiers.
+    RAPTOR_ASSIGN_OR_RETURN(std::string name, Ident("operation name"));
+    std::string op = ToLower(name);
     if (!audit::EventOpFromName(op).has_value()) {
       return Err("unknown operation: " + op);
     }
     auto e = std::make_unique<OpExpr>();
     e->kind = OpExprKind::kOp;
     e->op = std::move(op);
-    return std::unique_ptr<OpExpr>(std::move(e));
+    return e;
   }
 
   // ----------------------------------------------------------- entity/patt
@@ -490,82 +323,58 @@ class Parser {
     } else {
       return Err("expected entity type (file/proc/ip)");
     }
-    if (Peek().kind != Tok::kIdent) return Err("expected entity id");
-    ref.id = Next().text;
+    RAPTOR_ASSIGN_OR_RETURN(ref.id, Ident("entity id"));
     if (AcceptSymbol("[")) {
-      auto f = ParseAttrExpr();
-      if (!f.ok()) return f.status();
-      ref.filter = std::move(f).value();
-      TBQL_RETURN_NOT_OK(ExpectSymbol("]"));
+      RAPTOR_ASSIGN_OR_RETURN(ref.filter, ParseAttrExpr());
+      RAPTOR_RETURN_NOT_OK(ExpectSymbol("]"));
     }
     return ref;
   }
 
   Result<Pattern> ParsePattern() {
     Pattern p;
-    auto subj = ParseEntity();
-    if (!subj.ok()) return subj.status();
-    p.subject = std::move(subj).value();
-
-    if (Peek().kind == Tok::kSymbol &&
-        (Peek().text == "~>" || Peek().text == "->")) {
+    RAPTOR_ASSIGN_OR_RETURN(p.subject, ParseEntity());
+    if (PeekSymbol("~>") || PeekSymbol("->")) {
       p.path.is_path = true;
       p.path.fuzzy_arrow = Next().text == "~>";
+      // "->" without a length spec is a length-1 path, "~>" unbounded.
+      p.path.min_len = 1;
+      p.path.max_len = p.path.fuzzy_arrow ? -1 : 1;
       if (AcceptSymbol("(")) {
         // (min~max) / (min~) / (~max) / (n)
-        p.path.min_len = 1;
+        constexpr int64_t kMaxLen = std::numeric_limits<int>::max();
         p.path.max_len = -1;
-        bool saw_min = false;
-        if (Peek().kind == Tok::kInt) {
-          p.path.min_len = static_cast<int>(std::stoll(Next().text));
-          saw_min = true;
+        bool saw_min = PeekKind(TokenKind::kInt);
+        if (saw_min) {
+          RAPTOR_ASSIGN_OR_RETURN(p.path.min_len, Int("path length", kMaxLen));
         }
         if (AcceptSymbol("~")) {
-          if (Peek().kind == Tok::kInt) {
-            p.path.max_len = static_cast<int>(std::stoll(Next().text));
+          if (PeekKind(TokenKind::kInt)) {
+            RAPTOR_ASSIGN_OR_RETURN(p.path.max_len,
+                                    Int("path length", kMaxLen));
           }
         } else if (saw_min) {
           p.path.max_len = p.path.min_len;  // exact length "(n)"
         }
-        TBQL_RETURN_NOT_OK(ExpectSymbol(")"));
-      } else if (!p.path.fuzzy_arrow) {
-        // "->" without a length spec is a length-1 path.
-        p.path.min_len = 1;
-        p.path.max_len = 1;
-      } else {
-        p.path.min_len = 1;
-        p.path.max_len = -1;
+        RAPTOR_RETURN_NOT_OK(ExpectSymbol(")"));
       }
       if (AcceptSymbol("[")) {
-        auto op = ParseOpExpr();
-        if (!op.ok()) return op.status();
-        p.op = std::move(op).value();
-        TBQL_RETURN_NOT_OK(ExpectSymbol("]"));
+        RAPTOR_ASSIGN_OR_RETURN(p.op, ParseOpExpr());
+        RAPTOR_RETURN_NOT_OK(ExpectSymbol("]"));
       }
     } else {
-      auto op = ParseOpExpr();
-      if (!op.ok()) return op.status();
-      p.op = std::move(op).value();
+      RAPTOR_ASSIGN_OR_RETURN(p.op, ParseOpExpr());
     }
-
-    auto obj = ParseEntity();
-    if (!obj.ok()) return obj.status();
-    p.object = std::move(obj).value();
-
+    RAPTOR_ASSIGN_OR_RETURN(p.object, ParseEntity());
     if (AcceptKeyword("as")) {
-      if (Peek().kind != Tok::kIdent) return Err("expected pattern id");
-      p.id = Next().text;
+      RAPTOR_ASSIGN_OR_RETURN(p.id, Ident("pattern id"));
       if (AcceptSymbol("[")) {
-        auto f = ParseAttrExpr();
-        if (!f.ok()) return f.status();
-        p.event_filter = std::move(f).value();
-        TBQL_RETURN_NOT_OK(ExpectSymbol("]"));
+        RAPTOR_ASSIGN_OR_RETURN(p.event_filter, ParseAttrExpr());
+        RAPTOR_RETURN_NOT_OK(ExpectSymbol("]"));
       }
     }
     if (PeekWindowStart() && !IsRelKeywordContext()) {
-      auto w = ParseWindow();
-      if (!w.ok()) return w.status();
-      p.window = std::move(w).value();
+      RAPTOR_ASSIGN_OR_RETURN(p.window, ParseWindow());
     }
     return p;
   }
@@ -575,50 +384,24 @@ class Parser {
   /// token after the keyword.
   bool IsRelKeywordContext() const {
     if (!(PeekKeyword("before") || PeekKeyword("after"))) return false;
-    return Peek(1).kind != Tok::kInt;
+    return !PeekKind(TokenKind::kInt, 1);
   }
 
   // ------------------------------------------------------------------ rel
   Status ParseRelItem(TbqlQuery* query) {
-    if (Peek().kind != Tok::kIdent) {
-      return Err("expected pattern id or attribute in with-clause");
-    }
-    std::string first = Next().text;
+    RAPTOR_ASSIGN_OR_RETURN(
+        std::string first,
+        Ident("pattern id or attribute in with-clause"));
     if (AcceptSymbol(".")) {
       // Attribute relationship: a.x bop b.y
       AttrRel rel;
-      rel.left_qualifier = first;
-      if (Peek().kind != Tok::kIdent) {
-        return Err("expected attribute name");
-      }
-      rel.left_attr = Next().text;
-      struct OpMap {
-        const char* sym;
-        CompareOp op;
-      };
-      static const OpMap kOps[] = {
-          {"=", CompareOp::kEq},  {"!=", CompareOp::kNe},
-          {"<=", CompareOp::kLe}, {">=", CompareOp::kGe},
-          {"<", CompareOp::kLt},  {">", CompareOp::kGt},
-      };
-      bool matched = false;
-      for (const OpMap& m : kOps) {
-        if (AcceptSymbol(m.sym)) {
-          rel.op = m.op;
-          matched = true;
-          break;
-        }
-      }
-      if (!matched) return Err("expected comparison operator");
-      if (Peek().kind != Tok::kIdent) {
-        return Err("expected attribute reference");
-      }
-      rel.right_qualifier = Next().text;
-      TBQL_RETURN_NOT_OK(ExpectSymbol("."));
-      if (Peek().kind != Tok::kIdent) {
-        return Err("expected attribute name");
-      }
-      rel.right_attr = Next().text;
+      rel.left_qualifier = std::move(first);
+      RAPTOR_ASSIGN_OR_RETURN(rel.left_attr, Ident("attribute name"));
+      RAPTOR_ASSIGN_OR_RETURN(rel.op, ParseCompareOp());
+      RAPTOR_ASSIGN_OR_RETURN(rel.right_qualifier,
+                              Ident("attribute reference"));
+      RAPTOR_RETURN_NOT_OK(ExpectSymbol("."));
+      RAPTOR_ASSIGN_OR_RETURN(rel.right_attr, Ident("attribute name"));
       query->attr_rels.push_back(std::move(rel));
       return Status::OK();
     }
@@ -635,37 +418,26 @@ class Parser {
       return Err("expected before/after/within");
     }
     if (AcceptSymbol("[")) {
-      if (Peek().kind != Tok::kInt) return Err("expected gap bound");
-      long long lo = std::stoll(Next().text);
-      TBQL_RETURN_NOT_OK(ExpectSymbol("-"));
-      if (Peek().kind != Tok::kInt) return Err("expected gap bound");
-      long long hi = std::stoll(Next().text);
-      if (Peek().kind != Tok::kIdent) return Err("expected time unit");
-      auto scale = UnitScale(Next().text);
-      if (!scale.ok()) return scale.status();
-      rel.min_gap = lo * scale.value();
-      rel.max_gap = hi * scale.value();
-      TBQL_RETURN_NOT_OK(ExpectSymbol("]"));
+      RAPTOR_ASSIGN_OR_RETURN(int64_t lo, Int("gap bound"));
+      RAPTOR_RETURN_NOT_OK(ExpectSymbol("-"));
+      RAPTOR_ASSIGN_OR_RETURN(int64_t hi, Int("gap bound"));
+      RAPTOR_ASSIGN_OR_RETURN(audit::Timestamp scale,
+                              ParseUnit(std::max(lo, hi)));
+      rel.min_gap = lo * scale;
+      rel.max_gap = hi * scale;
+      RAPTOR_RETURN_NOT_OK(ExpectSymbol("]"));
     }
-    if (Peek().kind != Tok::kIdent) return Err("expected pattern id");
-    rel.right = Next().text;
+    RAPTOR_ASSIGN_OR_RETURN(rel.right, Ident("pattern id"));
     query->temporal_rels.push_back(std::move(rel));
     return Status::OK();
   }
-
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
 };
-
-#undef TBQL_RETURN_NOT_OK
 
 }  // namespace
 
 Result<TbqlQuery> ParseTbql(std::string_view text) {
-  auto tokens = Lex(text);
-  if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(tokens).value());
-  return parser.Parse();
+  RAPTOR_ASSIGN_OR_RETURN(auto tokens, Lex(text, kTbqlLex));
+  return Parser(std::move(tokens)).Parse();
 }
 
 }  // namespace raptor::tbql

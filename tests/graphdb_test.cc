@@ -236,6 +236,58 @@ TEST_F(GraphDbTest, ParseErrors) {
   EXPECT_FALSE(db_.Query("(p:proc)-[]->(f) RETURN f.name").ok());
 }
 
+TEST(CypherParserTest, OutOfRangeNumbersAreParseErrors) {
+  for (const char* text : {
+           "MATCH (p:proc) RETURN p.exename LIMIT 99999999999999999999",
+           "MATCH (p:proc)-[*1..99999999999999999999]->(f) RETURN f.name",
+           "MATCH (p:proc)-[*1..3000000000]->(f) RETURN f.name",
+           "MATCH (p:proc) WHERE p.pid = 99999999999999999999 RETURN p.pid",
+       }) {
+    SCOPED_TRACE(text);
+    auto q = ParseCypher(text);
+    ASSERT_FALSE(q.ok());
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+  }
+  auto hops = ParseCypher("MATCH (p)-[*1..2147483647]->(f) RETURN f");
+  ASSERT_TRUE(hops.ok()) << hops.status().ToString();
+  EXPECT_EQ(hops.value().patterns[0].rels[0].max_len, 2147483647);
+}
+
+TEST(CypherParserTest, StringEscapesRoundTrip) {
+  // \' and \\ are escapes, so a string can end in a backslash.
+  auto q = ParseCypher(
+      "MATCH (f:file) WHERE f.name = 'x\\\\' OR f.name = 'it\\'s' "
+      "RETURN f.name");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q.value().where->lhs->rhs->literal.AsText(), "x\\");
+  EXPECT_EQ(q.value().where->rhs->rhs->literal.AsText(), "it's");
+  std::string printed = q.value().ToString();
+  auto again = ParseCypher(printed);
+  ASSERT_TRUE(again.ok()) << again.status().ToString() << "\n" << printed;
+  EXPECT_EQ(again.value().ToString(), printed);
+}
+
+TEST_F(GraphDbTest, BoundStartPartPricedPerBinding) {
+  // T1005's shape. Part 1 seeds from its one dictionary hit (/etc/passwd);
+  // part 2 starts at `p`, which part 1 binds, so the matcher runs it once
+  // per part-1 seed rather than from a scan of the 23-node file label.
+  PropertyGraph& g = db_.graph();
+  for (int i = 0; i < 20; ++i) {
+    g.AddNode("file", {{"name", Value("/tmp/dup")}});
+  }
+  const char* text =
+      "MATCH (p:proc)-[e1:read]->(f:file), (p)-[e2:write]->(g:file) "
+      "WHERE f.name CONTAINS 'passwd' RETURN p.exename, f.name, g.name";
+  auto q = ParseCypher(text);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  // Each part: 1 seed x (1 + one hop).
+  EXPECT_DOUBLE_EQ(EstimateCypherCost(q.value(), g), 2.0 + 2.0);
+  auto rs = db_.Query(text);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs.value().rows.size(), 1u);
+  EXPECT_EQ(rs.value().rows[0][2].AsText(), "/tmp/upload.tar");
+}
+
 TEST_F(GraphDbTest, UnboundVariableInReturnFails) {
   auto rs = db_.Query("MATCH (p:proc) RETURN q.exename");
   EXPECT_FALSE(rs.ok());

@@ -88,6 +88,27 @@ TEST(HuntCatalogTest, InstantiateFillsSlots) {
   EXPECT_EQ(ignored.find("XYZ"), std::string::npos);
 }
 
+TEST(HuntCatalogTest, InstantiateEscapesParameterValues) {
+  // A value holding the dialect's quote, or ending in a backslash, must
+  // neither break out of the template's literal nor leave it unterminated:
+  // it parses back as exactly the value.
+  const std::string value = "a'b\"c\\";
+  const huntlib::Technique* cypher = huntlib::FindTechnique("T1005");
+  ASSERT_NE(cypher, nullptr);
+  auto cq = graphdb::ParseCypher(
+      huntlib::Instantiate(*cypher, {{"file", value}}));
+  ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+  EXPECT_EQ(cq.value().where->rhs->literal.AsText(), value);
+
+  const huntlib::Technique* tbql = huntlib::FindTechnique("T1204");
+  ASSERT_NE(tbql, nullptr);
+  auto tq = tbql::ParseTbql(
+      huntlib::Instantiate(*tbql, {{"proc", value}, {"file", "x"}}));
+  ASSERT_TRUE(tq.ok()) << tq.status().ToString();
+  EXPECT_EQ(tq.value().patterns[0].subject.filter->value, "%" + value + "%");
+  EXPECT_EQ(tq.value().patterns.size(), 1u);
+}
+
 // ---- canonical keys --------------------------------------------------------
 
 TEST(CanonicalKeyTest, RenamedTbqlPatternIdsShareAKey) {
@@ -108,6 +129,20 @@ TEST(CanonicalKeyTest, CypherEdgeVariableRenameSharesAKey) {
   std::string b = huntlib::CanonicalCypherKey(
       "MATCH (p:proc)-[edge:read]->(f:file) RETURN p.exename, f.name");
   EXPECT_EQ(a, b);
+}
+
+TEST(CanonicalKeyTest, SubSecondSpansSplitKeys) {
+  // Keys are printed queries: a 500 ms and a 900 ms gap or window used to
+  // both print as 0 sec and dedupe into one hunt.
+  EXPECT_NE(huntlib::CanonicalTbqlKey(
+                "proc p read file f as e1 proc p write file g as e2 "
+                "with e1 before[0-500 ms] e2 return p"),
+            huntlib::CanonicalTbqlKey(
+                "proc p read file f as e1 proc p write file g as e2 "
+                "with e1 before[0-900 ms] e2 return p"));
+  EXPECT_NE(
+      huntlib::CanonicalTbqlKey("last 500 ms proc p read file f return p"),
+      huntlib::CanonicalTbqlKey("last 900 ms proc p read file f return p"));
 }
 
 TEST(CanonicalKeyTest, ProjectionDifferencesSplitKeys) {

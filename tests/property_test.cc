@@ -1,7 +1,8 @@
 // Property-based sweeps over cross-cutting invariants: string matching
 // against reference implementations, edit-distance metric laws, SQL
 // execution against an in-memory oracle, engine option-equivalence on
-// randomized queries, and IOC recognizer well-formedness on fuzzed text.
+// randomized queries, IOC recognizer well-formedness on fuzzed text, and
+// query string quoting as the inverse of lexing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,12 +10,16 @@
 #include <unordered_map>
 
 #include "common/levenshtein.h"
+#include "common/query_lexer.h"
 #include "common/rng.h"
 #include "common/small_vector.h"
 #include "common/strings.h"
 #include "nlp/ioc.h"
 #include "nlp/protect.h"
+#include "storage/graphdb/cypher_parser.h"
 #include "storage/relational/database.h"
+#include "storage/relational/sql_parser.h"
+#include "tbql/parser.h"
 
 namespace raptor {
 namespace {
@@ -350,6 +355,40 @@ TEST_P(IocFuzzTest, MatchesAreWellFormedOnArbitraryText) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IocFuzzTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
+
+// ------------------------------------------------- query string quoting
+
+// QuoteString is the inverse of string lexing in every query language:
+// random byte strings, rich in quotes, backslashes and LIKE wildcards, lex
+// back from their quoted form as exactly one string token.
+class QuoteStringPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(QuoteStringPropertyTest, LexReadsQuotedStringBack) {
+  Rng rng(GetParam());
+  static const char kChars[] = "ab'\"\\%_ ";
+  const LexSpec* specs[] = {&tbql::kTbqlLex, &graphdb::kCypherLex,
+                            &sql::kSqlLex};
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string s;
+    size_t len = rng.Uniform(16);
+    for (size_t i = 0; i < len; ++i) {
+      s += rng.Chance(0.9) ? kChars[rng.Uniform(sizeof(kChars) - 1)]
+                           : static_cast<char>(rng.Uniform(256));
+    }
+    for (const LexSpec* spec : specs) {
+      std::string quoted = QuoteString(*spec, s);
+      auto tokens = Lex(quoted, *spec);
+      ASSERT_TRUE(tokens.ok()) << tokens.status().ToString() << ": "
+                               << quoted;
+      ASSERT_EQ(tokens.value().size(), 2u) << quoted;
+      EXPECT_EQ(tokens.value()[0].kind, TokenKind::kString) << quoted;
+      EXPECT_EQ(tokens.value()[0].text, s) << quoted;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QuoteStringPropertyTest,
+                         ::testing::Values(91u, 92u, 93u, 94u));
 
 // The protection transform must be loss-free: replacing each recorded
 // replacement back into the protected text reproduces the original.

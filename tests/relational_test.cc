@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "storage/relational/database.h"
+#include "storage/relational/sql_parser.h"
 
 namespace raptor::sql {
 namespace {
@@ -130,6 +131,39 @@ TEST_F(RelationalTest, ParseErrors) {
   EXPECT_FALSE(db_.Query("SELECT * FROM nosuch").ok());
   EXPECT_FALSE(db_.Query("SELECT nosuchcol FROM entities").ok());
   EXPECT_FALSE(db_.Query("SELECT 'unterminated FROM entities").ok());
+}
+
+TEST(SqlParserTest, OutOfRangeAndMalformedNumbersAreParseErrors) {
+  // 1.2.3 used to read as 1.2; a float is digits '.' digits.
+  for (const char* text : {
+           "SELECT id FROM entities LIMIT 99999999999999999999",
+           "SELECT id FROM entities WHERE id = 99999999999999999999",
+           "SELECT id FROM entities WHERE id = 1.2.3",
+       }) {
+    SCOPED_TRACE(text);
+    auto stmt = ParseSelect(text);
+    ASSERT_FALSE(stmt.ok());
+    EXPECT_EQ(stmt.status().code(), StatusCode::kParseError);
+  }
+  auto max = ParseSelect("SELECT id FROM entities LIMIT 9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max.value().limit, 9223372036854775807LL);
+}
+
+TEST(SqlParserTest, PrintedFloatsAndNestingParseBack) {
+  // Floats print without an exponent and nested operands keep their
+  // parentheses, so the printed text parses to the same tree.
+  auto stmt = ParseSelect(
+      "SELECT id FROM entities WHERE pid = 1234567.5 OR (id = 1) = 0 OR "
+      "id - (pid - 1) > 0.00001");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  std::string printed = stmt.value().ToString();
+  EXPECT_NE(printed.find("1234567.5"), std::string::npos) << printed;
+  EXPECT_NE(printed.find("(id = 1) = 0"), std::string::npos) << printed;
+  EXPECT_NE(printed.find("id - (pid - 1)"), std::string::npos) << printed;
+  auto again = ParseSelect(printed);
+  ASSERT_TRUE(again.ok()) << again.status().ToString() << "\n" << printed;
+  EXPECT_EQ(again.value().ToString(), printed);
 }
 
 TEST_F(RelationalTest, SelectStar) {

@@ -599,6 +599,30 @@ TEST(HuntServiceTest, SubmitAfterShutdownIsCancelled) {
   EXPECT_EQ(stats.rejected, 0u);  // not conflated with queue-full
 }
 
+TEST(HuntServiceTest, OutOfRangeLiteralsFinishWithParseError) {
+  // A 20-digit literal used to throw std::out_of_range from the parser
+  // and abort the process; now each dialect's ticket finishes with
+  // ParseError and the service keeps answering.
+  auto tr = BuildWideStore(5, 5);
+  HuntService service(tr->store());
+  std::vector<HuntTicket> tickets;
+  tickets.push_back(service.Submit(
+      Req("last 99999999999999999999 sec proc p read file f return p")));
+  tickets.push_back(service.Submit(
+      Req("MATCH (p:proc) RETURN p.exename LIMIT 99999999999999999999",
+          QueryDialect::kCypher)));
+  tickets.push_back(service.Submit(
+      Req("SELECT e.id FROM events e WHERE e.id = 99999999999999999999",
+          QueryDialect::kSql)));
+  for (HuntTicket& t : tickets) {
+    EXPECT_EQ(t.Wait().code(), StatusCode::kParseError)
+        << t.status().ToString();
+  }
+  auto ok = service.Run(Req("proc p read file f return p"));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_GT(ok.value().report.results.rows.size(), 0u);
+}
+
 TEST(HuntServiceTest, TenantMapPrunedDistinctCounted) {
   // Regression: the per-tenant queue map never dropped entries, so a churn
   // of one-off tenant names grew it without bound. Idle entries beyond

@@ -136,6 +136,65 @@ TEST(TbqlParserTest, ParseErrors) {
   EXPECT_FALSE(ParseTbql("proc p[\"unterminated] read file f return p").ok());
 }
 
+TEST(TbqlParserTest, OutOfRangeNumbersAreParseErrors) {
+  // Each number is range-checked against its destination: int64
+  // timestamps and values, int path lengths, and time spans whose
+  // microsecond product must fit a timestamp.
+  for (const char* text : {
+           "last 99999999999999999999 sec proc p read file f return p",
+           "last 9223372036854775807 days proc p read file f return p",
+           "from 0 to 99999999999999999999 proc p read file f return p",
+           "proc p ~>(1~3000000000) file f return p",
+           "proc p[pid = 99999999999999999999] read file f return p",
+           "proc p read file f as e1 proc p write file g as e2 "
+           "with e1 before[0-9223372036854775807 days] e2 return p",
+       }) {
+    SCOPED_TRACE(text);
+    auto q = ParseTbql(text);
+    ASSERT_FALSE(q.ok());
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+  }
+  // The largest values that fit still parse.
+  auto last = ParseTbql("last 106751 days proc p read file f return p");
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(last.value().global_windows[0].last_amount,
+            106751LL * 86400 * 1000000);
+  auto path = ParseTbql("proc p ~>(1~2147483647) file f return p");
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  EXPECT_EQ(path.value().patterns[0].path.max_len, 2147483647);
+}
+
+TEST(TbqlParserTest, StringEscapesRoundTrip) {
+  // \" and \\ are escapes; any other backslash is literal.
+  auto q = ParseTbql(
+      "proc p[\"%a\\\"b%\"] read file f[\"C:\\tmp\\\\\"] return p");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q.value().patterns[0].subject.filter->value, "%a\"b%");
+  EXPECT_EQ(q.value().patterns[0].object.filter->value, "C:\\tmp\\");
+  std::string printed = q.value().ToString();
+  EXPECT_NE(printed.find("p[\"%a\\\"b%\"]"), std::string::npos) << printed;
+  auto again = ParseTbql(printed);
+  ASSERT_TRUE(again.ok()) << again.status().ToString() << "\n" << printed;
+  EXPECT_EQ(again.value().ToString(), printed);
+}
+
+TEST(TbqlParserTest, SubSecondSpansPrintExactly) {
+  // Whole seconds print in sec, anything finer in us: the printed query
+  // (which hunt dedupe keys are made of) keeps the exact spans.
+  auto q = ParseTbql(
+      "last 1500 ms proc p read file f as e1 proc p write file g as e2 "
+      "with e1 before[0-500 ms] e2, e1 after[1-2 min] e2 return p");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  std::string printed = q.value().ToString();
+  EXPECT_NE(printed.find("last 1500000 us"), std::string::npos) << printed;
+  EXPECT_NE(printed.find("before[0-500000 us]"), std::string::npos) << printed;
+  EXPECT_NE(printed.find("after[60-120 sec]"), std::string::npos) << printed;
+  auto again = ParseTbql(printed);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value().global_windows[0].last_amount, 1500000);
+  EXPECT_EQ(again.value().temporal_rels[0].max_gap, 500000);
+}
+
 TEST(TbqlAnalyzerTest, SubjectMustBeProcess) {
   auto q = ParseTbql("file f read file g return f");
   ASSERT_TRUE(q.ok());
