@@ -126,9 +126,13 @@ std::string WindowToSql(const TimeWindow& w, const std::string& event_alias,
                        static_cast<long long>(w.from));
     case tbql::WindowKind::kLast:
       // "last N <unit>" resolves against the data's maximum timestamp,
-      // supplied by the executor.
-      return StrFormat("%s.start_time >= %lld", event_alias.c_str(),
-                       static_cast<long long>(now - w.last_amount));
+      // supplied by the executor. Timestamps are non-negative, so a window
+      // reaching back past 0 starts at 0 (the query grammars have no
+      // negative literals).
+      return StrFormat(
+          "%s.start_time >= %lld", event_alias.c_str(),
+          static_cast<long long>(std::max<audit::Timestamp>(
+              0, now - w.last_amount)));
   }
   return "1 = 1";
 }

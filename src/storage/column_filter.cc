@@ -42,87 +42,75 @@ ColumnFilter::ColumnFilter(Op op, std::span<const sql::Value> literals,
                            const StringInterner* dict,
                            std::span<const Column* const> cols)
     : op_(op), dict_(dict) {
-  shards_.reserve(cols.size());
-  for (const Column* col : cols) shards_.push_back({Mode::kRow, col});
+  // With a non-null literal an absent cell fails `=` anyway.
+  if (op == Op::kPresentEq && !literals[0].is_null()) op_ = Op::kEq;
   auto lookup = [&](const sql::Value& v) {
     uint32_t id = dict == nullptr ? kNoSymbol : dict->Lookup(v.AsText());
     return id == kNoSymbol ? kNullDictId : id;
   };
+  // Typed: the literal(s) are of a kind the int / string modes serve.
+  bool typed = true;
   bool lit_int = false;
-  Mode absent = Mode::kRow;  // the verdict of an all-NULL shard
-  if (IsTextOp(op)) {
-    memo_ = std::make_unique<TextMemo>(op, literals[0].ToString(),
+  if (IsTextOp(op_)) {
+    memo_ = std::make_unique<TextMemo>(op_, literals[0].ToString(),
                                        dict == nullptr ? 0 : dict->size());
-    absent = Const(memo_->null_match != (op == Op::kNotLike));
-    dict_covers_ = op != Op::kNotLike && !memo_->null_match;
-  } else if (op == Op::kIn) {
+    absent_ = memo_->null_match != (op_ == Op::kNotLike);
+    dict_covers_ = op_ != Op::kNotLike && !memo_->null_match;
+  } else if (op_ == Op::kIn) {
     bool all_int = !literals.empty();
     bool all_text = !literals.empty();
     for (const sql::Value& v : literals) {
       all_int = all_int && v.is_int();
       all_text = all_text && v.is_text();
+      absent_ = absent_ || v.is_null();
     }
-    if (!all_int && !all_text) return;
-    for (const sql::Value& v : literals) {
-      if (all_int) {
-        int_set_.insert(v.AsInt());
-      } else if (uint32_t id = lookup(v); id != kNullDictId) {
-        dict_set_.insert(id);
-      }
-    }
+    typed = all_int || all_text;
     lit_int = all_int;
-    absent = Mode::kNever;
-  } else if (literals[0].is_int()) {
-    int_lit_ = literals[0].AsInt();
-    lit_int = true;
-    present_match_ = CmpHolds(1);  // text cells sort after numbers
-    absent = Const(CmpHolds(-1));
-  } else if (literals[0].is_text()) {
-    str_lit_ = literals[0].AsText();
-    dict_lit_ = lookup(literals[0]);
-    absent = Const(CmpHolds(-1));
+    for (const sql::Value& v : literals) {
+      if (all_int) int_set_.insert(v.AsInt());
+      uint32_t id = all_text ? lookup(v) : kNullDictId;
+      if (id != kNullDictId) dict_set_.insert(id);
+    }
   } else {
-    return;  // double / NULL literal
+    lit_ = literals[0];
+    typed = lit_.is_int() || lit_.is_text();
+    lit_int = lit_.is_int();
+    if (lit_int) {
+      int_lit_ = lit_.AsInt();
+    } else if (lit_.is_text()) {
+      dict_lit_ = lookup(lit_);
+    }
+    absent_ = op_ != Op::kPresentEq &&
+              CmpHolds(sql::Value::Null().Compare(lit_));
   }
-  for (PerShard& ps : shards_) {
-    if (ps.col == nullptr || ps.col->kind() == Column::Kind::kUnset) {
-      ps.mode = absent;  // no entity of the bucket carries the property
-    } else if (ps.col->kind() == Column::Kind::kMixed) {
-      dict_covers_ = false;
-    } else {
-      ps.mode = ModeFor(*ps.col, lit_int);
+  bool any_value = false;
+  shards_.reserve(cols.size());
+  for (const Column* col : cols) {
+    // No cell on the shard: every row reads the absent verdict.
+    PerShard ps{Const(absent_), col};
+    if (col != nullptr && col->kind() != Column::Kind::kUnset) {
+      bool exact = typed && col->kind() != Column::Kind::kMixed;
+      ps.mode = exact ? ModeFor(*col, lit_int) : Mode::kValue;
+      any_value = any_value || ps.mode == Mode::kValue;
       if (ps.mode != Mode::kDictText) dict_covers_ = false;
     }
+    shards_.push_back(ps);
+  }
+  if (op_ == Op::kIn && any_value) {
+    value_set_.insert(literals.begin(), literals.end());
   }
 }
 
 ColumnFilter::Mode ColumnFilter::ModeFor(const Column& col,
                                          bool lit_int) const {
   bool col_int = col.kind() == Column::Kind::kInt64;
-  switch (op_) {
-    case Op::kLike:
-    case Op::kNotLike:
-    case Op::kContains:
-    case Op::kStartsWith:
-    case Op::kEndsWith:
-      return col_int ? Mode::kRow : Mode::kDictText;
-    case Op::kIn:
-      // A value of the other kind never Compare-equals a cell.
-      if (col_int) return lit_int ? Mode::kIntIn : Mode::kNever;
-      return lit_int || dict_set_.empty() ? Mode::kNever : Mode::kDictIn;
-    default:
-      break;
+  if (IsTextOp(op_)) return col_int ? Mode::kValue : Mode::kDictText;
+  if (col_int != lit_int) return Mode::kValue;  // cross-kind
+  if (op_ == Op::kIn) {
+    if (col_int) return Mode::kIntIn;
+    return dict_set_.empty() ? Mode::kNever : Mode::kDictIn;
   }
-  if (col_int) {
-    // Int cells and NULL both sort before a text literal.
-    if (!lit_int) return Const(CmpHolds(-1));
-    return op_ == Op::kEq ? Mode::kIntEq : Mode::kIntCmp;
-  }
-  if (lit_int) {
-    // Text cells sort after an int literal, NULL before it.
-    return present_match_ == CmpHolds(-1) ? Const(present_match_)
-                                          : Mode::kDictPresent;
-  }
+  if (col_int) return op_ == Op::kEq ? Mode::kIntEq : Mode::kIntCmp;
   if (op_ == Op::kEq) {
     return dict_lit_ == kNullDictId ? Mode::kNever : Mode::kDictEq;
   }
@@ -149,17 +137,28 @@ bool ColumnFilter::MatchesOther(const PerShard& ps, size_t pos) const {
       uint32_t id = ps.col->DictAt(pos);
       return id != kNullDictId && dict_set_.count(id) > 0;
     }
-    case Mode::kDictPresent:
-      return (ps.col->DictAt(pos) != kNullDictId) == present_match_;
     case Mode::kStrCmp: {
       uint32_t id = ps.col->DictAt(pos);
       if (id == kNullDictId) return CmpHolds(-1);  // NULL cell
-      int r = dict_->Name(id).compare(str_lit_);
+      int r = dict_->Name(id).compare(lit_.AsText());
       return CmpHolds(r < 0 ? -1 : (r > 0 ? 1 : 0));
     }
+    case Mode::kValue:
+      return ps.col->Present(pos)
+                 ? ValueHolds(ReadCell(ps.col, dict_, pos))
+                 : absent_;
     default:
       return false;
   }
+}
+
+bool ColumnFilter::ValueHolds(const sql::Value& cell) const {
+  if (memo_ != nullptr) {
+    return TextHolds(op_, cell.ToString(), memo_->literal) !=
+           (op_ == Op::kNotLike);
+  }
+  if (op_ == Op::kIn) return value_set_.count(cell) > 0;
+  return CmpHolds(cell.Compare(lit_));
 }
 
 bool ColumnFilter::MatchText(uint32_t id) const {

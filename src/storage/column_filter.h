@@ -4,36 +4,37 @@
 // property constraints and single-variable WHERE conjuncts.
 //
 // A filter is built from an operator, its literal(s), the column's string
-// dictionary and one column per shard. The rules below mirror
-// sql::Value::Compare exactly, so a compiled shard returns the verdict the
-// row path would:
+// dictionary and one column per shard, and serves every shard: its
+// verdict is the one the executors' Eval would reach on the cell read
+// back through ReadCell, under sql::Value::Compare semantics:
 //  * an absent cell — a position the column never froze, a missing
 //    dictionary id, or every cell of a shard whose column is nullptr (no
-//    entity of the bucket carries the property) or still unset — is NULL:
-//    it sorts before every non-null literal and equals none of them;
-//  * cross-kind compares fold to constants: numeric sorts before text, so
-//    an int cell is always < a text literal and a text cell always > an
-//    int literal (a string shard with absent cells keeps a presence check
-//    where NULL and text disagree);
-//  * a text literal missing from the dictionary equals no cell, so `=` /
-//    `IN` fold to false and `<>` to true;
+//    entity of the bucket carries the property) — is NULL: it sorts
+//    before every non-null literal and equals only a NULL one (kPresentEq
+//    alone, the Cypher `{key: literal}` shape, never matches it);
+//  * an int column under an int literal (or an all-int IN list) compares
+//    its int64 cells directly;
+//  * a string column under a text literal (or an all-text IN list)
+//    compares dictionary ids: a literal missing from the dictionary
+//    equals no cell, so `=` / `IN` fold to false and `<>` to true;
 //  * string range compares read the dictionary name (same sign as
 //    Value's text ordering);
 //  * the text operators — `[NOT] LIKE`, CONTAINS, STARTS WITH and ENDS
 //    WITH — match the rendered literal (Value::ToString, so an int literal
-//    matches its decimal digits) against each distinct dictionary string
-//    at most once per filter: verdicts are memoized by dictionary id (one
-//    uint32 read and one byte load per row). CONTAINS / STARTS WITH / ENDS
-//    WITH are literal substring / prefix / suffix tests (no wildcards);
-//    LIKE keeps `%` / `_`. An absent cell renders as "NULL", as on the row
-//    path, so `x CONTAINS 'UL'` holds on it;
-//  * kMixed columns, int columns under the text operators, double or NULL
-//    literals of the comparison operators and mixed-kind or empty IN lists
-//    are not compiled: compiled(shard) is false and the caller takes its
-//    own row path for that shard.
+//    matches its decimal digits) against the rendered cell. On string
+//    columns each distinct dictionary string is matched at most once per
+//    filter: verdicts are memoized by dictionary id (one uint32 read and
+//    one byte load per row). CONTAINS / STARTS WITH / ENDS WITH are
+//    literal substring / prefix / suffix tests (no wildcards); LIKE keeps
+//    `%` / `_`. An absent cell renders as "NULL", so `x CONTAINS 'UL'`
+//    holds on it;
+//  * everything else — kMixed columns, a literal of the other kind than
+//    the column's (int columns under the text operators among them),
+//    double or NULL literals and mixed-kind IN lists — reads the cell as a
+//    Value and decides with Value::Compare, a ValueHash/ValueEq set for
+//    IN, or TextHolds on the rendered cell.
 // Modes bind per shard because column kinds can diverge across the shards
-// of a loosely-typed table or property. ReadCell reads one cell as a Value
-// under the same rules (the Cypher evaluator's property reads).
+// of a loosely-typed table or property.
 //
 // Thread-safety: a built filter is immutable except for the text memo,
 // whose slots are relaxed atomics (racing workers compute and store the
@@ -60,7 +61,8 @@ class ColumnFilter {
  public:
   enum class Op : uint8_t {
     kEq, kNe, kLt, kLe, kGt, kGe,
-    kIn,          // homogeneous literal list (all int or all text)
+    kPresentEq,   // kEq, except that an absent cell never matches
+    kIn,          // literal list membership
     kLike,        // literal[0] rendered as the pattern
     kNotLike,
     kContains,    // literal[0] rendered: a substring of the cell
@@ -70,31 +72,29 @@ class ColumnFilter {
 
   /// Does `text op literal` hold for a text operator (kLike, kNotLike
   /// before its negation, kContains, kStartsWith, kEndsWith)? The one
-  /// definition of their string semantics: compiled shards memoize it per
-  /// dictionary entry, and the Cypher row path calls it on rendered values.
+  /// definition of their string semantics: string shards memoize it per
+  /// dictionary entry, other shards and the Cypher evaluator call it on
+  /// rendered values.
   static bool TextHolds(Op op, std::string_view text, std::string_view lit);
 
-  /// A filter over `shard_count` shards compiled for none of them.
-  explicit ColumnFilter(size_t shard_count) : shards_(shard_count) {}
+  /// A filter over no shard: the placeholder of a conjunct that Eval
+  /// decides.
+  ColumnFilter() = default;
 
   /// `col op literals` over `cols[shard]` (nullptr: no entity of that
   /// shard's bucket carries the property). Comparisons and the text
-  /// operators take one literal, kIn the whole list. `dict` is the column's dictionary
-  /// (nullptr when the property never froze a string).
+  /// operators take one literal, kIn the whole list (possibly empty).
+  /// `dict` is the column's dictionary (nullptr when the property never
+  /// froze a string).
   ColumnFilter(Op op, std::span<const sql::Value> literals,
                const StringInterner* dict,
                std::span<const Column* const> cols);
 
-  /// False: shard `shard` is not compiled, evaluate the row path instead.
-  /// Precondition: `shard` is below the filter's shard count.
-  bool compiled(size_t shard) const {
-    return shards_[shard].mode != Mode::kRow;
-  }
-
-  /// Row-semantics verdict for the cell at `pos` (the entity's bucket
-  /// offset) of `shard`. Precondition: compiled(shard). The per-row modes
-  /// of the hot paths (constants, equality, text) dispatch inline; the
-  /// rest call MatchesOther, keeping this small enough to inline.
+  /// Verdict for the cell at `pos` (the entity's bucket offset) of
+  /// `shard`. Precondition: `shard` is below the number of columns the
+  /// filter was built over. The per-row modes of the hot paths
+  /// (constants, equality, text) dispatch inline; the rest call
+  /// MatchesOther, keeping this small enough to inline.
   bool Matches(size_t shard, size_t pos) const {
     const PerShard& ps = shards_[shard];
     switch (ps.mode) {
@@ -169,7 +169,6 @@ class ColumnFilter {
 
  private:
   enum class Mode : uint8_t {
-    kRow,          // not compiled for this shard: caller's row path
     kNever,        // constant false
     kAlways,       // constant true
     kIntEq,        // int column == int literal
@@ -178,13 +177,13 @@ class ColumnFilter {
     kDictEq,       // string column == interned dictionary id
     kDictNe,       // string column != interned dictionary id
     kDictIn,       // string column IN hashed dictionary-id set
-    kDictPresent,  // string column vs int literal: cell present == verdict
     kStrCmp,       // string column `op` text literal via dictionary names
     kDictText,     // string column text operator via memoized verdicts
+    kValue,        // the cell read as a Value (ReadCell)
   };
 
   struct PerShard {
-    Mode mode = Mode::kRow;
+    Mode mode = Mode::kNever;
     const Column* col = nullptr;
   };
 
@@ -195,13 +194,18 @@ class ColumnFilter {
   struct TextMemo {
     TextMemo(Op op, std::string lit, size_t dict_size);
     std::string literal;
-    bool null_match;  // the row path renders an absent cell as "NULL"
+    bool null_match;  // an absent cell renders as "NULL"
     std::vector<std::atomic<uint8_t>> verdicts;
     std::atomic<size_t> evals{0};
   };
 
-  /// Mode of one shard whose column is kInt64 or kString.
+  /// Mode of one shard whose column is kInt64 or kString, under an int
+  /// or text literal (or an all-int / all-text IN list); kValue where the
+  /// literal's kind is not the column's.
   Mode ModeFor(const Column& col, bool lit_int) const;
+
+  /// kValue: the verdict on a present cell read as a Value.
+  bool ValueHolds(const sql::Value& cell) const;
 
   /// Matches for the modes it does not dispatch inline.
   bool MatchesOther(const PerShard& ps, size_t pos) const;
@@ -212,7 +216,8 @@ class ColumnFilter {
   /// Does `cell op literal` hold given the sign of Compare(cell, literal)?
   bool CmpHolds(int c) const {
     switch (op_) {
-      case Op::kEq: return c == 0;
+      case Op::kEq:
+      case Op::kPresentEq: return c == 0;
       case Op::kNe: return c != 0;
       case Op::kLt: return c < 0;
       case Op::kLe: return c <= 0;
@@ -229,36 +234,16 @@ class ColumnFilter {
 
   Op op_ = Op::kEq;
   const StringInterner* dict_ = nullptr;
+  bool absent_ = false;  // the verdict on an absent cell
+  sql::Value lit_;       // comparison literal
   int64_t int_lit_ = 0;
   uint32_t dict_lit_ = kNullDictId;
-  bool present_match_ = false;  // kDictPresent verdict for present cells
-  std::string str_lit_;
   std::unordered_set<int64_t> int_set_;
   std::unordered_set<uint32_t> dict_set_;
+  std::unordered_set<sql::Value, sql::ValueHash, sql::ValueEq> value_set_;
   std::unique_ptr<TextMemo> memo_;
   bool dict_covers_ = false;
   std::vector<PerShard> shards_;
 };
-
-/// Read the cell at `pos` of `col` into `*out` under the same absent-cell
-/// rule (a nullptr or unset column, or an absent cell, reads NULL). False
-/// (`*out` untouched) for a kMixed column: only the caller's row path
-/// holds its cells.
-inline bool ReadCell(const Column* col, const StringInterner* dict,
-                     size_t pos, sql::Value* out) {
-  if (col == nullptr || col->kind() == Column::Kind::kUnset) {
-    *out = sql::Value::Null();
-  } else if (col->kind() == Column::Kind::kInt64) {
-    int64_t v = 0;
-    *out = col->IntAt(pos, &v) ? sql::Value(v) : sql::Value::Null();
-  } else if (col->kind() == Column::Kind::kString) {
-    uint32_t id = col->DictAt(pos);
-    *out = id == kNullDictId ? sql::Value::Null()
-                             : sql::Value(std::string(dict->Name(id)));
-  } else {
-    return false;
-  }
-  return true;
-}
 
 }  // namespace raptor::storage

@@ -50,47 +50,60 @@ void InitBinding(FrameBinding& b, const VarTable& vars) {
   b.used_edges.clear();
 }
 
-/// Row path of one inline constraint: a PropertyMap probe under
-/// Value::Compare.
-template <class Entity>
-bool RowPropMatches(const Entity& entity, const PropConstraint& pc) {
-  const Value* v = entity.FindProp(pc.key);
-  return v != nullptr && v->Compare(pc.value) == 0;
-}
-
-/// Inline property constraints `{key: literal}` of a node or edge pattern:
-/// through the compiled column filter where the entity's shard has one,
-/// else (unlabeled / untyped patterns, shards the kernel leaves to the row
-/// path) by RowPropMatches.
-template <class Entity>
-bool PropsMatch(const std::vector<PropConstraint>& props,
+/// Inline property constraints `{key: literal}` of a node or edge pattern
+/// on the entity at `pos` of `shard`'s bucket: through the compiled
+/// column filters of a labeled / typed pattern, else by reading the
+/// entity's own bucket cell (`column(prop_id)`, the bucket's column or
+/// nullptr). A constraint holds on a present cell that Compare-equals
+/// its literal.
+template <class ColumnOf>
+bool PropsMatch(const PropertyGraph& graph,
+                const std::vector<PropConstraint>& props,
+                const std::vector<uint32_t>& prop_ids,
                 const std::vector<storage::ColumnFilter>& filters,
-                size_t shard, size_t pos, const Entity& entity) {
+                size_t shard, size_t pos, ColumnOf&& column) {
   for (size_t i = 0; i < props.size(); ++i) {
-    bool ok = !filters.empty() && filters[i].compiled(shard)
-                  ? filters[i].Matches(shard, pos)
-                  : RowPropMatches(entity, props[i]);
-    if (!ok) return false;
+    if (!filters.empty()) {
+      if (!filters[i].Matches(shard, pos)) return false;
+      continue;
+    }
+    const storage::Column* col = column(prop_ids[i]);
+    if (col == nullptr || !col->Present(pos) ||
+        storage::ReadCell(col, graph.PropDict(prop_ids[i]), pos)
+                .Compare(props[i].value) != 0) {
+      return false;
+    }
   }
   return true;
 }
 
-/// Compile `{key: literal}` constraints into `=` column filters over the
-/// per-shard columns of one label / edge-type bucket (`column(shard,
-/// prop_id)`; nullptr when no entity of the shard's bucket carries it).
+/// Interned property ids of `{key: literal}` constraints.
+std::vector<uint32_t> PropIds(const PropertyGraph& graph,
+                              const std::vector<PropConstraint>& props) {
+  std::vector<uint32_t> ids;
+  ids.reserve(props.size());
+  for (const PropConstraint& pc : props) {
+    ids.push_back(graph.LookupPropName(pc.key));
+  }
+  return ids;
+}
+
+/// Compile `{key: literal}` constraints into kPresentEq column filters
+/// over the per-shard columns of one label / edge-type bucket
+/// (`column(shard, prop_id)`; nullptr when no entity of the shard's
+/// bucket carries it).
 template <class ColumnOf>
 std::vector<storage::ColumnFilter> CompilePropFilters(
     const PropertyGraph& graph, const std::vector<PropConstraint>& props,
-    ColumnOf&& column) {
+    const std::vector<uint32_t>& prop_ids, ColumnOf&& column) {
   std::vector<storage::ColumnFilter> filters;
   filters.reserve(props.size());
   std::vector<const storage::Column*> cols(graph.shard_count());
-  for (const PropConstraint& pc : props) {
-    uint32_t prop_id = graph.LookupPropName(pc.key);
-    for (size_t s = 0; s < cols.size(); ++s) cols[s] = column(s, prop_id);
-    filters.emplace_back(storage::ColumnFilter::Op::kEq,
-                         std::span<const Value>(&pc.value, 1),
-                         graph.PropDict(prop_id), cols);
+  for (size_t i = 0; i < props.size(); ++i) {
+    for (size_t s = 0; s < cols.size(); ++s) cols[s] = column(s, prop_ids[i]);
+    filters.emplace_back(storage::ColumnFilter::Op::kPresentEq,
+                         std::span<const Value>(&props[i].value, 1),
+                         graph.PropDict(prop_ids[i]), cols);
   }
   return filters;
 }
@@ -118,18 +131,18 @@ bool ToFilterOp(CypherBinaryOp op, storage::ColumnFilter::Op* out) {
 /// multi-pattern MATCH would enumerate the full cross product first).
 /// A conjunct of the shape `[NOT] var.prop op literal` (op a comparison,
 /// a string operator or IN) on a node variable with a known label also
-/// compiles into a column filter over that label's buckets; every other
-/// conjunct, and every shard the filter leaves to the row path, is
-/// evaluated through CypherEvaluator.
+/// compiles into a column filter over that label's buckets, which decides
+/// it on every shard; every other conjunct is evaluated through
+/// CypherEvaluator.
 struct PushdownFilter {
-  const CypherExpr* expr = nullptr;  // the whole conjunct (row path)
+  const CypherExpr* expr = nullptr;  // the whole conjunct (Eval)
   std::string_view prop;             // compiled shape: the property read
   /// Values a positive `=` / IN conjunct allows for `prop`: an index probe
   /// candidate for seed selection (empty otherwise).
   std::span<const Value> probe_keys;
   uint32_t label_id = kNoSymbol;  // kNoSymbol: not compiled
   bool negated = false;           // the filter's verdict is inverted
-  storage::ColumnFilter filter{0};
+  storage::ColumnFilter filter;
 };
 
 using VarFilters = std::vector<PushdownFilter>;
@@ -152,21 +165,25 @@ struct Pushdown {
 /// its variable to the query's slot, so candidate checks compare integers
 /// instead of strings. When the label is known, inline property
 /// constraints additionally compile to column filters over the frozen
-/// per-(shard × label) columns; unlabeled patterns keep the PropertyMap
-/// row path.
+/// per-(shard × label) columns; an unlabeled pattern reads each
+/// candidate's own bucket cell.
 struct ResolvedNode {
   const NodePattern* pat = nullptr;
   bool has_label = false;
   uint32_t label_id = kNoSymbol;  // kNoSymbol: label absent, matches nothing
   uint32_t var_slot = kNoSymbol;  // kNoSymbol: anonymous node
+  std::vector<uint32_t> prop_ids;              // per pat->props
   std::vector<storage::ColumnFilter> filters;  // per pat->props, or empty
   const VarFilters* pushdown = nullptr;        // the variable's WHERE filters
 
   bool Matches(const Node& node, const PropertyGraph& graph) const {
     if (has_label && node.label_id != label_id) return false;
     if (pat->props.empty()) return true;  // most patterns: skip the call
-    return PropsMatch(pat->props, filters, graph.ShardOf(node.id),
-                      node.label_pos, node);
+    size_t shard = graph.ShardOf(node.id);
+    return PropsMatch(graph, pat->props, prop_ids, filters, shard,
+                      node.label_pos, [&](uint32_t prop_id) {
+                        return graph.NodeColumn(shard, node.label_id, prop_id);
+                      });
   }
 };
 
@@ -179,14 +196,18 @@ struct ResolvedRel {
   bool has_type = false;
   uint32_t type_id = kNoSymbol;
   uint32_t var_slot = kNoSymbol;
+  std::vector<uint32_t> prop_ids;              // per pat->props
   std::vector<storage::ColumnFilter> filters;  // per pat->props, or empty
   const VarFilters* pushdown = nullptr;        // the variable's WHERE filters
 
   bool Matches(const Edge& edge, const PropertyGraph& graph) const {
     if (has_type && edge.type_id != type_id) return false;
     if (pat->props.empty()) return true;
-    return PropsMatch(pat->props, filters, graph.ShardOf(edge.id),
-                      edge.type_pos, edge);
+    size_t shard = graph.ShardOf(edge.id);
+    return PropsMatch(graph, pat->props, prop_ids, filters, shard,
+                      edge.type_pos, [&](uint32_t prop_id) {
+                        return graph.EdgeColumn(shard, edge.type_id, prop_id);
+                      });
   }
 };
 
@@ -200,12 +221,14 @@ ResolvedNode ResolveNode(const PropertyGraph& graph, const VarTable& vars,
   }
   if (!pat.var.empty()) r.var_slot = vars.nodes.Lookup(pat.var);
   r.pushdown = pushdown.For(pat.var);
+  r.prop_ids = PropIds(graph, pat.props);
   // Column filters need a known label (the column buckets are per label);
   // an unknown label matches nothing regardless.
   if (r.has_label && r.label_id != kNoSymbol) {
-    r.filters = CompilePropFilters(graph, pat.props, [&](size_t s, uint32_t p) {
-      return graph.NodeColumn(s, r.label_id, p);
-    });
+    r.filters = CompilePropFilters(graph, pat.props, r.prop_ids,
+                                   [&](size_t s, uint32_t p) {
+                                     return graph.NodeColumn(s, r.label_id, p);
+                                   });
   }
   return r;
 }
@@ -220,10 +243,12 @@ ResolvedRel ResolveRel(const PropertyGraph& graph, const VarTable& vars,
   }
   if (!pat.var.empty()) r.var_slot = vars.edges.Lookup(pat.var);
   r.pushdown = pushdown.For(pat.var);
+  r.prop_ids = PropIds(graph, pat.props);
   if (r.has_type && r.type_id != kNoSymbol) {
-    r.filters = CompilePropFilters(graph, pat.props, [&](size_t s, uint32_t p) {
-      return graph.EdgeColumn(s, r.type_id, p);
-    });
+    r.filters = CompilePropFilters(graph, pat.props, r.prop_ids,
+                                   [&](size_t s, uint32_t p) {
+                                     return graph.EdgeColumn(s, r.type_id, p);
+                                   });
   }
   return r;
 }
@@ -301,16 +326,16 @@ class CypherEvaluator {
         uint32_t prop_id = SlotsFor(e).prop_id;
         if (LookupNodeVar(b, e, &nid)) {
           const Node& node = graph_.node(nid);
-          return PropOf(
-              node, e.prop, prop_id, node.label_pos,
-              graph_.NodeColumn(graph_.ShardOf(nid), node.label_id, prop_id));
+          return storage::ReadCell(
+              graph_.NodeColumn(graph_.ShardOf(nid), node.label_id, prop_id),
+              graph_.PropDict(prop_id), node.label_pos);
         }
         EdgeId eid;
         if (LookupEdgeVar(b, e, &eid)) {
           const Edge& edge = graph_.edge(eid);
-          return PropOf(
-              edge, e.prop, prop_id, edge.type_pos,
-              graph_.EdgeColumn(graph_.ShardOf(eid), edge.type_id, prop_id));
+          return storage::ReadCell(
+              graph_.EdgeColumn(graph_.ShardOf(eid), edge.type_id, prop_id),
+              graph_.PropDict(prop_id), edge.type_pos);
         }
         return Status::NotFound("unbound variable: " + e.var);
       }
@@ -409,20 +434,6 @@ class CypherEvaluator {
                .first;
     }
     return it->second;
-  }
-
-  /// Property read through the frozen column (storage::ReadCell); a
-  /// demoted (kMixed) column defers to the entity's PropertyMap, so doubles
-  /// and null-valued properties keep exact row semantics.
-  template <class Entity>
-  Value PropOf(const Entity& entity, std::string_view prop, uint32_t prop_id,
-               size_t pos, const storage::Column* col) const {
-    Value cell;
-    if (storage::ReadCell(col, graph_.PropDict(prop_id), pos, &cell)) {
-      return cell;
-    }
-    const Value* v = entity.FindProp(prop);
-    return v != nullptr ? *v : Value::Null();
   }
 
   bool LookupNodeVar(const FrameBinding& b, const CypherExpr& e,
@@ -948,23 +959,20 @@ class Matcher {
                      const FrameBinding& binding) const {
     if (rn.pushdown == nullptr) return true;
     for (const PushdownFilter& f : *rn.pushdown) {
-      if (f.label_id != kNoSymbol) {
-        const Node& node = graph_.node(id);
-        if (node.label_id != f.label_id) return false;
-        size_t shard = graph_.ShardOf(id);
-        if (f.filter.compiled(shard)) {
-          if (f.filter.Matches(shard, node.label_pos) == f.negated) {
-            return false;
-          }
-          continue;
-        }
+      if (f.label_id == kNoSymbol) {
+        if (!EvalTrue(*f.expr, binding)) return false;
+        continue;
       }
-      if (!EvalTrue(*f.expr, binding)) return false;
+      const Node& node = graph_.node(id);
+      if (node.label_id != f.label_id ||
+          f.filter.Matches(graph_.ShardOf(id), node.label_pos) == f.negated) {
+        return false;
+      }
     }
     return true;
   }
 
-  /// The pushed-down filters of a relationship variable (row path).
+  /// The pushed-down filters of a relationship variable (Eval).
   bool PassesFilters(const ResolvedRel& rr,
                      const FrameBinding& binding) const {
     if (rr.pushdown == nullptr) return true;
@@ -1388,11 +1396,6 @@ Result<GraphResultSet> GraphDatabase::Query(std::string_view cypher,
   auto query = ParseCypher(cypher);
   if (!query.ok()) return query.status();
   return ExecuteCypher(query.value(), graph_, options_, stats);
-}
-
-Result<GraphBlockResult> GraphDatabase::QueryBlocks(std::string_view cypher,
-                                                    MatchStats* stats) const {
-  return QueryBlocks(cypher, options_, stats);
 }
 
 namespace {

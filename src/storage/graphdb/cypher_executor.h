@@ -34,17 +34,19 @@
 // Queries that stay serial (parallel_shards = 1, tiny seed sets, small
 // pushed limits) run one matcher over every shard in order.
 //
-// Columnar predicate scans: inline property constraints, and pushed-down
+// Columnar predicate scans: inline property constraints of labeled node
+// and typed relationship patterns, and pushed-down
 // WHERE conjuncts `[NOT] var.prop op literal` on a labeled node variable
 // (comparisons, IN, CONTAINS, STARTS WITH, ENDS WITH), compile into
 // storage::ColumnFilters (storage/column_filter.h, the kernel the SQL
 // executor shares) over the graph's frozen per-(shard × label) column
-// vectors instead of probing each node's PropertyMap — string literals
-// resolve to a dictionary id once per query and compare as uint32s, and
-// string operators are matched once per dictionary entry. Other WHERE
-// property references read cells through storage::ReadCell. Unlabeled
-// patterns, and columns that cannot represent a value exactly (doubles,
-// NULLs, mixed types), keep the PropertyMap row path per predicate.
+// vectors — string literals resolve to a dictionary id once per query
+// and compare as uint32s, and string operators are matched once per
+// dictionary entry. Every other conjunct is evaluated by the
+// CypherEvaluator, whose property references read cells through
+// storage::ReadCell; an unlabeled pattern's inline constraints read the
+// candidate's own bucket cell. The columns are the graph's only copy of
+// its properties.
 #pragma once
 
 #include <atomic>
@@ -193,11 +195,9 @@ class GraphDatabase {
   Result<GraphResultSet> Query(std::string_view cypher,
                                MatchStats* stats = nullptr) const;
 
-  /// Streaming variants returning chunked block results. The options
-  /// overload lets per-request settings (HuntService cancellation flags)
-  /// override the facade defaults without mutating shared state.
-  Result<GraphBlockResult> QueryBlocks(std::string_view cypher,
-                                       MatchStats* stats = nullptr) const;
+  /// Streaming variant returning chunked block results under per-request
+  /// settings (HuntService cancellation flags; pass options() for the
+  /// facade defaults) without mutating shared state.
   Result<GraphBlockResult> QueryBlocks(std::string_view cypher,
                                        const MatchOptions& options,
                                        MatchStats* stats = nullptr) const;

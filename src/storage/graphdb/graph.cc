@@ -29,14 +29,13 @@ PropertyGraph::PropertyGraph(size_t shard_count) : layout_(shard_count) {
   shards_.resize(layout_.count());
 }
 
-NodeId PropertyGraph::AddNode(std::string label, PropertyMap props) {
+NodeId PropertyGraph::AddNode(std::string_view label,
+                              const PropertyMap& props) {
   NodeId id = node_count_++;
   Shard& shard = shards_[layout_.ShardOf(id)];
   Node n;
   n.id = id;
   n.label_id = labels_.Intern(label);
-  n.label = std::move(label);
-  n.props = std::move(props);
   if (n.label_id >= shard.by_label.size()) {
     shard.by_label.resize(n.label_id + 1);
   }
@@ -46,15 +45,14 @@ NodeId PropertyGraph::AddNode(std::string label, PropertyMap props) {
   if (n.label_id >= shard.node_cols.size()) {
     shard.node_cols.resize(n.label_id + 1);
   }
-  FreezeProps(shard.node_cols[n.label_id], n.label_pos, n.props);
+  FreezeProps(shard.node_cols[n.label_id], n.label_pos, props);
   // Maintain this shard's slice of any matching index.
   for (auto& [key, index] : shard.node_indexes) {
     if (static_cast<uint32_t>(key >> 32) != n.label_id) continue;
-    uint32_t prop_id = static_cast<uint32_t>(key);
-    const Value* v = n.FindProp(index_props_.Name(prop_id));
-    if (v != nullptr) index[*v].push_back(id);
+    auto it = props.find(index_props_.Name(static_cast<uint32_t>(key)));
+    if (it != props.end()) index[it->second].push_back(id);
   }
-  shard.nodes.push_back(std::move(n));
+  shard.nodes.push_back(n);
   shard.out_edges.emplace_back();
   shard.in_edges.emplace_back();
   shard.out_by_type.emplace_back();
@@ -62,16 +60,14 @@ NodeId PropertyGraph::AddNode(std::string label, PropertyMap props) {
   return id;
 }
 
-EdgeId PropertyGraph::AddEdge(NodeId src, NodeId dst, std::string type,
-                              PropertyMap props) {
+EdgeId PropertyGraph::AddEdge(NodeId src, NodeId dst, std::string_view type,
+                              const PropertyMap& props) {
   EdgeId id = edge_count_++;
   Edge e;
   e.id = id;
   e.src = src;
   e.dst = dst;
   e.type_id = edge_types_.Intern(type);
-  e.type = std::move(type);
-  e.props = std::move(props);
   Shard& src_shard = shards_[layout_.ShardOf(src)];
   Shard& dst_shard = shards_[layout_.ShardOf(dst)];
   src_shard.out_edges[layout_.LocalOf(src)].push_back(id);
@@ -84,8 +80,8 @@ EdgeId PropertyGraph::AddEdge(NodeId src, NodeId dst, std::string type,
     edge_shard.edge_cols.resize(e.type_id + 1);
   }
   e.type_pos = edge_shard.edges_per_type[e.type_id]++;
-  FreezeProps(edge_shard.edge_cols[e.type_id], e.type_pos, e.props);
-  edge_shard.edges.push_back(std::move(e));
+  FreezeProps(edge_shard.edge_cols[e.type_id], e.type_pos, props);
+  edge_shard.edges.push_back(e);
   return id;
 }
 
@@ -158,14 +154,19 @@ void PropertyGraph::CreateNodeIndex(std::string_view label,
   uint32_t prop_id = index_props_.Intern(prop);
   uint64_t key = IndexKey(label_id, prop_id);
   if (shards_[0].node_indexes.count(key)) return;
-  for (Shard& shard : shards_) {
+  uint32_t col_id = prop_names_.Lookup(prop);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
     if (label_id >= shard.by_label.size()) {
       shard.by_label.resize(label_id + 1);
     }
     ValueIndex& index = shard.node_indexes[key];
-    for (NodeId id : shard.by_label[label_id]) {
-      const Value* v = node(id).FindProp(prop);
-      if (v != nullptr) index[*v].push_back(id);
+    // by_label lists the bucket in label_pos order.
+    const std::vector<NodeId>& ids = shard.by_label[label_id];
+    const storage::Column* col = NodeColumn(s, label_id, col_id);
+    for (size_t pos = 0; col != nullptr && pos < ids.size(); ++pos) {
+      if (!col->Present(pos)) continue;
+      index[storage::ReadCell(col, PropDict(col_id), pos)].push_back(ids[pos]);
     }
   }
 }
@@ -206,29 +207,6 @@ size_t PropertyGraph::ProbeCountNodes(std::string_view label,
     count += ProbeNodes(label, prop, value, s).size();
   }
   return count;
-}
-
-PropertyGraph::NodeIndexStats PropertyGraph::GetNodeIndexStats(
-    std::string_view label, std::string_view prop) const {
-  NodeIndexStats stats;
-  std::vector<const ValueIndex*> indexes(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    indexes[s] = FindIndex(label, prop, s);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (indexes[s] == nullptr) continue;
-    for (const auto& [value, ids] : *indexes[s]) {
-      stats.entries += ids.size();
-      // A value counts toward distinct_keys only in the first shard that
-      // holds it, so keys split across shards are not double-counted.
-      bool seen_earlier = false;
-      for (size_t t = 0; t < s && !seen_earlier; ++t) {
-        seen_earlier = indexes[t] != nullptr && indexes[t]->count(value) > 0;
-      }
-      if (!seen_earlier) ++stats.distinct_keys;
-    }
-  }
-  return stats;
 }
 
 }  // namespace raptor::graphdb

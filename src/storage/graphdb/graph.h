@@ -1,6 +1,8 @@
 // In-memory property graph, the storage unit of the embedded graph engine
-// that substitutes Neo4j. Nodes carry a label and a property map; edges
-// carry a type and a property map.
+// that substitutes Neo4j. Nodes carry an interned label and edges an
+// interned type; their properties live only in frozen columns
+// (storage/columnar.h): AddNode / AddEdge freeze the property map into
+// the element's (shard × label) / (shard × edge type) bucket and drop it.
 //
 // Hot-path design:
 //  * node labels, edge types, and indexed property names are interned into
@@ -9,9 +11,7 @@
 //    expansion touches only edges of the requested type instead of the full
 //    out/in-edge list;
 //  * equality indexes over (label, property) pairs are keyed by Value with
-//    a Compare()-consistent hash, so probes never stringify;
-//  * property maps use a transparent comparator, so FindProp(string_view)
-//    never allocates a key.
+//    a Compare()-consistent hash, so probes never stringify.
 //
 // Sharding: node, edge, adjacency, label-bucket and index storage is
 // partitioned into a power-of-two number of shards, hashed on entity id
@@ -20,9 +20,9 @@
 // lists, its slice of every (label, prop) hash index, and its label
 // buckets, which lets the query executor carve seed iteration into
 // per-shard morsels for parallel workers. Label buckets and index probes
-// are read per shard (NodesWithLabel / ProbeNodes take the shard);
-// shard-agnostic aggregates (ProbeCountNodes, GetNodeIndexStats) sum over
-// shards and stay exact for any shard count.
+// are read per shard (NodesWithLabel / ProbeNodes take the shard); the
+// shard-agnostic ProbeCountNodes sums over shards and stays exact for any
+// shard count.
 //
 // Thread-safety contract: construction and mutation (AddNode / AddEdge /
 // CreateNodeIndex) are single-threaded; all const member functions are
@@ -48,7 +48,7 @@ namespace raptor::graphdb {
 using NodeId = uint64_t;
 using EdgeId = uint64_t;
 using Value = sql::Value;
-// std::less<> enables heterogeneous (string_view) lookup without allocating.
+/// Properties of one element at insert time (frozen, then dropped).
 using PropertyMap = std::map<std::string, Value, std::less<>>;
 
 constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
@@ -59,13 +59,6 @@ struct Node {
   /// Dense offset within the node's (shard × label) bucket — the cell
   /// position in every frozen column of that bucket.
   uint32_t label_pos = 0;
-  std::string label;
-  PropertyMap props;
-
-  const Value* FindProp(std::string_view name) const {
-    auto it = props.find(name);
-    return it == props.end() ? nullptr : &it->second;
-  }
 };
 
 struct Edge {
@@ -76,13 +69,6 @@ struct Edge {
   /// Dense offset within the edge's (shard × type) bucket — the cell
   /// position in every frozen column of that bucket.
   uint32_t type_pos = 0;
-  std::string type;
-  PropertyMap props;
-
-  const Value* FindProp(std::string_view name) const {
-    auto it = props.find(name);
-    return it == props.end() ? nullptr : &it->second;
-  }
 };
 
 class PropertyGraph {
@@ -91,10 +77,11 @@ class PropertyGraph {
   /// reproduces the unsharded layout exactly.
   explicit PropertyGraph(size_t shard_count = 1);
 
-  NodeId AddNode(std::string label, PropertyMap props);
+  NodeId AddNode(std::string_view label, const PropertyMap& props);
 
   /// Precondition: src and dst are valid node ids.
-  EdgeId AddEdge(NodeId src, NodeId dst, std::string type, PropertyMap props);
+  EdgeId AddEdge(NodeId src, NodeId dst, std::string_view type,
+                 const PropertyMap& props);
 
   const Node& node(NodeId id) const {
     return shards_[layout_.ShardOf(id)].nodes[layout_.LocalOf(id)];
@@ -153,20 +140,6 @@ class PropertyGraph {
   size_t ProbeCountNodes(std::string_view label, std::string_view prop,
                          const Value& value) const;
 
-  /// Aggregate cardinality statistics of one (label, prop) equality index.
-  struct NodeIndexStats {
-    size_t distinct_keys = 0;  // distinct property values indexed
-    size_t entries = 0;        // total node entries across all keys
-  };
-
-  /// Stats for the (label, prop) index, aggregated over every shard: a
-  /// value split across shards counts once in distinct_keys, and entries
-  /// sum across shards. All-zero when no such index exists. Introspection /
-  /// diagnostics surface (O(distinct_keys * shards) walk): the matcher
-  /// ranks access paths by the exact ProbeCountNodes of the probed values.
-  NodeIndexStats GetNodeIndexStats(std::string_view label,
-                                   std::string_view prop) const;
-
   size_t node_count() const { return node_count_; }
   size_t edge_count() const { return edge_count_; }
   size_t label_count() const { return labels_.size(); }
@@ -174,7 +147,7 @@ class PropertyGraph {
 
   // --- Frozen columnar property storage (storage/columnar.h) ---------------
   // Every AddNode/AddEdge freezes the property map into per-(shard × label)
-  // / per-(shard × edge type) columns alongside the retained row form, so
+  // / per-(shard × edge type) columns, the only copy of the properties, so
   // predicate loops can scan column slices. String cells dictionary-encode
   // against one dictionary per property name, global across shards and
   // buckets: a query literal is looked up once and compared as a uint32

@@ -32,12 +32,12 @@ Status Database::CreateTable(std::string_view name, Schema schema) {
   return Status::OK();
 }
 
-Status Database::Insert(std::string_view table, Row row) {
+Status Database::Insert(std::string_view table, const Row& row) {
   Table* t = GetMutableTable(table);
   if (t == nullptr) {
     return Status::NotFound("unknown table: " + std::string(table));
   }
-  return t->Insert(std::move(row));
+  return t->Insert(row);
 }
 
 Status Database::CreateIndex(std::string_view table, std::string_view column) {
@@ -58,11 +58,6 @@ Result<ResultSet> Database::Query(std::string_view sql,
 Result<ResultSet> Database::Execute(const SelectStmt& stmt,
                                     ExecStats* stats) const {
   return ExecuteSelect(stmt, *this, options_, stats);
-}
-
-Result<BlockResultSet> Database::QueryBlocks(std::string_view sql,
-                                             ExecStats* stats) const {
-  return QueryBlocks(sql, options_, stats);
 }
 
 Result<BlockResultSet> Database::QueryBlocks(std::string_view sql,

@@ -34,7 +34,7 @@ class Database : public Catalog {
   const SelectOptions& options() const { return options_; }
 
   /// Insert one row into `table`.
-  Status Insert(std::string_view table, Row row);
+  Status Insert(std::string_view table, const Row& row);
 
   /// Create a hash index on table.column.
   Status CreateIndex(std::string_view table, std::string_view column);
@@ -46,11 +46,9 @@ class Database : public Catalog {
   Result<ResultSet> Execute(const SelectStmt& stmt,
                             ExecStats* stats = nullptr) const;
 
-  /// Streaming variants returning chunked block results. The options
-  /// overload lets per-request settings (HuntService cancellation flags)
-  /// override the facade defaults without mutating shared state.
-  Result<BlockResultSet> QueryBlocks(std::string_view sql,
-                                     ExecStats* stats = nullptr) const;
+  /// Streaming variant returning chunked block results under per-request
+  /// settings (HuntService cancellation flags; pass options() for the
+  /// facade defaults) without mutating shared state.
   Result<BlockResultSet> QueryBlocks(std::string_view sql,
                                      const SelectOptions& options,
                                      ExecStats* stats = nullptr) const;

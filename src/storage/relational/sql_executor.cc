@@ -101,7 +101,7 @@ class Evaluator {
                                   e.ToString());
         }
         return binder_.table(bc.value().alias_idx)
-            ->row(rid)[bc.value().col_idx];
+            ->Cell(rid, bc.value().col_idx);
       }
       case ExprKind::kUnaryNot: {
         auto inner = Eval(*e.lhs, tuple);
@@ -178,12 +178,11 @@ class Evaluator {
 
 /// A single-table filter resolved to its column and literal(s) and
 /// compiled into a storage::ColumnFilter over the table's frozen columns
-/// (storage/column_filter.h owns the semantics). Compilation recognizes
-/// `col op literal`, `literal op col` (op mirrored), non-negated
-/// `col IN (...)` and `col [NOT] LIKE literal`; any other shape keeps
-/// col_idx < 0 and a filter compiled for no shard, and every shard the
-/// filter does not compile Evals the original expression through the
-/// row-path Evaluator unchanged.
+/// (storage/column_filter.h owns the semantics), which decides it on
+/// every shard. Compilation recognizes `col op literal`, `literal op col`
+/// (op mirrored), non-negated `col IN (...)` and `col [NOT] LIKE
+/// literal`; any other shape keeps col_idx < 0 and an empty filter, and
+/// the Evaluator decides the original expression.
 struct ColumnPredicate {
   int col_idx;
   storage::ColumnFilter filter;
@@ -193,14 +192,12 @@ struct ColumnPredicate {
                                  int alias_idx) {
     using Op = storage::ColumnFilter::Op;
     const Table& table = *binder.table(alias_idx);
-    auto row_path = [&] {
-      return ColumnPredicate{-1, storage::ColumnFilter(table.shard_count())};
-    };
+    auto no_filter = [] { return ColumnPredicate{-1, {}}; };
     Op op = Op::kIn;
     const Expr* colref = nullptr;
     std::span<const Value> literals;
     if (f.kind == ExprKind::kInList) {
-      if (f.negated || f.lhs->kind != ExprKind::kColumnRef) return row_path();
+      if (f.negated || f.lhs->kind != ExprKind::kColumnRef) return no_filter();
       colref = f.lhs.get();
       literals = f.in_list;
     } else if (f.kind == ExprKind::kBinary) {
@@ -213,7 +210,7 @@ struct ColumnPredicate {
         case BinaryOp::kGe: op = Op::kGe; break;
         case BinaryOp::kLike: op = Op::kLike; break;
         case BinaryOp::kNotLike: op = Op::kNotLike; break;
-        default: return row_path();
+        default: return no_filter();
       }
       bool like = op == Op::kLike || op == Op::kNotLike;
       const Expr* lit = nullptr;
@@ -227,14 +224,14 @@ struct ColumnPredicate {
         lit = f.lhs.get();
         op = Mirror(op);
       } else {
-        return row_path();
+        return no_filter();
       }
       literals = std::span<const Value>(&lit->literal, 1);
     } else {
-      return row_path();
+      return no_filter();
     }
     auto bc = binder.Resolve(*colref);
-    if (!bc.ok() || bc.value().alias_idx != alias_idx) return row_path();
+    if (!bc.ok() || bc.value().alias_idx != alias_idx) return no_filter();
     int col = bc.value().col_idx;
     std::vector<const storage::Column*> cols(table.shard_count());
     for (size_t s = 0; s < cols.size(); ++s) {
@@ -401,10 +398,10 @@ AccessPath ChooseAccessPath(size_t a, const std::vector<const Expr*>& filters,
     size_t count = 0;
     const Table* other_table = binder.table(other.alias_idx);
     for (size_t i = 0; i < rows.size() && count < bound(); ++i) {
-      const Value& v = other_table->row(rows[i])[other.col_idx];
+      Value v = other_table->Cell(rows[i], other.col_idx);
       if (!seen.insert(v).second) continue;
-      keys.push_back(v);
       count += table->ProbeCount(own.col_idx, v);
+      keys.push_back(std::move(v));
     }
     if (count < bound()) {
       best = {"join-seed", own.col_idx, std::move(keys), count};
@@ -520,14 +517,6 @@ class TuplePipeline {
     morsel_hi_ = hi;
   }
 
-  /// Columnar fast paths for the lazy first-table filters, parallel to the
-  /// SetLazyFirstTable filter list (entry i compiles filters[i]); filters
-  /// whose entry is not compiled for a row's shard Eval as before, in the
-  /// same position of the conjunct order.
-  void SetCompiledFirstFilters(const std::vector<ColumnPredicate>* compiled) {
-    compiled0_ = compiled;
-  }
-
   /// Cooperative LIMIT cancellation shared by all parallel workers: every
   /// emitted row claims one slot; the scan stops once `cap` are claimed.
   void SetSharedRowBudget(std::atomic<size_t>* claimed, size_t cap) {
@@ -553,14 +542,19 @@ class TuplePipeline {
 
   /// Defer the first table's filtering into the pipeline: scan `seed`
   /// (or all `row_count` rows when scan_all) lazily, applying `filters`
-  /// inline, so an early stop skips the tail of the base scan.
+  /// inline, so an early stop skips the tail of the base scan. `compiled`
+  /// runs parallel to `filters` (entry i compiles filters[i]); a filter
+  /// without a column filter (col_idx < 0) Evals in the same position of
+  /// the conjunct order.
   void SetLazyFirstTable(const std::vector<RowId>* seed, bool scan_all,
                          RowId row_count,
-                         const std::vector<const Expr*>* filters) {
+                         const std::vector<const Expr*>* filters,
+                         const std::vector<ColumnPredicate>* compiled) {
     lazy0_seed_ = seed;
     lazy0_scan_all_ = scan_all;
     lazy0_row_count_ = row_count;
     lazy0_filters_ = filters;
+    lazy0_compiled_ = compiled;
   }
 
   void Run() {
@@ -580,7 +574,7 @@ class TuplePipeline {
       key_scratch_.reserve(level.keys.size());
       for (const auto& [nc, oc] : level.keys) {
         key_scratch_.push_back(
-            binder_.table(oc.alias_idx)->row(t[oc.alias_idx])[oc.col_idx]);
+            binder_.table(oc.alias_idx)->Cell(t[oc.alias_idx], oc.col_idx));
       }
       auto it = level.build.find(key_scratch_);
       if (it == level.build.end()) return true;
@@ -627,20 +621,15 @@ class TuplePipeline {
       if (stats_ != nullptr) ++stats_->base_rows_scanned;
       t[0] = rid;
       bool pass = true;
-      size_t sh = 0;
-      size_t pos = 0;
-      if (compiled0_ != nullptr) {
-        sh = table0->ShardOf(rid);
-        pos = table0->LocalOf(rid);
-      }
+      size_t sh = table0->ShardOf(rid);
+      size_t pos = table0->LocalOf(rid);
       for (size_t i = 0; i < lazy0_filters_->size(); ++i) {
-        // Compiled column check where available for this row's shard;
-        // same conjunct position, identical verdict to the Eval below.
-        const storage::ColumnFilter* cf =
-            compiled0_ != nullptr ? &(*compiled0_)[i].filter : nullptr;
-        if (cf != nullptr && cf->compiled(sh)) {
+        // The column filter where the conjunct compiled; same conjunct
+        // position, identical verdict to the Eval below.
+        const ColumnPredicate& cp = (*lazy0_compiled_)[i];
+        if (cp.col_idx >= 0) {
           if (stats_ != nullptr) ++stats_->columnar_filter_rows;
-          if (!cf->Matches(sh, pos)) {
+          if (!cp.filter.Matches(sh, pos)) {
             pass = false;
             break;
           }
@@ -712,8 +701,10 @@ class TuplePipeline {
     Row row;
     if (has_star_) {
       for (size_t a = 0; a < levels_.size(); ++a) {
-        const Row& src = binder_.table(a)->row(t[a]);
-        row.insert(row.end(), src.begin(), src.end());
+        const Table* table = binder_.table(a);
+        for (size_t c = 0; c < table->schema().size(); ++c) {
+          row.push_back(table->Cell(t[a], static_cast<int>(c)));
+        }
       }
     }
     for (const Expr* e : projected_) {
@@ -759,13 +750,13 @@ class TuplePipeline {
   const std::atomic<bool>* cancel_ = nullptr;
   DeadlinePoller deadline_;
   const std::vector<RowId>* first_candidates_ = nullptr;
-  const std::vector<ColumnPredicate>* compiled0_ = nullptr;
   ExecStats* stats_;
   storage::WorkerRows* rs_;
   const std::vector<RowId>* lazy0_seed_ = nullptr;
   bool lazy0_scan_all_ = false;
   RowId lazy0_row_count_ = 0;
   const std::vector<const Expr*>* lazy0_filters_ = nullptr;
+  const std::vector<ColumnPredicate>* lazy0_compiled_ = nullptr;
   Status error_ = Status::OK();
   std::unordered_set<Row, ValueRowHash, ValueRowEq> seen_;
   std::vector<Value> key_scratch_;
@@ -864,8 +855,8 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
     }
   }
   // Compile each single-table filter against the frozen columnar storage
-  // once per query; entries stay parallel to filters[a] so a predicate a
-  // shard cannot serve falls back to Eval in the same conjunct position.
+  // once per query; entries stay parallel to filters[a] so a conjunct
+  // that did not compile Evals in the same conjunct position.
   std::vector<std::vector<ColumnPredicate>> compiled(n_aliases);
   for (size_t a = 0; a < n_aliases; ++a) {
     compiled[a].reserve(filters[a].size());
@@ -916,8 +907,8 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       seed.resize(table->row_count());
       for (RowId i = 0; i < table->row_count(); ++i) seed[i] = i;
     }
-    // Apply all single-table filters, through the compiled column check
-    // where one is available for the row's shard.
+    // Apply all single-table filters, through the column filter where the
+    // conjunct compiled.
     Tuple probe(n_aliases, kUnbound);
     std::vector<RowId>& out = candidates[a];
     out.reserve(seed.size());
@@ -925,14 +916,10 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       ++stats->base_rows_scanned;
       probe[a] = rid;
       bool pass = true;
-      size_t sh = 0;
-      size_t pos = 0;
-      if (!compiled[a].empty()) {
-        sh = table->ShardOf(rid);
-        pos = table->LocalOf(rid);
-      }
+      size_t sh = table->ShardOf(rid);
+      size_t pos = table->LocalOf(rid);
       for (size_t i = 0; i < filters[a].size(); ++i) {
-        if (!compiled[a].empty() && compiled[a][i].filter.compiled(sh)) {
+        if (compiled[a][i].col_idx >= 0) {
           ++stats->columnar_filter_rows;
           if (!compiled[a][i].filter.Matches(sh, pos)) {
             pass = false;
@@ -1015,7 +1002,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       key_vals.clear();
       key_vals.reserve(levels[a].keys.size());
       for (const auto& [nc, oc] : levels[a].keys) {
-        key_vals.push_back(table->row(rid)[nc.col_idx]);
+        key_vals.push_back(table->Cell(rid, nc.col_idx));
       }
       levels[a].build_rows.Append(levels[a].build[key_vals], rid);
     }
@@ -1064,10 +1051,7 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       if (lazy0) {
         pipeline.SetLazyFirstTable(lazy0_scan_all ? nullptr : &lazy0_seed,
                                    lazy0_scan_all, tables[0]->row_count(),
-                                   &filters[0]);
-        if (!compiled[0].empty()) {
-          pipeline.SetCompiledFirstFilters(&compiled[0]);
-        }
+                                   &filters[0], &compiled[0]);
       }
       pipeline.SetCancelFlag(options.cancel);
       pipeline.SetDeadline(options.deadline);
@@ -1099,8 +1083,6 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
       // a re-dedup): see storage/shard_parallel.h.
       storage::ShardRowBudget budget(limit_pushed ? stmt.limit : -1,
                                      stmt.distinct);
-      const std::vector<ColumnPredicate>* compiled0 =
-          lazy0 && !compiled[0].empty() ? &compiled[0] : nullptr;
       RAPTOR_RETURN_NOT_OK(storage::RunMorsels(
           counts, options.morsel_size, options.parallel_shards,
           stmt.distinct, options.trace, stats, &result.rows, [&] {
@@ -1116,10 +1098,8 @@ Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,
               if (lazy0) {
                 pipeline.SetLazyFirstTable(
                     lazy0_scan_all ? nullptr : &first_by_shard[mo.shard],
-                    lazy0_scan_all, tables[0]->row_count(), &filters[0]);
-                if (compiled0 != nullptr) {
-                  pipeline.SetCompiledFirstFilters(compiled0);
-                }
+                    lazy0_scan_all, tables[0]->row_count(), &filters[0],
+                    &compiled[0]);
               } else {
                 pipeline.SetFirstCandidates(&first_by_shard[mo.shard]);
               }

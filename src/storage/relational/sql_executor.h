@@ -37,9 +37,10 @@
 //    Cypher matcher shares): int comparisons read the SoA int vector
 //    directly, string equality compares dictionary ids as uint32s, and
 //    LIKE reads a per-query memo of verdicts by dictionary id, skipping
-//    per-row Value variant dispatch. Filters that cannot be
-//    represented exactly (doubles, NULLs, mixed-type columns, complex
-//    expressions) stay on the row-path evaluator per predicate.
+//    per-row Value variant dispatch (mixed-type columns and double or
+//    NULL literals read the cell as a Value inside the same filter).
+//    Every other expression is decided by the evaluator, which reads
+//    cells through Table::Cell.
 //
 // This gives the honest behaviour Table VIII depends on: a giant SQL query
 // with many joins and non-equi temporal constraints pays for large

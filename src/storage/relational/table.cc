@@ -30,7 +30,7 @@ Table::Table(std::string name, Schema schema, size_t shard_count)
   col_dicts_.resize(schema_.size());
 }
 
-Status Table::Insert(Row row) {
+Status Table::Insert(const Row& row) {
   if (row.size() != schema_.size()) {
     return Status::InvalidArgument(
         StrFormat("table %s expects %zu columns, got %zu", name_.c_str(),
@@ -41,11 +41,9 @@ Status Table::Insert(Row row) {
   for (auto& [col, index] : shard.indexes) {
     index[row[col]].push_back(id);
   }
-  size_t pos = shard.rows.size();  // == layout_.LocalOf(id)
   for (size_t c = 0; c < row.size(); ++c) {
-    shard.cols[c].Append(pos, row[c], &col_dicts_[c]);
+    shard.cols[c].Append(layout_.LocalOf(id), row[c], &col_dicts_[c]);
   }
-  shard.rows.push_back(std::move(row));
   return Status::OK();
 }
 
@@ -58,11 +56,10 @@ Status Table::CreateIndex(std::string_view column) {
   }
   if (shards_[0].indexes.count(col)) return Status::OK();
   for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = shards_[s];
-    ValueIndex& index = shard.indexes[col];
-    for (size_t local = 0; local < shard.rows.size(); ++local) {
+    ValueIndex& index = shards_[s].indexes[col];
+    for (size_t local = 0; local < layout_.SizeOf(s, row_count_); ++local) {
       RowId id = layout_.GlobalOf(s, local);
-      index[shard.rows[local][col]].push_back(id);
+      index[Cell(id, col)].push_back(id);
     }
   }
   return Status::OK();

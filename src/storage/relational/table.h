@@ -1,12 +1,17 @@
-// In-memory row-store table with hash equality indexes, the storage unit of
-// the embedded relational engine that substitutes PostgreSQL.
+// In-memory table with hash equality indexes, the storage unit of the
+// embedded relational engine that substitutes PostgreSQL. Its cells live
+// only in frozen columns (storage/columnar.h): Insert freezes a row into
+// per-(shard × column) vectors and drops it, and every read — filters,
+// join keys, projection, index builds — goes through Cell or the column
+// slices.
 //
 // Sharding: rows and index storage partition into a power-of-two number of
 // entity-id-hashed shards (shard = row id & mask; row ids stay dense and
-// global, assigned in insert order). Each shard owns its rows and its slice
-// of every hash index, which lets the SQL executor carve base-table scans
-// into per-shard morsels for parallel workers. row(id), the per-shard
-// probes and the shard-summed ProbeCount work for any shard count.
+// global, assigned in insert order). Each shard owns its columns and its
+// slice of every hash index, which lets the SQL executor carve base-table
+// scans into per-shard morsels for parallel workers. Cell(id, col), the
+// per-shard probes and the shard-summed ProbeCount work for any shard
+// count.
 //
 // Thread-safety contract: construction and mutation (Insert / CreateIndex)
 // are single-threaded; all const member functions are race-free when
@@ -53,7 +58,7 @@ class Schema {
 using Row = std::vector<Value>;
 using RowId = size_t;
 
-/// Row-store table. Supports appends, full scans, and hash-index-backed
+/// Columnar table. Supports appends, full scans, and hash-index-backed
 /// equality probes on indexed columns.
 class Table {
  public:
@@ -61,9 +66,10 @@ class Table {
   /// reproduces the unsharded layout exactly.
   Table(std::string name, Schema schema, size_t shard_count = 1);
 
-  /// Append one row. Arity must match the schema; values are checked
+  /// Append one row: its cells are frozen into the columns and the row
+  /// itself is dropped. Arity must match the schema; values are checked
   /// loosely (NULL is accepted for any column).
-  Status Insert(Row row);
+  Status Insert(const Row& row);
 
   /// Create (or no-op if present) a hash index on `column` in every shard.
   /// Existing rows are indexed immediately; inserts maintain it.
@@ -85,8 +91,10 @@ class Table {
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
-  const Row& row(RowId id) const {
-    return shards_[layout_.ShardOf(id)].rows[layout_.LocalOf(id)];
+  /// Row `id`'s cell of column `column_idx`, exactly as inserted.
+  Value Cell(RowId id, int column_idx) const {
+    return storage::ReadCell(&ColumnSlice(ShardOf(id), column_idx),
+                             &col_dicts_[column_idx], LocalOf(id));
   }
 
   size_t row_count() const { return row_count_; }
@@ -103,9 +111,9 @@ class Table {
   const storage::ShardLayout& layout() const { return layout_; }
 
   // --- Frozen columnar storage (storage/columnar.h) ------------------------
-  // Insert freezes every cell into per-(shard × column) SoA vectors
-  // alongside the row store; string cells dictionary-encode against one
-  // dictionary per schema column, shared across shards.
+  // Insert freezes every cell into per-(shard × column) SoA vectors; string
+  // cells dictionary-encode against one dictionary per schema column,
+  // shared across shards.
 
   /// Frozen column of (shard, column). Cell positions are the row's local
   /// offset within the shard (ShardLayout::LocalOf).
@@ -125,10 +133,9 @@ class Table {
   using ValueIndex =
       std::unordered_map<Value, std::vector<RowId>, ValueHash, ValueEq>;
 
-  /// One entity-id-hashed partition: the rows whose id hashes here and
-  /// this shard's slice of every column index (global row ids).
+  /// One entity-id-hashed partition: the cells of the rows whose id hashes
+  /// here and this shard's slice of every column index (global row ids).
   struct Shard {
-    std::vector<Row> rows;
     std::unordered_map<int, ValueIndex> indexes;  // column index -> index
     std::vector<storage::Column> cols;            // frozen SoA cells
   };

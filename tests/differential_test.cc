@@ -1,7 +1,10 @@
 // Differential testing of the streaming query pipelines against
 // independent brute-force oracles: Cypher results are checked against
 // tests/oracle/cypher_oracle.h and SQL results against
-// tests/oracle/sql_oracle.h, on randomized small graphs/tables under three
+// tests/oracle/sql_oracle.h. The oracles read the test's own copy of every
+// row and property map it inserted (oracle::GraphCopy / oracle::SqlCopy),
+// never the frozen columns the executors read. The checks run on
+// randomized small graphs/tables under three
 // execution schedules (serial, morsel work-stealing with tiny morsels, and
 // the default morsel size; the fan-out thresholds are zeroed so even these
 // tiny fixtures exercise the parallel drivers).
@@ -135,20 +138,23 @@ TEST_P(CypherDifferentialTest, EveryScheduleAgreesWithOracle) {
   spec.edges_proc_to_file = seed % 2 == 0;
   graphdb::GraphDatabase db;
   graphdb::PropertyGraph& g = db.graph();
-  fixtures::SyntheticGraph sg = fixtures::BuildSyntheticGraph(g, spec, rng);
+  oracle::GraphCopy copy(g);
+  fixtures::SyntheticGraph sg = fixtures::BuildSyntheticGraph(copy, spec, rng);
   fixtures::AttackPlantSpec plant_spec;
   fixtures::AttackPlants plants =
-      fixtures::PlantAttackSubgraphs(g, spec, plant_spec);
+      fixtures::PlantAttackSubgraphs(copy, spec, plant_spec);
   ASSERT_EQ(plants.lateral_procs.size(), 5u);
   ASSERT_EQ(plants.exfil_docs.size(), 6u);
   // Eight procs with an int `pid` and a timed op1 edge each. Their ids are
   // consecutive, so they cover every shard twice; the double pid (i = 2)
   // and the text pid (i = 5) land on different shards and demote the pid
-  // column there to kMixed, where inline constraints take the row path.
-  // They alone carry a `user` string (three values, so its dictionary is
-  // far smaller than the proc label and a string predicate on it seeds
-  // from the dictionary; every other proc reads NULL there), and a `spawn`
-  // ring links them.
+  // column there to kMixed: i = 5 after i = 1 froze an int on its shard,
+  // which the demoted column must keep. They alone carry a `user` string
+  // (three values, so its dictionary is far smaller than the proc label
+  // and a string predicate on it seeds from the dictionary; every other
+  // proc reads NULL there), and a `spawn` ring links them. Two carry a
+  // `note`: an explicit NULL (i = 3), which `{note: NULL}` matches and an
+  // absent note does not, and a string (i = 4).
   const char* kUsers[] = {"root", "daemon", "nobody"};
   std::vector<graphdb::NodeId> pid_procs;
   for (int i = 0; i < 8; ++i) {
@@ -156,25 +162,27 @@ TEST_P(CypherDifferentialTest, EveryScheduleAgreesWithOracle) {
                          : i == 5 ? graphdb::Value("3")
                                   : graphdb::Value(int64_t{i % 4});
     std::string exe = "/usr/sbin/pid" + std::to_string(i);
-    graphdb::NodeId p =
-        g.AddNode("proc", {{"exename", graphdb::Value(exe)},
-                           {"pid", pid},
-                           {"user", graphdb::Value(kUsers[i % 3])}});
-    g.AddEdge(p, sg.files[i % sg.files.size()], "op1",
-              {{"start_time", graphdb::Value(int64_t{i})}});
+    graphdb::PropertyMap props = {{"exename", graphdb::Value(exe)},
+                                  {"pid", pid},
+                                  {"user", graphdb::Value(kUsers[i % 3])}};
+    if (i == 3) props.emplace("note", graphdb::Value::Null());
+    if (i == 4) props.emplace("note", graphdb::Value("n"));
+    graphdb::NodeId p = copy.AddNode("proc", std::move(props));
+    copy.AddEdge(p, sg.files[i % sg.files.size()], "op1",
+                 {{"start_time", graphdb::Value(int64_t{i})}});
     pid_procs.push_back(p);
   }
   for (size_t i = 0; i < pid_procs.size(); ++i) {
-    g.AddEdge(pid_procs[i], pid_procs[(i + 1) % pid_procs.size()], "spawn",
-              {});
+    copy.AddEdge(pid_procs[i], pid_procs[(i + 1) % pid_procs.size()],
+                 "spawn", {});
   }
   // Files whose names hold LIKE's wildcard characters, each twice (so the
   // name dictionary is smaller than the file label), next to names that
   // a wildcard reading of `%` or `_` would also match.
   for (const char* name : {"/tmp/50%_off", "/tmp/50x_off", "/tmp/a_b",
                            "/tmp/axb"}) {
-    for (int copy = 0; copy < 2; ++copy) {
-      g.AddNode("file", {{"name", graphdb::Value(name)}});
+    for (int twice = 0; twice < 2; ++twice) {
+      copy.AddNode("file", {{"name", graphdb::Value(name)}});
     }
   }
   // Randomize index availability so both probe and scan seeding run.
@@ -229,10 +237,24 @@ TEST_P(CypherDifferentialTest, EveryScheduleAgreesWithOracle) {
        "e2.start_time RETURN a.exename, b.exename, c.exename",
        false},
       // Int, double and text cells under inline constraints and WHERE; the
-      // pid column is kMixed on two shards.
+      // pid column is kMixed on two shards. Numeric order and rendered
+      // text order disagree on `< 10`.
       {"MATCH (p:proc {pid: 3})-[e]->(f) RETURN p.exename, f.name", false},
       {"MATCH (p:proc {pid: '3'}) RETURN p.exename", false},
       {"MATCH (p:proc) WHERE p.pid >= 2 RETURN p.exename, p.pid", false},
+      {"MATCH (p:proc) WHERE p.pid < 10 RETURN p.exename, p.pid", false},
+      {"MATCH (p:proc) WHERE p.pid IN [1, '3', 2.0] RETURN p.exename",
+       false},
+      {"MATCH (p:proc) WHERE NOT p.pid IN [0, NULL] RETURN p.exename",
+       false},
+      // An explicit NULL cell against absent ones: inline constraints need
+      // a present cell, WHERE reads an absent cell as NULL.
+      {"MATCH (p:proc {note: NULL}) RETURN p.exename", false},
+      {"MATCH (p {note: NULL})-[e:op1]->(f) RETURN p.exename, f.name", false},
+      {"MATCH (p:proc) WHERE p.note = NULL RETURN p.exename", false},
+      {"MATCH (p:proc) WHERE p.note > 'a' OR p.pid <= 1.5 "
+       "RETURN p.exename, p.note",
+       false},
       {"MATCH (x {pid: 1})-[e:op1 {start_time: 1}]->(f) RETURN x.exename, "
        "f.name",
        false},
@@ -240,7 +262,7 @@ TEST_P(CypherDifferentialTest, EveryScheduleAgreesWithOracle) {
        "RETURN a.exename, b.exename",
        false},
       // No file carries `pid` (no column on any shard), a string missing
-      // from the exename dictionary, and a double literal (row path).
+      // from the exename dictionary, and a double literal (read as Values).
       {"MATCH (f:file {pid: 1}) RETURN f.name", false},
       {"MATCH (p:proc {exename: '/bin/none'}) RETURN p.exename", false},
       {"MATCH (p:proc {pid: 3.0}) RETURN p.exename", false},
@@ -270,7 +292,7 @@ TEST_P(CypherDifferentialTest, EveryScheduleAgreesWithOracle) {
       {"MATCH (f:file) WHERE f.name STARTS WITH '/tmp/50%' RETURN f.name",
        false},
       {"MATCH (f:file) WHERE f.name ENDS WITH '%_off' RETURN f.name", false},
-      // An int literal against a string column: `=` folds to false,
+      // An int literal against a string column: `=` matches no cell,
       // CONTAINS matches the literal's digits.
       {"MATCH (f:file) WHERE f.name = 3 RETURN f.name", false},
       {"MATCH (p:proc)-[e]->(f:file) WHERE f.name CONTAINS 1 "
@@ -331,7 +353,8 @@ TEST_P(CypherDifferentialTest, EveryScheduleAgreesWithOracle) {
     const CatalogQuery& q = catalog[qi];
     auto parsed = graphdb::ParseCypher(q.text);
     ASSERT_TRUE(parsed.ok()) << q.text << ": " << parsed.status().ToString();
-    auto oracle_rows = oracle::CypherOracle::Run(parsed.value(), g, kVarlenCap);
+    auto oracle_rows =
+        oracle::CypherOracle::Run(parsed.value(), copy, kVarlenCap);
     ASSERT_TRUE(oracle_rows.ok())
         << q.text << ": " << oracle_rows.status().ToString();
     std::vector<std::string> full = RenderRows(oracle_rows.value());
@@ -375,7 +398,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CypherDifferentialTest,
 // ------------------------------------------------------------------ SQL
 //
 // The SQL reference is tests/oracle/sql_oracle.h: brute-force nested loops
-// with no indexes, columns or threads. Fixtures mirror the relational
+// over the test's own copy of the rows, with no indexes, columns or
+// threads. Fixtures mirror the relational
 // backend's shape (entities / events plus a tags table with duplicate
 // keys) on 1 or 4 shards, with a text column demoted to kMixed on some
 // shards, and a catalog that covers the planner's access paths: index
@@ -390,14 +414,15 @@ TEST_P(SqlDifferentialTest, EveryScheduleAgreesWithOracle) {
   const size_t shards = seed % 2 == 0 ? 4 : 1;
 
   sql::Database db(shards);
-  ASSERT_TRUE(db.CreateTable("entities",
+  oracle::SqlCopy copy(db);
+  ASSERT_TRUE(copy.CreateTable("entities",
                              sql::Schema({{"id", sql::ColumnType::kInt64},
                                           {"type", sql::ColumnType::kText},
                                           {"name", sql::ColumnType::kText},
                                           {"exename", sql::ColumnType::kText},
                                           {"misc", sql::ColumnType::kText}}))
                   .ok());
-  ASSERT_TRUE(db.CreateTable("events",
+  ASSERT_TRUE(copy.CreateTable("events",
                              sql::Schema({{"id", sql::ColumnType::kInt64},
                                           {"subject", sql::ColumnType::kInt64},
                                           {"object", sql::ColumnType::kInt64},
@@ -405,7 +430,7 @@ TEST_P(SqlDifferentialTest, EveryScheduleAgreesWithOracle) {
                                           {"start_time",
                                            sql::ColumnType::kInt64}}))
                   .ok());
-  ASSERT_TRUE(db.CreateTable("tags",
+  ASSERT_TRUE(copy.CreateTable("tags",
                              sql::Schema({{"id", sql::ColumnType::kInt64},
                                           {"tid", sql::ColumnType::kInt64},
                                           {"label", sql::ColumnType::kText}}))
@@ -421,16 +446,17 @@ TEST_P(SqlDifferentialTest, EveryScheduleAgreesWithOracle) {
   const int n_ent = 24 + static_cast<int>(seed % 3) * 8;
   auto entity = [&](int64_t id, const char* type, std::string name,
                     std::string exe, sql::Value misc) {
-    ASSERT_TRUE(db.Insert("entities",
-                          {sql::Value(id), sql::Value(type),
-                           sql::Value(std::move(name)),
-                           sql::Value(std::move(exe)), std::move(misc)})
+    ASSERT_TRUE(copy.Insert("entities",
+                            {sql::Value(id), sql::Value(type),
+                             sql::Value(std::move(name)),
+                             sql::Value(std::move(exe)), std::move(misc)})
                     .ok());
   };
   for (int i = 0; i < n_ent; ++i) {
     // Rows 5 and 6 land on different shards of the 4-shard layout and
-    // demote `misc` there (NULL, int); the other shards stay dictionary-
-    // encoded.
+    // demote `misc` there (NULL, int) after rows 1 and 2 froze text cells
+    // on them, which the demoted column must keep; the other shards stay
+    // dictionary-encoded.
     sql::Value misc = i == 5   ? sql::Value::Null()
                       : i == 6 ? sql::Value(static_cast<int64_t>(7))
                                : sql::Value("m" + std::to_string(i % 4));
@@ -452,9 +478,9 @@ TEST_P(SqlDifferentialTest, EveryScheduleAgreesWithOracle) {
 
   auto event = [&](int64_t id, int64_t subj, int64_t obj, const char* op,
                    int64_t ts) {
-    ASSERT_TRUE(db.Insert("events", {sql::Value(id), sql::Value(subj),
-                                     sql::Value(obj), sql::Value(op),
-                                     sql::Value(ts)})
+    ASSERT_TRUE(copy.Insert("events", {sql::Value(id), sql::Value(subj),
+                                       sql::Value(obj), sql::Value(op),
+                                       sql::Value(ts)})
                     .ok());
   };
   const int n_ev = 60 + static_cast<int>(seed % 3) * 20;
@@ -471,10 +497,10 @@ TEST_P(SqlDifferentialTest, EveryScheduleAgreesWithOracle) {
   // Empty on every third seed: joins against it have an empty side.
   const int n_tags = seed % 3 == 2 ? 0 : 20;
   for (int i = 0; i < n_tags; ++i) {
-    ASSERT_TRUE(db.Insert("tags", {sql::Value(static_cast<int64_t>(i)),
-                                   sql::Value(static_cast<int64_t>(
-                                       rng.Uniform(n_ent))),
-                                   sql::Value(kLabels[rng.Uniform(4)])})
+    ASSERT_TRUE(copy.Insert("tags", {sql::Value(static_cast<int64_t>(i)),
+                                     sql::Value(static_cast<int64_t>(
+                                         rng.Uniform(n_ent))),
+                                     sql::Value(kLabels[rng.Uniform(4)])})
                     .ok());
   }
 
@@ -536,8 +562,15 @@ TEST_P(SqlDifferentialTest, EveryScheduleAgreesWithOracle) {
       {"SELECT DISTINCT s.exename FROM events e JOIN entities s ON "
        "e.subject = s.id WHERE e.op = 'read' AND s.exename LIKE '/bin/%'",
        true},
-      // `misc` is kMixed on some shards (a NULL and an int cell).
+      // `misc` is kMixed on some shards (a NULL and an int cell). Numeric
+      // order and rendered text order disagree on `< 10`.
       {"SELECT id, misc FROM entities WHERE misc LIKE 'm%'", false},
+      {"SELECT id, misc FROM entities WHERE misc < 10", false},
+      {"SELECT id FROM entities WHERE misc >= 'm2' OR misc = 7", false},
+      {"SELECT id FROM entities WHERE misc IN ('m1', 7, NULL)", false},
+      {"SELECT id FROM entities WHERE misc = 'm1'", false},
+      {"SELECT * FROM entities WHERE misc <> 'm3' AND id < 9", false},
+      {"SELECT id FROM events WHERE start_time <= 99.5", false},
       {"SELECT id, misc FROM entities WHERE misc NOT LIKE 'm_'", false},
       {"SELECT id FROM entities WHERE misc LIKE '7'", false},
       {"SELECT id FROM entities WHERE misc LIKE 'N%'", false},
@@ -565,7 +598,7 @@ TEST_P(SqlDifferentialTest, EveryScheduleAgreesWithOracle) {
   for (const CatalogQuery& q : catalog) {
     auto stmt = sql::ParseSelect(q.text);
     ASSERT_TRUE(stmt.ok()) << q.text << ": " << stmt.status().ToString();
-    auto oracle_rows = oracle::SqlOracle::Run(stmt.value(), db);
+    auto oracle_rows = oracle::SqlOracle::Run(stmt.value(), copy);
     ASSERT_TRUE(oracle_rows.ok())
         << q.text << ": " << oracle_rows.status().ToString();
     std::vector<std::string> full_ordered =

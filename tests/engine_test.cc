@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 
@@ -205,6 +206,30 @@ TEST_F(EngineTest, LastWindowFollowsAppendedEvents) {
   ASSERT_EQ(pattern_last.results.rows.size(), 1u);
   EXPECT_EQ(pattern_last.results.rows[0][1], "/tmp/late.tar");
   EXPECT_EQ(Run("proc p write file f return p, f").results.rows.size(), 2u);
+}
+
+TEST_F(EngineTest, LastWindowReachingPastZeroStartsAtZero) {
+  // The newest event ends at ~6s, so "last 1 days" reaches back before
+  // time 0: the window starts at 0 and keeps every event.
+  const char* windowless = "proc p read || write file f return p, f";
+  auto all = Run(windowless);
+  auto last = Run("last 1 days proc p read || write file f return p, f");
+  ASSERT_FALSE(all.results.rows.empty());
+  std::sort(all.results.rows.begin(), all.results.rows.end());
+  std::sort(last.results.rows.begin(), last.results.rows.end());
+  EXPECT_EQ(last.results.rows, all.results.rows);
+}
+
+TEST_F(EngineTest, LastWindowEstimateMatchesWindowless) {
+  // EstimateCost compiles with now = 0, where every "last N" window
+  // reaches back past 0; it must price the hunt, not fail to parse it.
+  TbqlExecutor executor(&store_);
+  double windowless =
+      executor.EstimateCost("proc p read || write file f return p, f");
+  EXPECT_GT(windowless, 0.0);
+  EXPECT_EQ(executor.EstimateCost(
+                "last 1 days proc p read || write file f return p, f"),
+            windowless);
 }
 
 TEST_F(EngineTest, EventAttributeReturn) {

@@ -19,6 +19,10 @@
 // known entity ids over any base graph — a lateral-movement chain and an
 // exfiltration fan-in — so tests can assert that hunting queries recover
 // exactly the planted structures.
+//
+// Both generators write through any `Graph` with PropertyGraph's AddNode /
+// AddEdge: a PropertyGraph itself, or a wrapper that also records what
+// was inserted (tests/oracle/cypher_oracle.h's GraphCopy).
 #pragma once
 
 #include <cstdint>
@@ -67,9 +71,9 @@ struct SyntheticGraph {
 };
 
 /// Populate `g` with the spec's node/edge workload, drawing from `rng`.
-inline SyntheticGraph BuildSyntheticGraph(graphdb::PropertyGraph& g,
-                                          const SyntheticGraphSpec& spec,
-                                          Rng& rng) {
+template <class Graph>
+SyntheticGraph BuildSyntheticGraph(Graph& g, const SyntheticGraphSpec& spec,
+                                   Rng& rng) {
   SyntheticGraph out;
   const long long n_procs =
       spec.proc_count >= 0 ? spec.proc_count : spec.nodes / 2;
@@ -182,9 +186,9 @@ inline const char* NamePropFor(const SyntheticGraphSpec& spec,
 /// Plant the lateral-movement chain and the exfil fan-in into `g`.
 /// Deterministic: node ids continue the graph's dense id space in the
 /// order laid out here, and the returned ids identify every plant.
-inline AttackPlants PlantAttackSubgraphs(graphdb::PropertyGraph& g,
-                                         const SyntheticGraphSpec& spec,
-                                         const AttackPlantSpec& plant = {}) {
+template <class Graph>
+AttackPlants PlantAttackSubgraphs(Graph& g, const SyntheticGraphSpec& spec,
+                                  const AttackPlantSpec& plant = {}) {
   AttackPlants out;
   const char* proc_prop = NamePropFor(spec, /*is_proc=*/true);
   const char* file_prop = NamePropFor(spec, /*is_proc=*/false);

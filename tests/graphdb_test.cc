@@ -16,6 +16,15 @@
 namespace raptor::graphdb {
 namespace {
 
+/// Node `id`'s `prop` cell, read from its bucket column (NULL when the
+/// node lacks the property).
+Value NodeProp(const PropertyGraph& g, NodeId id, std::string_view prop) {
+  uint32_t prop_id = g.LookupPropName(prop);
+  const Node& n = g.node(id);
+  return storage::ReadCell(g.NodeColumn(g.ShardOf(id), n.label_id, prop_id),
+                           g.PropDict(prop_id), n.label_pos);
+}
+
 class GraphDbTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -206,10 +215,7 @@ TEST_F(GraphDbTest, SelectiveSeedsPickSmallestIndexProbe) {
   g.CreateNodeIndex("proc", "pid");
   EXPECT_EQ(g.ProbeCountNodes("proc", "exename", Value("/bin/dup")), 8u);
   EXPECT_EQ(g.ProbeCountNodes("proc", "pid", Value(int64_t{503})), 1u);
-  auto stats = g.GetNodeIndexStats("proc", "exename");
-  EXPECT_EQ(stats.entries, 11u);       // 3 fixture procs + 8 dups
-  EXPECT_EQ(stats.distinct_keys, 4u);  // tar, bzip2, curl, dup
-  EXPECT_EQ(g.GetNodeIndexStats("proc", "nope").entries, 0u);
+  EXPECT_EQ(g.ProbeCountNodes("proc", "nope", Value("/bin/dup")), 0u);
 
   const char* q =
       "MATCH (p:proc {exename: '/bin/dup', pid: 503}) RETURN p.pid";
@@ -353,14 +359,12 @@ TEST_F(GraphDbTest, InListUsesHashedProbe) {
                                              "/tmp/upload.tar"}));
 }
 
-TEST_F(GraphDbTest, FindPropHeterogeneousLookup) {
-  // FindProp takes a string_view and must not require a std::string key.
-  const Node& n = db_.graph().node(tar_);
-  std::string_view key = "exename";
-  const Value* v = n.FindProp(key);
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->AsText(), "/bin/tar");
-  EXPECT_EQ(n.FindProp("no_such_prop"), nullptr);
+TEST_F(GraphDbTest, PropertiesReadBackFromColumns) {
+  // AddNode drops the property map: every read comes from the columns.
+  const PropertyGraph& g = db_.graph();
+  EXPECT_EQ(NodeProp(g, tar_, "exename").AsText(), "/bin/tar");
+  EXPECT_TRUE(NodeProp(g, tar_, "no_such_prop").is_null());
+  EXPECT_TRUE(NodeProp(g, passwd_, "exename").is_null());
 }
 
 TEST(ShardedGraphTest, AggregatedNodeIndexStatsStayExact) {
@@ -382,11 +386,7 @@ TEST(ShardedGraphTest, AggregatedNodeIndexStatsStayExact) {
 
   EXPECT_EQ(g.ProbeCountNodes("proc", "exename", Value("/bin/dup")), 9u);
   EXPECT_EQ(g.ProbeCountNodes("proc", "exename", Value("/bin/u1")), 1u);
-  auto stats = g.GetNodeIndexStats("proc", "exename");
-  EXPECT_EQ(stats.entries, 12u);
-  EXPECT_EQ(stats.distinct_keys, 4u);  // dup + u0..u2
-  EXPECT_EQ(g.GetNodeIndexStats("proc", "nope").entries, 0u);
-  EXPECT_EQ(g.GetNodeIndexStats("proc", "nope").distinct_keys, 0u);
+  EXPECT_EQ(g.ProbeCountNodes("proc", "nope", Value("/bin/dup")), 0u);
 
   // Per-shard buckets partition the candidate set: disjoint, complete, and
   // each id owned by the shard it came from.
@@ -394,7 +394,7 @@ TEST(ShardedGraphTest, AggregatedNodeIndexStatsStayExact) {
   for (size_t s = 0; s < g.shard_count(); ++s) {
     for (NodeId id : g.ProbeNodes("proc", "exename", Value("/bin/dup"), s)) {
       EXPECT_EQ(g.ShardOf(id), s);
-      EXPECT_EQ(g.node(id).FindProp("exename")->AsText(), "/bin/dup");
+      EXPECT_EQ(NodeProp(g, id, "exename").AsText(), "/bin/dup");
       ++found;
     }
   }
@@ -590,7 +590,6 @@ class ColumnFilterTest : public ::testing::Test {
 
 TEST_F(ColumnFilterTest, ContainsStartsWithEndsWithMatchLiterally) {
   auto contains = Make(Op::kContains, Value("a_b"), {&text_});
-  ASSERT_TRUE(contains.compiled(0));
   EXPECT_FALSE(contains.Matches(0, 0));
   EXPECT_FALSE(contains.Matches(0, 1));
   EXPECT_TRUE(contains.Matches(0, 2));
@@ -619,24 +618,23 @@ TEST_F(ColumnFilterTest, AbsentCellRendersAsNull) {
     auto f = Make(op, lit, {&text_, nullptr});
     EXPECT_TRUE(f.Matches(0, 1));
     EXPECT_FALSE(f.Matches(0, 0));
-    ASSERT_TRUE(f.compiled(1));
     EXPECT_TRUE(f.Matches(1, 0));
     // ... so the dictionary alone cannot seed it.
     EXPECT_FALSE(f.dict_covers_column());
   }
   auto f = Make(Op::kContains, Value("passwd"), {&text_, nullptr});
-  ASSERT_TRUE(f.compiled(1));
   EXPECT_FALSE(f.Matches(1, 0));
   EXPECT_TRUE(f.dict_covers_column());
 }
 
-TEST_F(ColumnFilterTest, IntAndMixedColumnsStayOnRowPath) {
+TEST_F(ColumnFilterTest, IntAndMixedColumnsMatchRenderedCells) {
   storage::Column mixed;
   mixed.Append(0, Value(1.5), &dict_);
   auto f = Make(Op::kContains, Value("1"), {&ints_, &mixed, &text_});
-  EXPECT_FALSE(f.compiled(0));
-  EXPECT_FALSE(f.compiled(1));
-  EXPECT_TRUE(f.compiled(2));
+  EXPECT_TRUE(f.Matches(0, 0));   // 13
+  EXPECT_FALSE(f.Matches(0, 1));  // absent: "NULL"
+  EXPECT_TRUE(f.Matches(1, 0));   // 1.5
+  EXPECT_FALSE(f.Matches(2, 0));  // "/etc/passwd"
   EXPECT_FALSE(f.dict_covers_column());
 }
 
@@ -685,7 +683,7 @@ TEST(BlockResultTest, ParallelNonDistinctAdoptsWorkerBlocksZeroCopy) {
 
   db.options().parallel_min_seeds = 0;
   const char* q = "MATCH (p:proc)-[e:op1]->(f:file) RETURN p.exename, f.name";
-  auto blocks = db.QueryBlocks(q);
+  auto blocks = db.QueryBlocks(q, db.options());
   ASSERT_TRUE(blocks.ok()) << blocks.status().ToString();
   ASSERT_GT(blocks.value().rows.row_count(), 0u);
   // Non-DISTINCT parallel merge: every row arrives in an adopted worker
@@ -711,7 +709,8 @@ TEST(BlockResultTest, ParallelNonDistinctAdoptsWorkerBlocksZeroCopy) {
   // (workers hash-partition their emissions), so the merge adopts whole
   // compacted partition blocks — no per-row pushes, same as non-DISTINCT.
   auto distinct = db.QueryBlocks(
-      "MATCH (p:proc)-[e:op2]->(f:file) RETURN DISTINCT p.exename");
+      "MATCH (p:proc)-[e:op2]->(f:file) RETURN DISTINCT p.exename",
+      db.options());
   ASSERT_TRUE(distinct.ok());
   ASSERT_GT(distinct.value().rows.row_count(), 0u);
   EXPECT_EQ(distinct.value().rows.pushed_rows(), 0u);

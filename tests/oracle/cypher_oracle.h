@@ -3,10 +3,13 @@
 // fixed and variable-length relationships, WHERE with comparisons,
 // CONTAINS / STARTS WITH / ENDS WITH, [NOT] IN, NOT, AND, OR and +/-,
 // RETURN [DISTINCT] and LIMIT. It enumerates every full binding by nested
-// loops over all node and edge ids, reading entities only through
-// PropertyGraph::node / edge, their label / type strings and FindProp — no
-// adjacency lists, indexes, frozen columns, interned ids or threads, and no
-// executor code. Relationship uniqueness spans the whole MATCH: every part
+// loops over all node and edge ids, reading entities only from a GraphCopy
+// — the labels, types, endpoints and property maps the test inserted, kept
+// beside the PropertyGraph it checks. It never reads the graph itself: no
+// frozen columns (the graph's only copy of its properties), adjacency
+// lists, indexes, interned ids or threads, and no executor code. An absent
+// property reads NULL, and fails every inline `{k: v}` constraint.
+// Relationship uniqueness spans the whole MATCH: every part
 // and every hop of a variable-length path. One row is emitted per binding,
 // so each distinct edge sequence counts. The differential suite checks the
 // real executor against it; keep it obviously correct rather than fast.
@@ -25,6 +28,46 @@
 
 namespace raptor::oracle {
 
+/// A PropertyGraph beside a record of everything inserted into it. Add*
+/// forward to the graph and keep their own copy of the label / type,
+/// endpoints and property map; the graph must start empty and grow only
+/// through this copy, so the copy's positions are the graph's ids.
+class GraphCopy {
+ public:
+  struct Node {
+    std::string label;
+    graphdb::PropertyMap props;
+  };
+  struct Edge {
+    graphdb::NodeId src = 0;
+    graphdb::NodeId dst = 0;
+    std::string type;
+    graphdb::PropertyMap props;
+  };
+
+  explicit GraphCopy(graphdb::PropertyGraph& graph) : graph_(graph) {}
+
+  graphdb::NodeId AddNode(std::string label, graphdb::PropertyMap props) {
+    nodes_.push_back({std::move(label), std::move(props)});
+    return graph_.AddNode(nodes_.back().label, nodes_.back().props);
+  }
+
+  graphdb::EdgeId AddEdge(graphdb::NodeId src, graphdb::NodeId dst,
+                          std::string type, graphdb::PropertyMap props) {
+    edges_.push_back({src, dst, std::move(type), std::move(props)});
+    const Edge& e = edges_.back();
+    return graph_.AddEdge(src, dst, e.type, e.props);
+  }
+
+  const std::vector<Node>& nodes() const { return nodes_; }
+  const std::vector<Edge>& edges() const { return edges_; }
+
+ private:
+  graphdb::PropertyGraph& graph_;
+  std::vector<Node> nodes_;
+  std::vector<Edge> edges_;
+};
+
 class CypherOracle {
  public:
   using Row = std::vector<graphdb::Value>;
@@ -34,7 +77,7 @@ class CypherOracle {
   /// variable-length relationship without an upper bound expands at most
   /// `unbounded_varlen_cap` hops, and binds no variable.
   static Result<std::vector<Row>> Run(const graphdb::CypherQuery& query,
-                                      const graphdb::PropertyGraph& graph,
+                                      const GraphCopy& graph,
                                       int unbounded_varlen_cap) {
     CypherOracle o(query, graph, unbounded_varlen_cap);
     RAPTOR_RETURN_NOT_OK(o.MatchPart(0));
@@ -51,9 +94,10 @@ class CypherOracle {
   }
 
  private:
-  CypherOracle(const graphdb::CypherQuery& query,
-               const graphdb::PropertyGraph& graph, int cap)
-      : query_(query), graph_(graph), cap_(cap) {}
+  CypherOracle(const graphdb::CypherQuery& query, const GraphCopy& graph,
+               int cap)
+      : query_(query), nodes_in_(graph.nodes()), edges_in_(graph.edges()),
+        cap_(cap) {}
 
   /// Bind the first node of part `p` to every node in turn.
   Status MatchPart(size_t p) {
@@ -62,7 +106,7 @@ class CypherOracle {
     if (part.nodes.empty()) {
       return Status::InvalidArgument("oracle: empty pattern part");
     }
-    for (graphdb::NodeId n = 0; n < graph_.node_count(); ++n) {
+    for (graphdb::NodeId n = 0; n < nodes_in_.size(); ++n) {
       RAPTOR_RETURN_NOT_OK(
           WithNode(part.nodes[0], n, [&] { return MatchHop(p, 0, n); }));
     }
@@ -79,8 +123,8 @@ class CypherOracle {
       int max_len = rel.max_len >= 0 ? rel.max_len : cap_;
       return Walk(p, i, std::max(0, rel.min_len), max_len, cur, 0);
     }
-    for (graphdb::EdgeId e = 0; e < graph_.edge_count(); ++e) {
-      const graphdb::Edge& edge = graph_.edge(e);
+    for (graphdb::EdgeId e = 0; e < edges_in_.size(); ++e) {
+      const GraphCopy::Edge& edge = edges_in_[e];
       if (edge.src != cur || !EdgeMatches(rel, edge) || Used(e)) continue;
       bool bind = !rel.var.empty();
       if (bind && edges_.count(rel.var) > 0) {
@@ -109,8 +153,8 @@ class CypherOracle {
                                     [&] { return MatchHop(p, i + 1, cur); }));
     }
     if (depth >= max_len) return Status::OK();
-    for (graphdb::EdgeId e = 0; e < graph_.edge_count(); ++e) {
-      const graphdb::Edge& edge = graph_.edge(e);
+    for (graphdb::EdgeId e = 0; e < edges_in_.size(); ++e) {
+      const GraphCopy::Edge& edge = edges_in_[e];
       if (edge.src != cur || !EdgeMatches(part.rels[i], edge) || Used(e)) {
         continue;
       }
@@ -127,9 +171,9 @@ class CypherOracle {
   template <class Fn>
   Status WithNode(const graphdb::NodePattern& pat, graphdb::NodeId id,
                   Fn&& then) {
-    const graphdb::Node& node = graph_.node(id);
+    const GraphCopy::Node& node = nodes_in_[id];
     if (!pat.label.empty() && node.label != pat.label) return Status::OK();
-    if (!PropsMatch(pat.props, node)) return Status::OK();
+    if (!PropsMatch(pat.props, node.props)) return Status::OK();
     if (pat.var.empty()) return then();
     auto it = nodes_.find(pat.var);
     if (it != nodes_.end()) {
@@ -142,17 +186,16 @@ class CypherOracle {
   }
 
   bool EdgeMatches(const graphdb::RelPattern& rel,
-                   const graphdb::Edge& edge) const {
+                   const GraphCopy::Edge& edge) const {
     if (!rel.type.empty() && edge.type != rel.type) return false;
-    return PropsMatch(rel.props, edge);
+    return PropsMatch(rel.props, edge.props);
   }
 
-  template <class Entity>
   static bool PropsMatch(const std::vector<graphdb::PropConstraint>& props,
-                         const Entity& entity) {
+                         const graphdb::PropertyMap& map) {
     for (const graphdb::PropConstraint& pc : props) {
-      const graphdb::Value* v = entity.FindProp(pc.key);
-      if (v == nullptr || v->Compare(pc.value) != 0) return false;
+      auto it = map.find(pc.key);
+      if (it == map.end() || it->second.Compare(pc.value) != 0) return false;
     }
     return true;
   }
@@ -197,9 +240,10 @@ class CypherOracle {
         if (e.kind == CypherExprKind::kVarRef) {
           return Value(static_cast<int64_t>(id));
         }
-        const Value* v = n != nodes_.end() ? graph_.node(id).FindProp(e.prop)
-                                           : graph_.edge(id).FindProp(e.prop);
-        return v != nullptr ? *v : Value::Null();
+        const graphdb::PropertyMap& map =
+            n != nodes_.end() ? nodes_in_[id].props : edges_in_[id].props;
+        auto it = map.find(e.prop);
+        return it != map.end() ? it->second : Value::Null();
       }
       case CypherExprKind::kNot: {
         auto v = Eval(*e.lhs);
@@ -266,7 +310,8 @@ class CypherOracle {
   }
 
   const graphdb::CypherQuery& query_;
-  const graphdb::PropertyGraph& graph_;
+  const std::vector<GraphCopy::Node>& nodes_in_;
+  const std::vector<GraphCopy::Edge>& edges_in_;
   int cap_;
   std::map<std::string, graphdb::NodeId> nodes_;
   std::map<std::string, graphdb::EdgeId> edges_;

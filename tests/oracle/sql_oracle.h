@@ -1,9 +1,12 @@
 // Reference evaluator for the SQL subset the TBQL compiler emits: FROM
 // lists and JOIN ... ON, WHERE with AND/OR/NOT, comparisons, IN and
 // [NOT] LIKE, DISTINCT and ORDER BY. It runs the statement as brute-force
-// nested loops over every row of every table — no indexes, no frozen
-// columns, no threads, no planner — comparing cells only through
-// sql::Value::Compare and LikeMatch. Each AND-conjunct of the ON and WHERE
+// nested loops over every row of every table — no indexes, no threads, no
+// planner — comparing cells only through sql::Value::Compare and
+// LikeMatch. Its rows come from a SqlCopy, the schemas and rows the test
+// inserted, kept beside the database it checks; it never reads the
+// database's frozen columns, which are the database's only copy of its
+// cells. Each AND-conjunct of the ON and WHERE
 // clauses is checked in the loop of the last alias it mentions, so a
 // failing prefix is not extended; conjuncts have no side effects, so where
 // one is checked changes no result. The differential suite checks the real
@@ -11,29 +14,66 @@
 #pragma once
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
 #include "common/strings.h"
+#include "storage/relational/database.h"
 #include "storage/relational/sql_ast.h"
-#include "storage/relational/sql_executor.h"
 
 namespace raptor::oracle {
 
+/// An sql::Database beside a record of every table created and row
+/// inserted through it: CreateTable / Insert forward to the database and
+/// keep their own copy, in insert order (so a row's position is its id).
+class SqlCopy {
+ public:
+  struct Table {
+    sql::Schema schema;
+    std::vector<sql::Row> rows;
+  };
+
+  explicit SqlCopy(sql::Database& db) : db_(db) {}
+
+  Status CreateTable(const std::string& name, sql::Schema schema) {
+    RAPTOR_RETURN_NOT_OK(db_.CreateTable(name, schema));
+    tables_[name].schema = std::move(schema);
+    return Status::OK();
+  }
+
+  Status Insert(const std::string& table, sql::Row row) {
+    RAPTOR_RETURN_NOT_OK(db_.Insert(table, row));
+    tables_[table].rows.push_back(std::move(row));
+    return Status::OK();
+  }
+
+  /// nullptr for a table never created.
+  const Table* Find(const std::string& name) const {
+    auto it = tables_.find(name);
+    return it == tables_.end() ? nullptr : &it->second;
+  }
+
+ private:
+  sql::Database& db_;
+  std::map<std::string, Table> tables_;
+};
+
 class SqlOracle {
  public:
-  /// Result rows of `stmt` in nested-loop order (FROM/JOIN order, row ids
-  /// ascending), then ORDER BY (stable), DISTINCT and LIMIT.
+  /// Result rows of `stmt` over `data` in nested-loop order (FROM/JOIN
+  /// order, row ids ascending), then ORDER BY (stable), DISTINCT and
+  /// LIMIT.
   static Result<std::vector<sql::Row>> Run(const sql::SelectStmt& stmt,
-                                           const sql::Catalog& catalog) {
+                                           const SqlCopy& data) {
     SqlOracle o;
     for (const sql::TableRef& ref : stmt.from) {
-      RAPTOR_RETURN_NOT_OK(o.Bind(ref, catalog));
+      RAPTOR_RETURN_NOT_OK(o.Bind(ref, data));
     }
     for (const sql::JoinClause& j : stmt.joins) {
-      RAPTOR_RETURN_NOT_OK(o.Bind(j.table, catalog));
+      RAPTOR_RETURN_NOT_OK(o.Bind(j.table, data));
     }
     if (o.tables_.empty()) return Status::InvalidArgument("oracle: no FROM");
     // Every ON clause and the WHERE clause must hold (all are AND-ed).
@@ -52,7 +92,7 @@ class SqlOracle {
       for (const sql::SelectItem& item : stmt.items) {
         if (item.star) {
           for (size_t a = 0; a < o.tables_.size(); ++a) {
-            const sql::Row& r = o.tables_[a]->row(tuple[a]);
+            const sql::Row& r = o.tables_[a]->rows[tuple[a]];
             row.insert(row.end(), r.begin(), r.end());
           }
           continue;
@@ -94,8 +134,8 @@ class SqlOracle {
   }
 
  private:
-  Status Bind(const sql::TableRef& ref, const sql::Catalog& catalog) {
-    const sql::Table* t = catalog.FindTable(ref.table);
+  Status Bind(const sql::TableRef& ref, const SqlCopy& data) {
+    const SqlCopy::Table* t = data.Find(ref.table);
     if (t == nullptr) return Status::NotFound("unknown table: " + ref.table);
     aliases_.push_back(ref.effective_alias());
     tables_.push_back(t);
@@ -123,7 +163,7 @@ class SqlOracle {
       *st = emit();
       return;
     }
-    for (sql::RowId r = 0; r < tables_[a]->row_count() && st->ok(); ++r) {
+    for (sql::RowId r = 0; r < tables_[a]->rows.size() && st->ok(); ++r) {
       (*tuple)[a] = r;
       bool pass = true;
       for (const sql::Expr* c : checks_[a]) {
@@ -146,7 +186,7 @@ class SqlOracle {
     *alias = -1;
     for (size_t a = 0; a < tables_.size(); ++a) {
       if (!e.table.empty() && aliases_[a] != e.table) continue;
-      int c = tables_[a]->schema().FindColumn(e.column);
+      int c = tables_[a]->schema.FindColumn(e.column);
       if (c < 0) continue;
       if (*alias >= 0) {
         return Status::InvalidArgument("ambiguous column: " + e.column);
@@ -178,7 +218,7 @@ class SqlOracle {
                             const std::vector<sql::RowId>& tuple) const {
     int a = -1, c = -1;
     RAPTOR_RETURN_NOT_OK(Resolve(e, &a, &c));
-    return tables_[a]->row(tuple[a])[c];
+    return tables_[a]->rows[tuple[a]][c];
   }
 
   Result<sql::Value> Eval(const sql::Expr& e,
@@ -244,7 +284,7 @@ class SqlOracle {
   }
 
   std::vector<std::string> aliases_;
-  std::vector<const sql::Table*> tables_;
+  std::vector<const SqlCopy::Table*> tables_;
   std::vector<std::vector<const sql::Expr*>> checks_;  // per loop level
 };
 

@@ -1,11 +1,14 @@
 // Property-based sweeps over cross-cutting invariants: string matching
 // against reference implementations, edit-distance metric laws, SQL
-// execution against an in-memory oracle, engine option-equivalence on
-// randomized queries, IOC recognizer well-formedness on fuzzed text, and
-// query string quoting as the inverse of lexing.
+// execution against an in-memory oracle, frozen columns reading back
+// exactly what was frozen and filtering as Value::Compare does, engine
+// option-equivalence on randomized queries, IOC recognizer well-formedness
+// on fuzzed text, and query string quoting as the inverse of lexing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -16,6 +19,7 @@
 #include "common/strings.h"
 #include "nlp/ioc.h"
 #include "nlp/protect.h"
+#include "storage/column_filter.h"
 #include "storage/graphdb/cypher_parser.h"
 #include "storage/relational/database.h"
 #include "storage/relational/sql_parser.h"
@@ -217,6 +221,123 @@ TEST_P(ValueHashPropertyTest, HashAndEqConsistentWithCompare) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ValueHashPropertyTest,
                          ::testing::Values(71u, 72u, 73u));
+
+// ------------------------------------------------- Exact frozen columns
+
+/// storage::Column is the only copy of every cell, so each kind must read
+/// back exactly the Value frozen — across a mid-stream demotion to kMixed
+/// too — and keep an absent cell apart from an explicit NULL; and
+/// ColumnFilter must reach the verdict Value::Compare / TextHolds reach on
+/// the read-back cell, for every operator and literal kind.
+class ColumnPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+/// A cell of `kind`: 0 int, 1 text, 2 double, 3 explicit NULL. Numbers and
+/// numeric-looking text where rendered-string order and Compare disagree.
+sql::Value RandomCellOf(Rng& rng, uint64_t kind) {
+  static const char* kTexts[] = {"", "a", "b", "10", "9", "NULL", "ab%"};
+  static const double kDoubles[] = {0.5, 9.0, 10.0, 2.5};
+  switch (kind) {
+    case 0: return sql::Value(static_cast<int64_t>(rng.Uniform(13)));
+    case 1: return sql::Value(kTexts[rng.Uniform(7)]);
+    case 2: return sql::Value(kDoubles[rng.Uniform(4)]);
+    default: return sql::Value::Null();
+  }
+}
+
+bool SameKind(const sql::Value& a, const sql::Value& b) {
+  return a.is_null() == b.is_null() && a.is_int() == b.is_int() &&
+         a.is_double() == b.is_double() && a.is_text() == b.is_text();
+}
+
+/// The verdict of `op` on `cell` (nullopt: absent) under Value semantics.
+bool ReferenceVerdict(storage::ColumnFilter::Op op,
+                      const std::vector<sql::Value>& lits,
+                      const std::optional<sql::Value>& cell) {
+  using Op = storage::ColumnFilter::Op;
+  sql::Value v = cell.value_or(sql::Value::Null());
+  if (op == Op::kIn) {
+    return std::any_of(lits.begin(), lits.end(), [&](const sql::Value& l) {
+      return v.Compare(l) == 0;
+    });
+  }
+  int c = v.Compare(lits[0]);
+  switch (op) {
+    case Op::kEq: return c == 0;
+    case Op::kNe: return c != 0;
+    case Op::kLt: return c < 0;
+    case Op::kLe: return c <= 0;
+    case Op::kGt: return c > 0;
+    case Op::kGe: return c >= 0;
+    case Op::kPresentEq: return cell.has_value() && c == 0;
+    case Op::kNotLike:
+      return !storage::ColumnFilter::TextHolds(op, v.ToString(),
+                                               lits[0].ToString());
+    default:
+      return storage::ColumnFilter::TextHolds(op, v.ToString(),
+                                              lits[0].ToString());
+  }
+}
+
+TEST_P(ColumnPropertyTest, CellsReadBackExactlyAndFilterLikeCompare) {
+  using Op = storage::ColumnFilter::Op;
+  Rng rng(GetParam());
+  const Op kOps[] = {Op::kEq,   Op::kNe,        Op::kLt,       Op::kLe,
+                     Op::kGt,   Op::kGe,        Op::kPresentEq, Op::kIn,
+                     Op::kLike, Op::kNotLike,   Op::kContains, Op::kStartsWith,
+                     Op::kEndsWith};
+  int mixed = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    // One kind up to a random demotion point, any kind after it (some
+    // trials never demote); absent gaps throughout.
+    uint64_t first_kind = rng.Uniform(2);
+    size_t n = rng.Uniform(30);
+    size_t demote_at = rng.Uniform(n + 8);
+    StringInterner dict;
+    storage::Column col;
+    std::vector<std::optional<sql::Value>> expect(n);
+    for (size_t pos = 0; pos < n; ++pos) {
+      if (rng.Uniform(5) == 0) continue;  // absent
+      uint64_t kind = pos < demote_at ? first_kind : rng.Uniform(4);
+      expect[pos] = RandomCellOf(rng, kind);
+      col.Append(pos, *expect[pos], &dict);
+    }
+    if (col.kind() == storage::Column::Kind::kMixed) ++mixed;
+    // Trailing positions past the last frozen cell are absent too.
+    for (size_t pos = 0; pos < n + 3; ++pos) {
+      std::optional<sql::Value> want = pos < n ? expect[pos] : std::nullopt;
+      sql::Value got = storage::ReadCell(&col, &dict, pos);
+      EXPECT_EQ(col.Present(pos), want.has_value()) << "pos " << pos;
+      sql::Value ref = want.value_or(sql::Value::Null());
+      EXPECT_EQ(got.Compare(ref), 0)
+          << "pos " << pos << ": " << got.ToString() << " vs "
+          << ref.ToString();
+      EXPECT_TRUE(SameKind(got, ref)) << "pos " << pos;
+    }
+    // Every operator against a random literal (a list for IN), on the
+    // column and on a shard without one.
+    for (Op op : kOps) {
+      std::vector<sql::Value> lits;
+      size_t n_lits = op == Op::kIn ? rng.Uniform(4) : 1;
+      for (size_t i = 0; i < n_lits; ++i) {
+        lits.push_back(RandomCellOf(rng, rng.Uniform(4)));
+      }
+      const storage::Column* cols[] = {&col, nullptr};
+      storage::ColumnFilter f(op, lits, &dict, cols);
+      for (size_t pos = 0; pos < n + 3; ++pos) {
+        std::optional<sql::Value> cell = pos < n ? expect[pos] : std::nullopt;
+        EXPECT_EQ(f.Matches(0, pos), ReferenceVerdict(op, lits, cell))
+            << "op " << static_cast<int>(op) << " pos " << pos << " cell "
+            << cell.value_or(sql::Value::Null()).ToString();
+      }
+      EXPECT_EQ(f.Matches(1, 0), ReferenceVerdict(op, lits, std::nullopt))
+          << "op " << static_cast<int>(op);
+    }
+  }
+  EXPECT_GT(mixed, 0);  // the sweep reached demoted columns
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ColumnPropertyTest,
+                         ::testing::Values(41u, 42u, 43u, 44u));
 
 // ------------------------------------- SmallVector / binding-frame slots
 

@@ -232,7 +232,7 @@ TEST_F(RelationalTest, IndexProbeDistinguishesIntFromText) {
   for (size_t s = 0; s < t->shard_count(); ++s) {
     for (RowId rid : t->Probe(col, Value(int64_t{1}), s)) {
       EXPECT_EQ(t->ShardOf(rid), s);
-      EXPECT_EQ(t->row(rid)[col].AsInt(), 1);
+      EXPECT_EQ(t->Cell(rid, col).AsInt(), 1);
       ++found;
     }
   }
@@ -380,14 +380,14 @@ TEST(ParallelSelectTest, SmallLimitStaysSerial) {
 
 TEST_F(RelationalTest, ShardedRowStorageKeepsGlobalIdsDense) {
   // Row ids are global and dense in insert order even though storage is
-  // partitioned; row(id) must address through the owning shard.
+  // partitioned; Cell(id, col) must address through the owning shard.
   const Table* t = db_.FindTable("entities");
   ASSERT_NE(t, nullptr);
   EXPECT_GT(t->shard_count(), 1u);
   ASSERT_EQ(t->row_count(), 4u);
   int id_col = t->schema().FindColumn("id");
   for (RowId rid = 0; rid < t->row_count(); ++rid) {
-    EXPECT_EQ(t->row(rid)[id_col].AsInt(), static_cast<int64_t>(rid) + 1);
+    EXPECT_EQ(t->Cell(rid, id_col).AsInt(), static_cast<int64_t>(rid) + 1);
   }
 }
 
@@ -496,7 +496,7 @@ TEST(BlockResultTest, ParallelNonDistinctAdoptsWorkerBlocksZeroCopy) {
   db.options().parallel_min_rows = 0;
 
   const char* q = "SELECT id, name FROM t WHERE score > 30";
-  auto blocks = db.QueryBlocks(q);
+  auto blocks = db.QueryBlocks(q, db.options());
   ASSERT_TRUE(blocks.ok()) << blocks.status().ToString();
   ASSERT_GT(blocks.value().rows.row_count(), 0u);
   // Non-DISTINCT parallel merge: adopted worker blocks only, no per-row
@@ -521,7 +521,8 @@ TEST(BlockResultTest, ParallelNonDistinctAdoptsWorkerBlocksZeroCopy) {
   // Streaming DISTINCT re-dedups at the merge partition by partition
   // (workers hash-partition their emissions), then adopts each compacted
   // partition block wholesale — no per-row pushes either.
-  auto distinct = db.QueryBlocks("SELECT DISTINCT score FROM t");
+  auto distinct =
+      db.QueryBlocks("SELECT DISTINCT score FROM t", db.options());
   ASSERT_TRUE(distinct.ok());
   ASSERT_GT(distinct.value().rows.row_count(), 0u);
   EXPECT_EQ(distinct.value().rows.pushed_rows(), 0u);

@@ -48,10 +48,13 @@ TEST_F(StoreTest, EveryEventRowHasMatchingGraphEdge) {
     bool found = false;
     for (graphdb::EdgeId eid : g.OutEdges(src)) {
       const graphdb::Edge& e = g.edge(eid);
-      const graphdb::Value* id = e.FindProp("id");
-      if (e.dst == dst && id != nullptr &&
-          id->AsInt() == static_cast<int64_t>(ev.id)) {
-        EXPECT_EQ(e.type, audit::EventOpName(ev.op));
+      uint32_t id_prop = g.LookupPropName("id");
+      graphdb::Value id = storage::ReadCell(
+          g.EdgeColumn(g.ShardOf(eid), e.type_id, id_prop),
+          g.PropDict(id_prop), e.type_pos);
+      if (e.dst == dst && id.is_int() &&
+          id.AsInt() == static_cast<int64_t>(ev.id)) {
+        EXPECT_EQ(e.type_id, g.LookupEdgeType(audit::EventOpName(ev.op)));
         found = true;
         break;
       }
