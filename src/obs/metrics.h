@@ -1,13 +1,14 @@
 // Process-facing telemetry registry.
 //
-// The service layers each keep their own cheap internal counters
-// (HuntService::Stats/Metrics, stream::IngestorStats,
-// persist::DurabilityStats, storage::QueryResultCache hit/miss atomics)
-// — those stay, they are the lock-cheap write side. MetricsRegistry is
-// the uniform *read* side: an export call walks the live structs and
-// registers every value by metric name (with optional labels), then the
-// registry renders the whole set as Prometheus text exposition format
-// or JSON. `ThreatRaptor::ExportMetrics()` is the one-call entry point;
+// The service layers each keep their own cheap internal counters — the
+// lock-cheap write side: HuntService's counters and histograms under its
+// mutex, stream::StreamIngestor's, persist::Checkpointer's, and the
+// storage::QueryResultCache hit/miss atomics. Each layer reads them out
+// as one snapshot struct (HuntService::Metrics, stream::IngestorStats,
+// persist::DurabilityStats). MetricsRegistry is the uniform *read* side:
+// an export call registers every value of a snapshot by metric name (with
+// optional labels), then the registry renders the whole set as Prometheus
+// text exposition format or JSON. `ThreatRaptor::ExportMetrics()` is the one-call entry point;
 // subsystems expose `CollectMetrics(MetricsRegistry*)` so callers owning
 // extra components (e.g. the CLI's StreamIngestor) can merge them into
 // the same export.

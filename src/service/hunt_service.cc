@@ -40,19 +40,18 @@ const char* StatusLabel(const Status& status) {
   }
 }
 
-/// Bridge the shared histogram's summary (obs/metrics.h — the same
-/// log2-bucket interpolation the old service-private histogram used) to
-/// the metrics() surface.
-HuntService::LatencySummary ToLatencySummary(const obs::LogHistogram& h) {
-  obs::LogHistogram::Summary s = h.Summarize();
-  HuntService::LatencySummary out;
-  out.count = s.count;
-  out.p50_micros = s.p50;
-  out.p90_micros = s.p90;
-  out.p99_micros = s.p99;
-  out.mean_micros = s.mean;
-  out.max_micros = s.max;
-  return out;
+/// Subscription identity used by ExportStandingSeen/SeedStanding.
+std::string StandingKey(const HuntRequest& request) {
+  // Unit separators keep distinct (dialect, tenant, text) triples distinct
+  // even when a tenant name embeds query-ish characters.
+  std::string key;
+  key.reserve(request.tenant.size() + request.text.size() + 4);
+  key.push_back(static_cast<char>('0' + static_cast<int>(request.dialect)));
+  key.push_back('\x1f');
+  key += request.tenant;
+  key.push_back('\x1f');
+  key += request.text;
+  return key;
 }
 
 }  // namespace
@@ -277,9 +276,6 @@ HuntService::HuntService(const storage::AuditStore* store,
                          HuntServiceOptions options)
     : store_(store), options_(options) {
   if (options_.max_concurrent == 0) options_.max_concurrent = 1;
-  if (options_.max_queue_per_tenant == 0) {
-    options_.max_queue_per_tenant = std::max<size_t>(1, options_.max_queue / 8);
-  }
   epoch_ = options_.initial_epoch;
   start_time_ = std::chrono::steady_clock::now();
   hook_ = std::make_shared<ServiceHook>();
@@ -360,7 +356,8 @@ HuntTicket HuntService::Submit(HuntRequest request) {
         rejection = Status::Unavailable("hunt admission queue full");
         ++stats_.rejected;
         ++ts.rejected;
-      } else if (ts.queue.size() >= ts.max_queued) {
+      } else if (ts.queue.size() >=
+                 std::max<size_t>(1, options_.max_queue / 8)) {
         // The tenant's own cap — other tenants keep admitting.
         rejection = Status::Unavailable("tenant admission queue full");
         ++stats_.rejected;
@@ -446,11 +443,6 @@ void HuntService::ReleaseGate() {
 }
 
 Result<uint64_t> HuntService::Ingest(
-    const std::function<Status(IngestReport*)>& mutate) {
-  return Ingest(mutate, /*wal_record=*/nullptr);
-}
-
-Result<uint64_t> HuntService::Ingest(
     const std::function<Status(IngestReport*)>& mutate,
     const persist::WalRecord* wal_record) {
   RAPTOR_RETURN_NOT_OK(AcquireGate());
@@ -525,19 +517,6 @@ Status HuntService::Exclusive(const std::function<Status()>& fn) {
 void HuntService::AttachWal(persist::WalWriter* wal) {
   std::lock_guard<std::mutex> lock(mu_);
   wal_ = wal;
-}
-
-std::string HuntService::StandingKey(const HuntRequest& request) {
-  // Unit separators keep distinct (dialect, tenant, text) triples distinct
-  // even when a tenant name embeds query-ish characters.
-  std::string key;
-  key.reserve(request.tenant.size() + request.text.size() + 4);
-  key.push_back(static_cast<char>('0' + static_cast<int>(request.dialect)));
-  key.push_back('\x1f');
-  key += request.tenant;
-  key.push_back('\x1f');
-  key += request.text;
-  return key;
 }
 
 std::vector<persist::StandingSeen> HuntService::ExportStandingSeen() const {
@@ -631,34 +610,19 @@ StandingHandle HuntService::SubmitStanding(HuntRequest request,
   return StandingHandle{sub};
 }
 
-size_t HuntService::standing_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (const StandingPtr& sub : standing_) {
-    if (!sub->cancelled.load(std::memory_order_relaxed)) ++n;
-  }
-  return n;
-}
-
-HuntService::Stats HuntService::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats out = stats_;
-  out.tenants = distinct_tenants_;
-  out.subresult_hits =
-      static_cast<size_t>(graph_cache_.hits() + sql_cache_.hits());
-  return out;
-}
+HuntService::Stats HuntService::stats() const { return metrics().stats; }
 
 HuntService::Metrics HuntService::metrics() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   Metrics out;
+  out.stats = stats_;
+  out.stats.subresult_hits =
+      static_cast<size_t>(graph_cache_.hits() + sql_cache_.hits());
   out.queue_depth = queued_;
   out.running = running_.size();
   out.workers = workers_.size();
   out.running_cost = running_cost_;
-  out.cost_budget = options_.admission_cost_budget;
   out.tracked_tenants = tenants_.size();
-  out.distinct_tenants = distinct_tenants_;
   out.epoch = epoch_;
   for (const StandingPtr& sub : standing_) {
     if (sub->cancelled.load(std::memory_order_relaxed)) continue;
@@ -671,14 +635,12 @@ HuntService::Metrics HuntService::metrics() const {
   out.gate_wait_seconds_max = gate_wait_max_;
   out.consecutive_ingests = consecutive_ingests_;
   out.uptime_seconds = MicrosSince(start_time_) / 1e6;
-  out.hunt_latency = ToLatencySummary(hunt_latency_);
-  out.queue_wait = ToLatencySummary(queue_wait_);
+  out.hunt_latency = hunt_latency_;
+  out.queue_wait = queue_wait_;
   out.tenants.reserve(tenants_.size());
   for (const auto& [name, ts] : tenants_) {
     TenantMetrics tm;
     tm.tenant = name;
-    tm.weight = ts.weight;
-    tm.max_queued = ts.max_queued;
     tm.queued = ts.queue.size();
     tm.running = ts.running;
     tm.submitted = ts.submitted;
@@ -692,6 +654,11 @@ HuntService::Metrics HuntService::metrics() const {
                  : 0.0;
     out.tenants.push_back(std::move(tm));
   }
+  // The log counts under its own mutex, which it holds across file writes:
+  // read it after releasing mu_.
+  std::shared_ptr<obs::SlowHuntLog> slow = slow_log_;
+  lock.unlock();
+  out.slow_hunts_logged = slow == nullptr ? 0 : slow->logged();
   return out;
 }
 
@@ -710,21 +677,9 @@ std::shared_ptr<obs::SlowHuntLog> HuntService::SlowLogSnapshot() const {
   return slow_log_;
 }
 
-size_t HuntService::slow_hunts_logged() const {
-  std::shared_ptr<obs::SlowHuntLog> log = SlowLogSnapshot();
-  return log == nullptr ? 0 : log->logged();
-}
-
 void HuntService::CollectMetrics(obs::MetricsRegistry* registry) const {
-  Stats s = stats();
   Metrics m = metrics();
-  obs::LogHistogram hunt_hist;
-  obs::LogHistogram wait_hist;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    hunt_hist = hunt_latency_;
-    wait_hist = queue_wait_;
-  }
+  const Stats& s = m.stats;
   auto count = [](size_t v) { return static_cast<double>(v); };
 
   // Hunt lifecycle.
@@ -753,11 +708,11 @@ void HuntService::CollectMetrics(obs::MetricsRegistry* registry) const {
   registry->Gauge("raptor_admission_running_cost",
                   "Sum of running hunts' cost weights", m.running_cost);
   registry->Gauge("raptor_admission_cost_budget",
-                  "Configured admission cost budget", m.cost_budget);
+                  "Configured admission cost budget", kAdmissionCostBudget);
   registry->Gauge("raptor_tenants_tracked", "Live tenant map entries",
                   count(m.tracked_tenants));
   registry->Gauge("raptor_tenants_distinct", "Distinct tenants ever seen",
-                  count(m.distinct_tenants));
+                  count(s.tenants));
 
   // Write gate / epochs.
   registry->Counter("raptor_ingests_total", "Epoch-gated mutations applied",
@@ -799,12 +754,12 @@ void HuntService::CollectMetrics(obs::MetricsRegistry* registry) const {
   // Latency distributions + slow-hunt log.
   registry->Histogram("raptor_hunt_latency_micros",
                       "Submit-to-done latency of completed client hunts",
-                      hunt_hist);
+                      m.hunt_latency);
   registry->Histogram("raptor_queue_wait_micros",
-                      "Submit-to-admission wait of client hunts", wait_hist);
+                      "Submit-to-admission wait of client hunts", m.queue_wait);
   registry->Counter("raptor_slow_hunts_logged_total",
                     "Records appended by the slow-hunt log",
-                    count(slow_hunts_logged()));
+                    count(m.slow_hunts_logged));
   registry->Gauge("raptor_uptime_seconds", "Service uptime",
                   m.uptime_seconds);
 
@@ -839,31 +794,12 @@ HuntService::TenantState& HuntService::TenantLocked(const std::string& tenant) {
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) {
     it = tenants_.emplace(tenant, TenantState{}).first;
-    TenantState& ts = it->second;
-    auto policy = options_.tenant_policies.find(tenant);
-    if (policy != options_.tenant_policies.end()) {
-      ts.weight = std::max(1, policy->second.weight);
-      ts.max_queued = policy->second.max_queued;
-    }
-    if (ts.max_queued == 0) ts.max_queued = options_.max_queue_per_tenant;
     // First sighting — or first since the idle entry was pruned; the
-    // counter is exact while distinct tenants stay within max_idle_tenants
+    // counter is exact while distinct tenants stay within kMaxIdleTenants
     // of concurrent tracking, an over-estimate beyond that.
-    ++distinct_tenants_;
+    ++stats_.tenants;
   }
   return it->second;
-}
-
-void HuntService::SetTenantPolicy(const std::string& tenant,
-                                  TenantPolicy policy) {
-  std::lock_guard<std::mutex> lock(mu_);
-  options_.tenant_policies[tenant] = policy;
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) return;  // TenantLocked stamps it on creation
-  TenantState& ts = it->second;
-  ts.weight = std::max(1, policy.weight);
-  ts.max_queued = policy.max_queued != 0 ? policy.max_queued
-                                         : options_.max_queue_per_tenant;
 }
 
 bool HuntService::WriterPreferredLocked() const {
@@ -900,7 +836,7 @@ double HuntService::CostWeightLocked(HuntTicket::State& state) {
 }
 
 HuntService::StatePtr HuntService::AdmitLocked() {
-  // Walk the WRR ring from its head: admit the first tenant whose
+  // Walk the round-robin ring from its head: admit the first tenant whose
   // head-of-line hunt fits the remaining cost budget (a too-expensive head
   // does not block a cheaper tenant behind it). Stale ring entries —
   // tenants whose queue emptied through reaps — are dropped as found.
@@ -914,7 +850,7 @@ HuntService::StatePtr HuntService::AdmitLocked() {
     TenantState& ts = it->second;
     double weight = CostWeightLocked(*ts.queue.front());
     if (!running_.empty() &&
-        running_cost_ + weight > options_.admission_cost_budget) {
+        running_cost_ + weight > kAdmissionCostBudget) {
       ++i;  // over budget right now; try the next tenant's head
       continue;
     }
@@ -923,18 +859,11 @@ HuntService::StatePtr HuntService::AdmitLocked() {
     --queued_;
     ++ts.running;
     ts.last_active = ++activity_seq_;
-    // Weighted round-robin: the tenant keeps the ring head until its
-    // credits for this rotation are spent or its queue drains, then
-    // rotates to the back with fresh credits.
-    if (--ts.credits <= 0 || ts.queue.empty()) {
-      ts.in_rr = false;
-      tenant_rr_.erase(tenant_rr_.begin() + static_cast<long>(i));
-      if (!ts.queue.empty()) {
-        ts.in_rr = true;
-        ts.credits = ts.weight;
-        tenant_rr_.push_back(it->first);
-      }
-    }
+    // Round-robin: one hunt per tenant turn; a tenant with more queued
+    // work rotates to the back of the ring.
+    tenant_rr_.erase(tenant_rr_.begin() + static_cast<long>(i));
+    ts.in_rr = !ts.queue.empty();
+    if (ts.in_rr) tenant_rr_.push_back(it->first);
     running_.push_back(state);
     running_cost_ += weight;
     consecutive_ingests_ = 0;  // a hunt got through; writers restart their
@@ -948,7 +877,6 @@ void HuntService::EnqueueLocked(const StatePtr& state) {
   TenantState& ts = TenantLocked(state->request.tenant);
   if (!ts.in_rr) {
     ts.in_rr = true;
-    ts.credits = ts.weight;
     tenant_rr_.push_back(state->request.tenant);
   }
   ts.queue.push_back(state);
@@ -983,7 +911,7 @@ void HuntService::PruneIdleTenantsLocked() {
   for (const auto& [name, ts] : tenants_) {
     if (idle(ts)) ++idle_count;
   }
-  while (idle_count > options_.max_idle_tenants) {
+  while (idle_count > kMaxIdleTenants) {
     auto victim = tenants_.end();
     for (auto it = tenants_.begin(); it != tenants_.end(); ++it) {
       if (!idle(it->second)) continue;

@@ -14,17 +14,18 @@
 // Admission: up to max_concurrent read-only hunts execute at once (the
 // PR-3 thread-safety contract — single-threaded mutation, race-free const
 // queries — is what makes this sound); excess requests queue per tenant
-// — each tenant bounded by its own queue cap, so one flooding tenant can
-// never fill the global queue against everyone else — and admit weighted
-// round-robin across tenants. On top of the worker count, admission is
-// cost-aware: each hunt is priced at dequeue time from the executors'
-// plan-time estimators (EstimateCost — seed cardinalities × pattern
-// radius, pure index statistics), normalized by store size, and a hunt
-// only starts while the sum of running weights fits admission_cost_budget
-// (one full-store-scan-heavy hunt runs alone; cheap point hunts pack the
-// full worker width). Each hunt's intra-query shard fan-out still runs on
-// the shared common/thread_pool.h pool, as does the TBQL engine's pattern
-// DAG, so total parallelism is bounded by the pool, not multiplied by it.
+// — each tenant bounded by a queue cap of max(1, max_queue / 8), so one
+// flooding tenant can never fill the global queue against everyone else —
+// and admit round-robin across tenants, one hunt per tenant turn. On top
+// of the worker count, admission is cost-aware: each hunt is priced at
+// dequeue time from the executors' plan-time estimators (EstimateCost —
+// seed cardinalities × pattern radius, pure index statistics), normalized
+// by store size, and a hunt only starts while the sum of running weights
+// fits kAdmissionCostBudget (one full-store-scan-heavy hunt runs alone;
+// cheap point hunts pack the full worker width). Each hunt's intra-query
+// shard fan-out still runs on the shared common/thread_pool.h pool, as
+// does the TBQL engine's pattern DAG, so total parallelism is bounded by
+// the pool, not multiplied by it.
 //
 // Tickets are future-like handles: Wait()/WaitFor(), Cancel()
 // (cooperative — polled by the engine at pattern boundaries and by both
@@ -332,21 +333,21 @@ class HuntTicket {
   std::shared_ptr<State> state_;
 };
 
-/// Per-tenant admission policy; tenants without an explicit policy get
-/// weight 1 and the default queue cap.
-struct TenantPolicy {
-  /// Weighted round-robin share: a tenant with weight w admits up to w
-  /// queued hunts per rotation before yielding to the next tenant.
-  int weight = 1;
-  /// Queued-request cap for this tenant; 0 = the service-wide default
-  /// (HuntServiceOptions::max_queue_per_tenant).
-  size_t max_queued = 0;
-};
-
 /// Floor for a hunt's normalized admission cost weight, so even point
 /// lookups consume some budget and the effective width stays bounded by
-/// HuntServiceOptions::admission_cost_budget / kMinCostWeight.
+/// kAdmissionCostBudget / kMinCostWeight.
 constexpr double kMinCostWeight = 0.05;
+
+/// Cost-aware admission: a dequeued hunt only starts while the sum of
+/// running hunts' estimated weights (each in [kMinCostWeight, 1], 1 ≈ one
+/// full scan of the store, from the executors' plan-time EstimateCost)
+/// stays within this budget; a hunt always admits when nothing is running.
+constexpr double kAdmissionCostBudget = 2.0;
+
+/// Idle (no queued or running hunts) tenant entries retained for their
+/// counters; least-recently-active entries beyond this are pruned so the
+/// tenant map stays bounded however many tenant names pass through.
+constexpr size_t kMaxIdleTenants = 64;
 
 /// Bounded writer preference: at most this many consecutive gate
 /// acquisitions (Ingest/Exclusive) admit while hunts sit queued; then one
@@ -361,26 +362,10 @@ struct HuntServiceOptions {
   /// Concurrent hunts admitted at once (= admission worker threads).
   size_t max_concurrent = 4;
   /// Queued (not yet admitted) requests across all tenants; Submit beyond
-  /// this finishes the ticket immediately with Status::Unavailable.
+  /// this finishes the ticket immediately with Status::Unavailable. Each
+  /// tenant's own queue is capped at max(1, max_queue / 8): a tenant at
+  /// its cap gets Status::Unavailable while other tenants keep admitting.
   size_t max_queue = 1024;
-  /// Default per-tenant queued-request cap; a tenant at its cap gets
-  /// Status::Unavailable while other tenants keep admitting — one flooder
-  /// can no longer fill max_queue against everyone. 0 = auto:
-  /// max(1, max_queue / 8). Override per tenant via tenant_policies.
-  size_t max_queue_per_tenant = 0;
-  /// Explicit per-tenant weights and caps, keyed by tenant name (the empty
-  /// string is the default tenant).
-  std::map<std::string, TenantPolicy> tenant_policies;
-  /// Cost-aware admission: a dequeued hunt only starts while the sum of
-  /// running hunts' estimated weights (each in [kMinCostWeight, 1], 1 ≈
-  /// one full scan of the store, from the executors' plan-time
-  /// EstimateCost) stays within this budget; a hunt always admits when
-  /// nothing is running.
-  double admission_cost_budget = 2.0;
-  /// Idle (no queued or running hunts) tenant entries retained for their
-  /// counters; least-recently-active entries beyond this are pruned so
-  /// the tenant map stays bounded at millions-of-users scale.
-  size_t max_idle_tenants = 64;
   /// Multi-query optimization, both layers. Refresh dedupe: full
   /// refreshes of structurally-identical standing hunts (equal huntlib
   /// canonical keys, typically the same technique template across
@@ -439,15 +424,14 @@ class HuntService {
   /// admissions resume as soon as the mutation finishes. A failed
   /// mutation does not bump the epoch; the caller owns any partial-append
   /// cleanup.
-  Result<uint64_t> Ingest(const std::function<Status(IngestReport*)>& mutate);
-
-  /// Write-ahead variant: `wal_record` is appended to the attached WAL
+  ///
+  /// Write-ahead: a non-null `wal_record` is appended to the attached WAL
   /// under the gate BEFORE `mutate` runs, so an acknowledged mutation is
   /// always recoverable. A failed append fails the ingest without running
-  /// the mutation (and without bumping the epoch); null `wal_record` (or
-  /// no attached WAL) degrades to the plain overload.
+  /// the mutation (and without bumping the epoch). Without a record or an
+  /// attached WAL nothing is logged.
   Result<uint64_t> Ingest(const std::function<Status(IngestReport*)>& mutate,
-                          const persist::WalRecord* wal_record);
+                          const persist::WalRecord* wal_record = nullptr);
 
   /// Run `fn` with the same exclusivity as a mutation — admissions held
   /// off, running hunts drained — but WITHOUT the epoch side effects: no
@@ -473,9 +457,6 @@ class HuntService {
   /// delivers only rows the pre-restart run never saw.
   void SeedStanding(std::vector<persist::StandingSeen> seeds);
 
-  /// Subscription identity used by ExportStandingSeen/SeedStanding.
-  static std::string StandingKey(const HuntRequest& request);
-
   /// Store epochs applied so far (one per successful Ingest).
   uint64_t epoch() const;
 
@@ -487,9 +468,7 @@ class HuntService {
   StandingHandle SubmitStanding(HuntRequest request, StandingSink sink,
                                 StandingOptions options = {});
 
-  /// Registered (not cancelled) standing hunts.
-  size_t standing_count() const;
-
+  /// Lifetime counters.
   struct Stats {
     size_t submitted = 0;
     size_t completed = 0;   // finished OK
@@ -509,24 +488,12 @@ class HuntService {
     size_t subresult_hits = 0;        // shared-subresult cache hits across
                                       // both backends (MQO layer 2)
   };
+  /// metrics().stats.
   Stats stats() const;
-
-  /// Latency distribution summary, read out of a log-bucketed histogram
-  /// (quantiles are bucket-resolution approximations, ~±25%).
-  struct LatencySummary {
-    size_t count = 0;
-    double p50_micros = 0;
-    double p90_micros = 0;
-    double p99_micros = 0;
-    double mean_micros = 0;
-    double max_micros = 0;
-  };
 
   /// Per-tenant slice of the metrics surface.
   struct TenantMetrics {
     std::string tenant;
-    int weight = 1;
-    size_t max_queued = 0;  // resolved cap
     size_t queued = 0;
     size_t running = 0;
     size_t submitted = 0;
@@ -538,29 +505,32 @@ class HuntService {
     double qps = 0;  // submitted / service uptime
   };
 
-  /// The ops-facing snapshot: queue/pool occupancy, admission cost state,
-  /// tenant tracking, epoch lag (how far the slowest live standing hunt
-  /// trails the store epoch), writer-gate contention, and hunt latency /
-  /// queue wait distributions for executed client hunts. Exported by
-  /// ThreatRaptor::service_metrics() and the CLI's `hunt --stats`.
+  /// The one telemetry snapshot, taken under one lock: lifetime counters,
+  /// queue/pool occupancy, admission cost state, tenant tracking, epoch
+  /// lag (how far the slowest live standing hunt trails the store epoch),
+  /// writer-gate contention, and hunt latency / queue wait distributions
+  /// for executed client hunts. stats() and CollectMetrics() read it;
+  /// ThreatRaptor::service_metrics() returns it.
   struct Metrics {
+    Stats stats;
     size_t queue_depth = 0;
     size_t running = 0;
     size_t workers = 0;
-    double running_cost = 0;
-    double cost_budget = 0;
+    double running_cost = 0;      // of kAdmissionCostBudget
     size_t tracked_tenants = 0;   // live tenant map entries (bounded)
-    size_t distinct_tenants = 0;  // ever seen (survives pruning)
     uint64_t epoch = 0;
     uint64_t epoch_lag = 0;
-    size_t standing = 0;
+    size_t standing = 0;          // registered (not cancelled) standing hunts
     size_t gate_acquires = 0;     // Ingest/Exclusive gate acquisitions
     double gate_wait_seconds_total = 0;
     double gate_wait_seconds_max = 0;
     size_t consecutive_ingests = 0;  // current writer-preference window
+    size_t slow_hunts_logged = 0;    // by the attached slow-hunt log
     double uptime_seconds = 0;
-    LatencySummary hunt_latency;  // Submit -> done, completed hunts
-    LatencySummary queue_wait;    // Submit -> worker admission
+    /// Microseconds; quantiles via Summarize() are bucket-resolution
+    /// approximations (~±25%).
+    obs::LogHistogram hunt_latency;  // Submit -> done, completed hunts
+    obs::LogHistogram queue_wait;    // Submit -> worker admission
     std::vector<TenantMetrics> tenants;
   };
   Metrics metrics() const;
@@ -573,25 +543,11 @@ class HuntService {
   /// per hunt, never per row).
   void ConfigureSlowLog(const std::string& path, long long threshold_micros);
 
-  /// Records appended by the attached slow-hunt log (0 when detached).
-  size_t slow_hunts_logged() const;
-
   /// Register this service's telemetry with `registry` under raptor_hunt_*
   /// names: lifecycle and admission counters, queue/cost/gate gauges,
   /// standing-hunt and MQO counters, latency histograms, and per-tenant
   /// labeled series. Populate-on-demand: call right before rendering.
   void CollectMetrics(obs::MetricsRegistry* registry) const;
-
-  /// Replace `tenant`'s admission policy at runtime, without restarting
-  /// the service: the queue cap applies to the tenant's next Submit and
-  /// the weight to its next weighted-round-robin rotation (the current
-  /// rotation's remaining credits are untouched). Already-queued requests
-  /// are never evicted — a tightened cap only rejects new arrivals. The
-  /// policy is also recorded in the service options, so a tenant entry
-  /// pruned while idle and later recreated keeps it.
-  void SetTenantPolicy(const std::string& tenant, TenantPolicy policy);
-
-  size_t max_concurrent() const { return options_.max_concurrent; }
 
  private:
   friend class HuntTicket;  // reap-back of queued tickets (Cancel/Wait)
@@ -600,15 +556,12 @@ class HuntService {
   using StandingPtr = std::shared_ptr<StandingState>;
 
   /// Admission bookkeeping for one tenant. Entries are created on first
-  /// Submit and pruned (keeping max_idle_tenants LRU survivors) once idle,
-  /// so the map stays bounded; the distinct-tenant count lives in a
-  /// counter instead. Guarded by mu_.
+  /// Submit and pruned (keeping kMaxIdleTenants LRU survivors) once idle,
+  /// so the map stays bounded; the distinct-tenant count lives in
+  /// Stats::tenants instead. Guarded by mu_.
   struct TenantState {
-    int weight = 1;
-    size_t max_queued = 0;  // resolved cap (policy or service default)
     std::deque<StatePtr> queue;
-    int credits = 0;    // WRR: admissions left in the current rotation
-    bool in_rr = false;
+    bool in_rr = false;  // listed in the round-robin ring
     size_t running = 0;
     uint64_t last_active = 0;  // activity sequence, for LRU pruning
     // Lifetime counters (lost if the idle entry is pruned; the aggregate
@@ -623,13 +576,13 @@ class HuntService {
 
   void StartWorkersLocked();
   void WorkerLoop();
-  /// Find-or-create the tenant entry, stamping policy on creation and
-  /// counting first sightings. Precondition: mu_ held.
+  /// Find-or-create the tenant entry, counting first sightings.
+  /// Precondition: mu_ held.
   TenantState& TenantLocked(const std::string& tenant);
-  /// Weighted-round-robin admission: pop the next affordable request
-  /// across tenant queues, respecting the cost budget against running
-  /// hunts. Null when every queue head is currently too expensive (the
-  /// caller waits for capacity). Precondition: queued_ > 0, mu_ held, no
+  /// Round-robin admission: pop the next affordable request across
+  /// tenant queues, one per tenant turn, respecting the cost budget
+  /// against running hunts. Null when every queue head is currently too
+  /// expensive (the caller waits for capacity). Precondition: queued_ > 0, mu_ held, no
   /// mutation holds the store (the lazy cost estimate reads index stats).
   StatePtr AdmitLocked();
   /// `state`'s admission weight, estimated on first use (plan-time
@@ -644,10 +597,10 @@ class HuntService {
   /// admitted, finished, or never enqueued).
   bool ReapQueued(const StatePtr& state, Status status);
   /// Drop least-recently-active idle tenant entries beyond
-  /// max_idle_tenants. Precondition: mu_ held.
+  /// kMaxIdleTenants. Precondition: mu_ held.
   void PruneIdleTenantsLocked();
   /// Enqueue `state` into its tenant's queue (creating the entry) and
-  /// rotate the tenant into the WRR ring. Precondition: mu_ held.
+  /// rotate the tenant into the round-robin ring. Precondition: mu_ held.
   void EnqueueLocked(const StatePtr& state);
   /// Queue a refresh of `sub` unless one is already queued or running.
   /// Precondition: mu_ held.
@@ -715,19 +668,19 @@ class HuntService {
   /// hook_->mu -> mu_ -> State::mu, never the reverse.
   std::shared_ptr<ServiceHook> hook_;
   std::map<std::string, TenantState, std::less<>> tenants_;
-  std::deque<std::string> tenant_rr_;  // WRR ring: tenants with queued work
+  std::deque<std::string> tenant_rr_;  // round-robin ring: tenants with
+                                       // queued work
   std::vector<StatePtr> running_;
   double running_cost_ = 0;  // sum of running hunts' admission weights
   size_t queued_ = 0;
-  size_t distinct_tenants_ = 0;  // first sightings; survives map pruning
   uint64_t activity_seq_ = 0;
   uint64_t next_id_ = 1;
   bool stop_ = false;
   std::vector<std::thread> workers_;
   Stats stats_;
   std::chrono::steady_clock::time_point start_time_;
-  /// Latency distributions in microseconds (obs::LogHistogram — the shared
-  /// log2-bucketed histogram, also what CollectMetrics exports).
+  /// Latency distributions in microseconds (obs::LogHistogram, copied out
+  /// by metrics()).
   obs::LogHistogram hunt_latency_;  // Submit -> done, completed client hunts
   obs::LogHistogram queue_wait_;    // Submit -> admission, client hunts
   /// Structured slow-hunt log; null when detached. The shared_ptr is
@@ -753,7 +706,7 @@ class HuntService {
   std::vector<StandingPtr> standing_;
   uint64_t next_standing_id_ = 1;
   /// Restored seen-sets waiting for their subscription to be resubmitted,
-  /// keyed by StandingKey. Guarded by mu_.
+  /// keyed by subscription identity. Guarded by mu_.
   std::map<std::string, persist::StandingSeen> standing_seeds_;
 
   // --- multi-query optimization ---

@@ -41,16 +41,17 @@ NodeId PropertyGraph::AddNode(std::string_view label,
   }
   n.label_pos = static_cast<uint32_t>(shard.by_label[n.label_id].size());
   shard.by_label[n.label_id].push_back(id);
-  // Freeze the property map into this (shard × label) bucket's columns.
+  // Freeze the property map into this (shard × label) bucket's columns,
+  // and maintain this shard's slice of any (label, prop) index.
   if (n.label_id >= shard.node_cols.size()) {
     shard.node_cols.resize(n.label_id + 1);
   }
-  FreezeProps(shard.node_cols[n.label_id], n.label_pos, props);
-  // Maintain this shard's slice of any matching index.
-  for (auto& [key, index] : shard.node_indexes) {
-    if (static_cast<uint32_t>(key >> 32) != n.label_id) continue;
-    auto it = props.find(index_props_.Name(static_cast<uint32_t>(key)));
-    if (it != props.end()) index[it->second].push_back(id);
+  storage::ColumnGroup& cols = shard.node_cols[n.label_id];
+  for (const auto& [name, value] : props) {
+    uint32_t prop_id = FreezeProp(cols, n.label_pos, name, value);
+    if (shard.node_indexes.empty()) continue;
+    auto index = shard.node_indexes.find(IndexKey(n.label_id, prop_id));
+    if (index != shard.node_indexes.end()) index->second[value].push_back(id);
   }
   shard.nodes.push_back(n);
   shard.out_edges.emplace_back();
@@ -80,18 +81,24 @@ EdgeId PropertyGraph::AddEdge(NodeId src, NodeId dst, std::string_view type,
     edge_shard.edge_cols.resize(e.type_id + 1);
   }
   e.type_pos = edge_shard.edges_per_type[e.type_id]++;
-  FreezeProps(edge_shard.edge_cols[e.type_id], e.type_pos, props);
+  for (const auto& [name, value] : props) {
+    FreezeProp(edge_shard.edge_cols[e.type_id], e.type_pos, name, value);
+  }
   edge_shard.edges.push_back(e);
   return id;
 }
 
-void PropertyGraph::FreezeProps(storage::ColumnGroup& group, size_t pos,
-                                const PropertyMap& props) {
-  for (const auto& [name, value] : props) {
-    uint32_t prop_id = prop_names_.Intern(name);
-    if (prop_id >= prop_dicts_.size()) prop_dicts_.emplace_back();
-    group.ColumnFor(prop_id)->Append(pos, value, &prop_dicts_[prop_id]);
-  }
+uint32_t PropertyGraph::InternProp(std::string_view name) {
+  uint32_t prop_id = prop_names_.Intern(name);
+  if (prop_id >= prop_dicts_.size()) prop_dicts_.emplace_back();
+  return prop_id;
+}
+
+uint32_t PropertyGraph::FreezeProp(storage::ColumnGroup& group, size_t pos,
+                                   std::string_view name, const Value& value) {
+  uint32_t prop_id = InternProp(name);
+  group.ColumnFor(prop_id)->Append(pos, value, &prop_dicts_[prop_id]);
+  return prop_id;
 }
 
 const storage::Column* PropertyGraph::NodeColumn(size_t shard,
@@ -151,10 +158,9 @@ const std::vector<NodeId>& PropertyGraph::NodesWithLabel(
 void PropertyGraph::CreateNodeIndex(std::string_view label,
                                     std::string_view prop) {
   uint32_t label_id = labels_.Intern(label);
-  uint32_t prop_id = index_props_.Intern(prop);
+  uint32_t prop_id = InternProp(prop);
   uint64_t key = IndexKey(label_id, prop_id);
   if (shards_[0].node_indexes.count(key)) return;
-  uint32_t col_id = prop_names_.Lookup(prop);
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
     if (label_id >= shard.by_label.size()) {
@@ -163,10 +169,10 @@ void PropertyGraph::CreateNodeIndex(std::string_view label,
     ValueIndex& index = shard.node_indexes[key];
     // by_label lists the bucket in label_pos order.
     const std::vector<NodeId>& ids = shard.by_label[label_id];
-    const storage::Column* col = NodeColumn(s, label_id, col_id);
+    const storage::Column* col = NodeColumn(s, label_id, prop_id);
     for (size_t pos = 0; col != nullptr && pos < ids.size(); ++pos) {
       if (!col->Present(pos)) continue;
-      index[storage::ReadCell(col, PropDict(col_id), pos)].push_back(ids[pos]);
+      index[storage::ReadCell(col, PropDict(prop_id), pos)].push_back(ids[pos]);
     }
   }
 }
@@ -174,7 +180,7 @@ void PropertyGraph::CreateNodeIndex(std::string_view label,
 bool PropertyGraph::HasNodeIndex(std::string_view label,
                                  std::string_view prop) const {
   uint32_t label_id = labels_.Lookup(label);
-  uint32_t prop_id = index_props_.Lookup(prop);
+  uint32_t prop_id = prop_names_.Lookup(prop);
   if (label_id == kNoSymbol || prop_id == kNoSymbol) return false;
   // Indexes are created in every shard at once; shard 0 is authoritative.
   return shards_[0].node_indexes.count(IndexKey(label_id, prop_id)) > 0;
@@ -183,7 +189,7 @@ bool PropertyGraph::HasNodeIndex(std::string_view label,
 const PropertyGraph::ValueIndex* PropertyGraph::FindIndex(
     std::string_view label, std::string_view prop, size_t shard) const {
   uint32_t label_id = labels_.Lookup(label);
-  uint32_t prop_id = index_props_.Lookup(prop);
+  uint32_t prop_id = prop_names_.Lookup(prop);
   if (label_id == kNoSymbol || prop_id == kNoSymbol) return nullptr;
   auto it = shards_[shard].node_indexes.find(IndexKey(label_id, prop_id));
   return it == shards_[shard].node_indexes.end() ? nullptr : &it->second;

@@ -5,8 +5,10 @@
 // the element's (shard × label) / (shard × edge type) bucket and drop it.
 //
 // Hot-path design:
-//  * node labels, edge types, and indexed property names are interned into
-//    dense uint32 ids, so pattern matching compares integers, not strings;
+//  * node labels, edge types, and property names are interned into dense
+//    uint32 ids, so pattern matching compares integers, not strings; one
+//    property-name interner keys both the frozen columns and the
+//    (label, prop) indexes;
 //  * per-node adjacency is additionally grouped by edge-type id, so a typed
 //    expansion touches only edges of the requested type instead of the full
 //    out/in-edge list;
@@ -153,7 +155,8 @@ class PropertyGraph {
   // buckets: a query literal is looked up once and compared as a uint32
   // everywhere.
 
-  /// Interned id of a property name, or kNoSymbol if no entity carries it.
+  /// Interned id of a property name, or kNoSymbol if no element carries it
+  /// and no index names it.
   uint32_t LookupPropName(std::string_view name) const {
     return prop_names_.Lookup(name);
   }
@@ -215,12 +218,15 @@ class PropertyGraph {
   const ValueIndex* FindIndex(std::string_view label, std::string_view prop,
                               size_t shard) const;
 
-  void FreezeProps(storage::ColumnGroup& group, size_t pos,
-                   const PropertyMap& props);
+  /// Intern a property name, growing prop_dicts_ in step (a new id always
+  /// equals the old dictionary count).
+  uint32_t InternProp(std::string_view name);
+  /// Freeze one property cell at `pos` of `group`; returns its prop id.
+  uint32_t FreezeProp(storage::ColumnGroup& group, size_t pos,
+                      std::string_view name, const Value& value);
 
   StringInterner labels_;
   StringInterner edge_types_;
-  StringInterner index_props_;
   StringInterner prop_names_;
   // One string dictionary per property name (indexed by prop id); a deque
   // keeps dictionaries address-stable as new property names appear.

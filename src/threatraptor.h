@@ -201,18 +201,6 @@ class ThreatRaptor {
   std::string ExportMetrics(
       obs::MetricsFormat format = obs::MetricsFormat::kPrometheus) const;
 
-  /// Runtime tenant-policy reconfiguration on the hunt service: the new
-  /// weight/queue-cap take effect at the tenant's next admission (see
-  /// HuntService::SetTenantPolicy). Instantiates the lazy service so the
-  /// policy is in place before the tenant's first Submit; false (policy
-  /// dropped) when no store is loaded.
-  bool SetTenantPolicy(const std::string& tenant,
-                       service::TenantPolicy policy) {
-    if (store_ == nullptr) return false;
-    Service().SetTenantPolicy(tenant, policy);
-    return true;
-  }
-
   /// Instantiate a hunt-library catalog technique (huntlib/catalog.h) with
   /// `params` filling its IOC slots — missing parameters default to
   /// match-anything — and run it synchronously through the hunt service.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -405,6 +407,65 @@ TEST(ShardedGraphTest, AggregatedNodeIndexStatsStayExact) {
     labeled += g.NodesWithLabel("proc", s).size();
   }
   EXPECT_EQ(labeled, 13u);
+}
+
+TEST(ShardedGraphTest, IndexCreatedBeforeAnyNodeCarriesTheProperty) {
+  // The audit store creates every index on an empty graph: the index
+  // interns its property name before any column exists, and AddNode keeps
+  // it current from the ids it interns while freezing each node.
+  GraphDatabase db(4);
+  PropertyGraph& g = db.graph();
+  g.CreateNodeIndex("proc", "exename");
+  g.CreateNodeIndex("proc", "ghost");  // no node ever carries it
+  for (int i = 0; i < 24; ++i) {
+    PropertyMap props{{"pid", Value(int64_t{i})}};
+    if (i % 3 != 0) props["exename"] = Value("/bin/e" + std::to_string(i % 4));
+    g.AddNode("proc", props);
+  }
+  g.AddNode("file", {{"exename", Value("/bin/e1")}});  // another label
+
+  // Reference: a label scan over every shard.
+  std::map<std::string, std::vector<NodeId>> scanned;
+  for (size_t s = 0; s < g.shard_count(); ++s) {
+    for (NodeId id : g.NodesWithLabel("proc", s)) {
+      Value v = NodeProp(g, id, "exename");
+      if (!v.is_null()) scanned[v.AsText()].push_back(id);
+    }
+  }
+  ASSERT_EQ(scanned.size(), 4u);
+  std::set<size_t> shards_hit;
+  for (auto& [text, ids] : scanned) {
+    std::vector<NodeId> probed;
+    for (size_t s = 0; s < g.shard_count(); ++s) {
+      for (NodeId id : g.ProbeNodes("proc", "exename", Value(text), s)) {
+        EXPECT_EQ(g.ShardOf(id), s);
+        shards_hit.insert(s);
+        probed.push_back(id);
+      }
+    }
+    std::sort(ids.begin(), ids.end());
+    std::sort(probed.begin(), probed.end());
+    EXPECT_EQ(probed, ids) << text;
+    EXPECT_EQ(g.ProbeCountNodes("proc", "exename", Value(text)), ids.size())
+        << text;
+  }
+  EXPECT_EQ(shards_hit.size(), 4u);
+  EXPECT_EQ(g.ProbeCountNodes("proc", "exename", Value("/bin/none")), 0u);
+  EXPECT_EQ(g.ProbeCountNodes("proc", "ghost", Value("x")), 0u);
+
+  // Filters on the indexed property no node carries match nothing, by
+  // index probe and by column filter alike.
+  for (const char* q : {"MATCH (p:proc {ghost: 'x'}) RETURN p.pid",
+                        "MATCH (p:proc) WHERE p.ghost = 'x' RETURN p.pid",
+                        "MATCH (p:proc) WHERE p.ghost CONTAINS 'x' "
+                        "RETURN p.pid"}) {
+    auto rs = db.Query(q);
+    ASSERT_TRUE(rs.ok()) << q << ": " << rs.status().ToString();
+    EXPECT_TRUE(rs.value().rows.empty()) << q;
+  }
+  auto e1 = db.Query("MATCH (p:proc {exename: '/bin/e1'}) RETURN p.pid");
+  ASSERT_TRUE(e1.ok()) << e1.status().ToString();
+  EXPECT_EQ(e1.value().rows.size(), scanned["/bin/e1"].size());
 }
 
 TEST(ShardedGraphTest, SingleShardPreservesLegacyApi) {

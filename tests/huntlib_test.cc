@@ -331,7 +331,7 @@ TEST(HuntLibraryTest, CtiReportToStandingHuntAlertsOnPlantedAttack) {
   }
   EXPECT_TRUE(saw_secret) << "alert rows missed the planted exfil read";
   library.DetachAll();
-  EXPECT_EQ(service.standing_count(), 0u);
+  EXPECT_EQ(service.metrics().standing, 0u);
 }
 
 // ---- the MQO differential --------------------------------------------------
@@ -502,7 +502,7 @@ TEST(MqoFleetTest, AttachCatalogRunsTheWholePlaybook) {
   huntlib::HuntLibrary library;
   size_t attached = library.AttachCatalog(&service, "tenant-a");
   EXPECT_EQ(attached, huntlib::AllTechniques().size());
-  EXPECT_EQ(service.standing_count(), attached);
+  EXPECT_EQ(service.metrics().standing, attached);
 
   stream::SimulatorSource source(FleetStream());
   audit::AuditLogParser parser;
@@ -521,7 +521,7 @@ TEST(MqoFleetTest, AttachCatalogRunsTheWholePlaybook) {
   ASSERT_TRUE(
       ApplyBatch(&store, &service, &parser, &accum, batch.value().records)
           .ok());
-  EXPECT_EQ(service.standing_count(), 0u);
+  EXPECT_EQ(service.metrics().standing, 0u);
 }
 
 }  // namespace

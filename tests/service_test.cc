@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -429,8 +430,7 @@ TEST(HuntServiceTest, TenantFloodDoesNotRejectOtherTenants) {
   ThreatRaptor& tr = SlowStore();
   HuntServiceOptions opts;
   opts.max_concurrent = 1;
-  opts.max_queue = 8;
-  opts.max_queue_per_tenant = 2;
+  opts.max_queue = 16;  // per-tenant cap: max(1, 16 / 8) = 2
   HuntService service(tr.store(), opts);
   const char* scan = "proc p read file f return p, f";
   HuntTicket blocker = service.Submit(Req(scan));
@@ -459,77 +459,6 @@ TEST(HuntServiceTest, TenantFloodDoesNotRejectOtherTenants) {
   EXPECT_TRUE(b.Wait().ok()) << b.status().ToString();
   for (HuntTicket& t : flood) (void)t.Wait();
   EXPECT_EQ(service.stats().rejected, 2u);
-}
-
-TEST(HuntServiceTest, SetTenantPolicyEffectiveAtNextAdmission) {
-  // Runtime reconfig: tightening a tenant's queue cap applies to its next
-  // Submit (queued hunts are never evicted), and the live entry reflects
-  // the new weight/cap in the metrics surface immediately.
-  ThreatRaptor& tr = SlowStore();
-  HuntServiceOptions opts;
-  opts.max_concurrent = 1;
-  opts.max_queue = 16;
-  opts.max_queue_per_tenant = 4;
-  HuntService service(tr.store(), opts);
-  const char* scan = "proc p read file f return p, f";
-  HuntTicket blocker = service.Submit(Req(scan));
-  blocker.WaitStarted();  // occupy the only worker; everything else queues
-  std::vector<HuntTicket> queued;
-  queued.push_back(service.Submit(Req(scan, QueryDialect::kTbql,
-                                      "tenant-a")));
-  queued.push_back(service.Submit(Req(scan, QueryDialect::kTbql,
-                                      "tenant-a")));
-  for (const HuntTicket& t : queued) ASSERT_FALSE(t.done());
-  service::TenantPolicy tight;
-  tight.weight = 5;
-  tight.max_queued = 2;  // below the service default, at the live backlog
-  service.SetTenantPolicy("tenant-a", tight);
-  HuntTicket rejected =
-      service.Submit(Req(scan, QueryDialect::kTbql, "tenant-a"));
-  EXPECT_TRUE(rejected.done());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
-  for (const HuntTicket& t : queued) EXPECT_FALSE(t.done());  // not evicted
-  bool seen = false;
-  for (const auto& tm : service.metrics().tenants) {
-    if (tm.tenant != "tenant-a") continue;
-    seen = true;
-    EXPECT_EQ(tm.weight, 5);
-    EXPECT_EQ(tm.max_queued, 2u);
-  }
-  EXPECT_TRUE(seen);
-  // Loosening back: max_queued = 0 resolves to the service-wide default
-  // again, so the tenant admits past the tightened cap.
-  service.SetTenantPolicy("tenant-a", service::TenantPolicy{});
-  HuntTicket readmitted =
-      service.Submit(Req(scan, QueryDialect::kTbql, "tenant-a"));
-  EXPECT_FALSE(readmitted.done());
-  for (HuntTicket& t : queued) t.Cancel();
-  readmitted.Cancel();
-  blocker.Cancel();
-  (void)blocker.Wait();
-  for (HuntTicket& t : queued) (void)t.Wait();
-  (void)readmitted.Wait();
-}
-
-TEST(HuntServiceTest, FacadeSetsTenantPolicyBeforeFirstSubmit) {
-  // The facade path instantiates the lazy service, so a policy set before
-  // the tenant's first hunt is already in place at creation time; with no
-  // store loaded the call reports failure instead.
-  ThreatRaptor empty;
-  EXPECT_FALSE(empty.SetTenantPolicy("tenant-a", service::TenantPolicy{}));
-  auto tr = BuildWideStore(10, 10);
-  service::TenantPolicy policy;
-  policy.weight = 3;
-  policy.max_queued = 7;
-  ASSERT_TRUE(tr->SetTenantPolicy("tenant-a", policy));
-  HuntRequest req = Req("proc p[\"%svc1%\"] read file f return p, f",
-                        QueryDialect::kTbql, "tenant-a");
-  ASSERT_TRUE(tr->hunt_service()->Run(req).ok());
-  HuntService::Metrics m = tr->service_metrics();
-  ASSERT_EQ(m.tenants.size(), 1u);
-  EXPECT_EQ(m.tenants[0].tenant, "tenant-a");
-  EXPECT_EQ(m.tenants[0].weight, 3);
-  EXPECT_EQ(m.tenants[0].max_queued, 7u);
 }
 
 TEST(HuntServiceTest, CancelQueuedReleasesSlotImmediately) {
@@ -626,45 +555,50 @@ TEST(HuntServiceTest, OutOfRangeLiteralsFinishWithParseError) {
 TEST(HuntServiceTest, TenantMapPrunedDistinctCounted) {
   // Regression: the per-tenant queue map never dropped entries, so a churn
   // of one-off tenant names grew it without bound. Idle entries beyond
-  // max_idle_tenants are pruned; the distinct-tenant stat survives.
+  // kMaxIdleTenants are pruned; the distinct-tenant stat survives.
   auto tr = BuildWideStore(5, 5);
-  HuntServiceOptions opts;
-  opts.max_idle_tenants = 4;
-  HuntService service(tr->store(), opts);
-  for (int i = 0; i < 12; ++i) {
+  HuntService service(tr->store());
+  const size_t tenants = service::kMaxIdleTenants + 8;
+  for (size_t i = 0; i < tenants; ++i) {
     auto r = service.Run(Req("proc p read file f return p",
                              QueryDialect::kTbql,
                              "tenant-" + std::to_string(i)));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
-  EXPECT_EQ(service.stats().tenants, 12u);
   HuntService::Metrics m = service.metrics();
-  EXPECT_EQ(m.distinct_tenants, 12u);
-  EXPECT_LE(m.tracked_tenants, opts.max_idle_tenants);
+  EXPECT_EQ(m.stats.tenants, tenants);
+  EXPECT_LE(m.tracked_tenants, service::kMaxIdleTenants);
 }
 
 TEST(HuntServiceTest, CostBudgetSerializesFullScans) {
-  // Two whole-store scans against a budget of one full-scan unit: the
-  // second hunt must wait for the first even though a worker is free.
+  // Whole-store scans whose weights sum past kAdmissionCostBudget: once
+  // two of them run, a third must wait even though a worker is free.
   ThreatRaptor& tr = SlowStore();
   HuntServiceOptions opts;
-  opts.max_concurrent = 2;
-  opts.admission_cost_budget = 1.0;
+  opts.max_concurrent = 3;
   HuntService service(tr.store(), opts);
   const char* scan = "proc p read file f return p, f";
   HuntTicket first = service.Submit(Req(scan));
-  first.WaitStarted();
   HuntTicket second = service.Submit(Req(scan));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  first.WaitStarted();
+  second.WaitStarted();
   HuntService::Metrics m = service.metrics();
-  EXPECT_EQ(m.running, 1u);      // the free worker could not admit it...
-  EXPECT_EQ(m.queue_depth, 1u);  // ...so the second scan is still queued
-  EXPECT_GT(m.running_cost, 0.5);
+  ASSERT_EQ(m.running, 2u);
+  const double weight = m.running_cost / 2;  // one text, one weight
+  ASSERT_GT(m.running_cost + weight, service::kAdmissionCostBudget)
+      << "scan weight " << weight;
+  HuntTicket third = service.Submit(Req(scan));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  m = service.metrics();
+  EXPECT_EQ(m.running, 2u);      // the free worker could not admit it...
+  EXPECT_EQ(m.queue_depth, 1u);  // ...so the third scan is still queued
   first.Cancel();
   (void)first.Wait();
-  second.WaitStarted();  // budget released -> admitted
+  third.WaitStarted();  // budget released -> admitted
   second.Cancel();
+  third.Cancel();
   (void)second.Wait();
+  (void)third.Wait();
 }
 
 TEST(HuntServiceTest, BoundedWriterPreferenceAdmitsQueuedHunt) {
@@ -739,9 +673,10 @@ TEST(HuntServiceTest, MetricsReportLatencyAndTenants) {
   EXPECT_GT(m.uptime_seconds, 0.0);
   EXPECT_EQ(m.hunt_latency.count, 8u);
   EXPECT_EQ(m.queue_wait.count, 8u);
-  EXPECT_GT(m.hunt_latency.p50_micros, 0.0);
-  EXPECT_LE(m.hunt_latency.p50_micros, m.hunt_latency.p99_micros);
-  EXPECT_LE(m.hunt_latency.p99_micros, m.hunt_latency.max_micros + 1e-9);
+  obs::LogHistogram::Summary latency = m.hunt_latency.Summarize();
+  EXPECT_GT(latency.p50, 0.0);
+  EXPECT_LE(latency.p50, latency.p99);
+  EXPECT_LE(latency.p99, latency.max + 1e-9);
   ASSERT_EQ(m.tenants.size(), 1u);  // the default tenant
   EXPECT_EQ(m.tenants[0].submitted, 8u);
   EXPECT_EQ(m.tenants[0].completed, 8u);
@@ -1083,7 +1018,7 @@ TEST(HuntServiceObsTest, SlowLogForcesTracingAndAppendsJsonl) {
       service.Run(Req("proc p[\"%svc1%\"] read file f return p, f"));
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response.value().profile, nullptr);
-  EXPECT_GE(service.slow_hunts_logged(), 1u);
+  EXPECT_GE(service.metrics().slow_hunts_logged, 1u);
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -1095,11 +1030,10 @@ TEST(HuntServiceObsTest, SlowLogForcesTracingAndAppendsJsonl) {
 
   // Detach: later hunts are not logged.
   service.ConfigureSlowLog("", -1);
-  size_t logged = service.slow_hunts_logged();
-  EXPECT_EQ(logged, 0u);  // detached log reports zero
+  EXPECT_EQ(service.metrics().slow_hunts_logged, 0u);  // detached: zero
   ASSERT_TRUE(
       service.Run(Req("proc p[\"%svc2%\"] read file f return p")).ok());
-  EXPECT_EQ(service.slow_hunts_logged(), 0u);
+  EXPECT_EQ(service.metrics().slow_hunts_logged, 0u);
   std::remove(path.c_str());
 }
 
@@ -1122,6 +1056,113 @@ TEST(HuntServiceObsTest, CollectMetricsExportsTheCatalog) {
   // The completed hunt landed in the latency histogram.
   EXPECT_NE(prom.find("raptor_hunt_latency_micros_count 1"),
             std::string::npos);
+}
+
+/// Prometheus exposition text as sample name (with its label block) ->
+/// value; comment lines are skipped.
+std::map<std::string, double> ParseSamples(const std::string& prom) {
+  std::map<std::string, double> samples;
+  std::istringstream in(prom);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    size_t space = line.rfind(' ');
+    samples[line.substr(0, space)] = std::stod(line.substr(space + 1));
+  }
+  return samples;
+}
+
+TEST(HuntServiceObsTest, CollectMetricsEqualsTheSnapshot) {
+  // Every lifecycle counter, per-tenant series and histogram count the
+  // exporter renders must equal the metrics()/stats() snapshot of the
+  // same quiesced service: one source, no second copy to drift.
+  ThreatRaptor& tr = SlowStore();
+  HuntServiceOptions opts;
+  opts.max_concurrent = 1;
+  opts.max_queue = 8;  // per-tenant cap: 1
+  HuntService service(tr.store(), opts);
+  const char* scan = "proc p read file f return p, f";
+  const char* point = "proc p[\"%svc1_%\"] read file f return p";
+  HuntTicket blocker = service.Submit(Req(scan, QueryDialect::kTbql, "a"));
+  blocker.WaitStarted();
+  HuntTicket queued = service.Submit(Req(point, QueryDialect::kTbql, "a"));
+  HuntTicket rejected = service.Submit(Req(point, QueryDialect::kTbql, "a"));
+  EXPECT_EQ(rejected.Wait().code(), StatusCode::kUnavailable);
+  HuntTicket cancelled = service.Submit(Req(point, QueryDialect::kTbql, "b"));
+  cancelled.Cancel();
+  EXPECT_EQ(cancelled.Wait().code(), StatusCode::kCancelled);
+  HuntTicket expired =
+      service.Submit(Req(point, QueryDialect::kTbql, "b", 20'000));
+  EXPECT_EQ(expired.Wait().code(), StatusCode::kTimeout);
+  blocker.Cancel();
+  EXPECT_EQ(blocker.Wait().code(), StatusCode::kCancelled);
+  EXPECT_TRUE(queued.Wait().ok()) << queued.status().ToString();
+  EXPECT_EQ(service.Run(Req("proc p return", QueryDialect::kTbql, "b"))
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  ASSERT_TRUE(service.Run(Req(point, QueryDialect::kTbql, "b")).ok());
+
+  HuntService::Metrics m = service.metrics();
+  HuntService::Stats s = service.stats();
+  obs::MetricsRegistry registry;
+  service.CollectMetrics(&registry);
+  std::map<std::string, double> samples = ParseSamples(registry.ToPrometheus());
+
+  std::map<std::string, double> expected = {
+      {"raptor_hunts_submitted_total", static_cast<double>(s.submitted)},
+      {"raptor_hunts_completed_total", static_cast<double>(s.completed)},
+      {"raptor_hunts_failed_total", static_cast<double>(s.failed)},
+      {"raptor_hunts_cancelled_total", static_cast<double>(s.cancelled)},
+      {"raptor_hunts_timed_out_total", static_cast<double>(s.timed_out)},
+      {"raptor_hunts_rejected_total", static_cast<double>(s.rejected)},
+  };
+  ASSERT_EQ(m.tenants.size(), 2u);
+  for (const HuntService::TenantMetrics& t : m.tenants) {
+    std::string labels = "{tenant=\"" + t.tenant + "\"}";
+    expected["raptor_tenant_submitted_total" + labels] =
+        static_cast<double>(t.submitted);
+    expected["raptor_tenant_completed_total" + labels] =
+        static_cast<double>(t.completed);
+    expected["raptor_tenant_rejected_total" + labels] =
+        static_cast<double>(t.rejected);
+    expected["raptor_tenant_queued" + labels] = static_cast<double>(t.queued);
+    expected["raptor_tenant_running" + labels] =
+        static_cast<double>(t.running);
+  }
+  expected["raptor_hunt_latency_micros_count"] =
+      static_cast<double>(m.hunt_latency.count);
+  expected["raptor_queue_wait_micros_count"] =
+      static_cast<double>(m.queue_wait.count);
+
+  // Every exported sample of these families is accounted for...
+  for (const auto& [name, value] : samples) {
+    bool covered = name.rfind("raptor_hunts_", 0) == 0 ||
+                   name.rfind("raptor_tenant_", 0) == 0 ||
+                   name == "raptor_hunt_latency_micros_count" ||
+                   name == "raptor_queue_wait_micros_count";
+    if (!covered) continue;
+    auto it = expected.find(name);
+    ASSERT_NE(it, expected.end()) << "unexpected sample " << name;
+    EXPECT_EQ(value, it->second) << name;
+  }
+  // ... and every expected one is exported.
+  for (const auto& [name, value] : expected) {
+    EXPECT_EQ(samples.count(name), 1u) << "missing sample " << name;
+  }
+
+  // The scenario reached every outcome, and stats() is the same snapshot.
+  EXPECT_EQ(s.submitted, 7u);
+  EXPECT_EQ(s.completed, 2u);
+  EXPECT_EQ(s.failed, 1u);
+  EXPECT_EQ(s.cancelled, 2u);
+  EXPECT_EQ(s.timed_out, 1u);
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.tenants, 2u);
+  EXPECT_EQ(m.stats.submitted, s.submitted);
+  EXPECT_EQ(m.stats.completed, s.completed);
+  EXPECT_EQ(m.hunt_latency.count, s.completed);
+  EXPECT_EQ(m.queue_wait.count, 4u);  // blocker, queued, parse error, point
 }
 
 TEST(HuntServiceObsTest, FacadeExportMetricsCoversServiceAndDurability) {

@@ -598,7 +598,7 @@ TEST(StandingHuntTest, CancelStopsFutureRefreshes) {
   DeltaCollector collector;
   service::StandingHandle handle =
       service.SubmitStanding(req, collector.MakeSink());
-  EXPECT_EQ(service.standing_count(), 1u);
+  EXPECT_EQ(service.metrics().standing, 1u);
   ASSERT_TRUE(handle.WaitEpoch(service.epoch(), 30'000'000));
   handle.Cancel();
 
@@ -609,7 +609,7 @@ TEST(StandingHuntTest, CancelStopsFutureRefreshes) {
   ASSERT_TRUE(ApplyBatch(&store, &service, &parser, &accum,
                          audit::CompileAttackScript(steps, 1'000, 3))
                   .ok());
-  EXPECT_EQ(service.standing_count(), 0u);  // pruned at the epoch bump
+  EXPECT_EQ(service.metrics().standing, 0u);  // pruned at the epoch bump
   // WaitEpoch on a cancelled subscription returns instead of hanging.
   EXPECT_FALSE(handle.WaitEpoch(service.epoch(), 1'000'000));
   std::lock_guard<std::mutex> lock(collector.mu);

@@ -15,8 +15,12 @@ import sys
 
 EXPECTED_METRICS = (
     "raptor_hunts_submitted_total",
+    "raptor_hunts_rejected_total",
     "raptor_hunt_latency_micros",
+    "raptor_queue_wait_micros",
     "raptor_admission_queue_depth",
+    "raptor_tenant_submitted_total",
+    "raptor_standing_hunts",
     "raptor_wal_bytes_total",
 )
 

@@ -13,9 +13,7 @@
 //       [--query <tbql> ...] [--jobs N]
 //       Execute TBQL queries against a log in exact search mode. Multiple
 //       --query arguments submit through the concurrent HuntService with
-//       up to N hunts in flight (default 1). --stats prints the service's
-//       SLO metrics (queue depth, latency quantiles, per-tenant counters,
-//       ingest-gate waits) once the hunts finish.
+//       up to N hunts in flight (default 1).
 //   threatraptor hunt --follow <log.jsonl> --query <tbql> [--query ...]
 //       [--standing] [--idle-ms N]
 //       Continuous hunting: tail a growing JSON-lines audit log, ingesting
@@ -41,9 +39,11 @@
 // Observability (hunt command): --explain-analyze prints each hunt's
 // span-tree profile (per-pattern, per-shard timings and counters) after
 // its results; --profile-json <file> appends the same profile as one JSON
-// line per hunt ("-" prints to stdout). --metrics-export dumps the full
-// telemetry registry (admission, gate, standing/MQO, WAL/checkpoint,
-// stream-ingest series) as Prometheus text once the hunts finish.
+// line per hunt ("-" prints to stdout). --metrics-export, the one
+// telemetry output, dumps the full registry (hunt lifecycle, admission,
+// latency histograms, per-tenant series, gate, standing/MQO,
+// WAL/checkpoint, stream-ingest series) as Prometheus text once the hunts
+// finish.
 // --slow-hunt-ms N [--slow-hunt-log <path>] appends a JSONL record — span
 // tree inlined — for every hunt or standing refresh slower than N ms
 // (default log: slow-hunts.jsonl).
@@ -78,12 +78,12 @@ int Usage() {
       "  threatraptor extract <oscti.txt>\n"
       "  threatraptor gen-log <case-id> <out.jsonl>\n"
       "  threatraptor hunt (--log <log.jsonl> | --case <id> | --restore)\n"
-      "      --query <tbql> [--query <tbql> ...] [--jobs N] [--stats]\n"
+      "      --query <tbql> [--query <tbql> ...] [--jobs N]\n"
       "      [--data-dir <dir>] [--checkpoint-every N]\n"
       "      [--explain-analyze] [--profile-json <file|->]\n"
       "      [--metrics-export] [--slow-hunt-ms N] [--slow-hunt-log <path>]\n"
       "  threatraptor hunt --follow <log.jsonl> --query <tbql> [--query ...]\n"
-      "      [--standing] [--idle-ms N] [--stats] [--data-dir <dir>]\n"
+      "      [--standing] [--idle-ms N] [--data-dir <dir>]\n"
       "      [--checkpoint-every N] [--explain-analyze] [--metrics-export]\n"
       "  threatraptor fuzzy (--log <log.jsonl> | --case <id>) --query "
       "<tbql>\n"
@@ -243,7 +243,6 @@ struct HuntArgs {
   std::string data_dir;     // durable mode: WAL + checkpoints live here
   long long checkpoint_every = 0;  // auto-checkpoint interval in epochs
   bool restore = false;     // hunt over the data dir's recovered store
-  bool stats = false;       // print the service's SLO metrics afterwards
   bool explain_analyze = false;  // print each hunt's span-tree profile
   std::string profile_json;      // append profile JSON lines here ("-": stdout)
   bool metrics_export = false;   // dump the telemetry registry (Prometheus)
@@ -305,8 +304,6 @@ bool ParseHuntArgs(int argc, char** argv, int start, HuntArgs* out) {
       if (out->checkpoint_every < 1) return false;
     } else if (arg == "--restore") {
       out->restore = true;
-    } else if (arg == "--stats") {
-      out->stats = true;
     } else if (arg == "--explain-analyze") {
       out->explain_analyze = true;
     } else if (arg == "--profile-json") {
@@ -428,42 +425,6 @@ void MaybeAttachSlowLog(service::HuntService* service, const HuntArgs& args) {
   const std::string& path =
       args.slow_hunt_log.empty() ? "slow-hunts.jsonl" : args.slow_hunt_log;
   service->ConfigureSlowLog(path, args.slow_hunt_ms * 1000);
-}
-
-/// `hunt --stats`: the service's SLO metrics snapshot, printed after the
-/// hunts finish so the histograms cover every query of the invocation.
-void PrintServiceMetrics(const service::HuntService::Metrics& m) {
-  std::printf("--- service metrics\n");
-  std::printf("queue depth %zu, running %zu (cost %.2f / budget %.2f), "
-              "workers %zu\n",
-              m.queue_depth, m.running, m.running_cost, m.cost_budget,
-              m.workers);
-  std::printf("epoch %llu (max standing lag %llu), standing hunts %zu\n",
-              static_cast<unsigned long long>(m.epoch),
-              static_cast<unsigned long long>(m.epoch_lag), m.standing);
-  std::printf("ingest gate: %zu acquires, %.3f s total wait, %.3f s max, "
-              "%zu consecutive\n",
-              m.gate_acquires, m.gate_wait_seconds_total,
-              m.gate_wait_seconds_max, m.consecutive_ingests);
-  auto latency = [](const char* name,
-                    const service::HuntService::LatencySummary& h) {
-    std::printf("%s: n=%zu p50=%.2fms p90=%.2fms p99=%.2fms mean=%.2fms "
-                "max=%.2fms\n",
-                name, h.count, h.p50_micros / 1e3, h.p90_micros / 1e3,
-                h.p99_micros / 1e3, h.mean_micros / 1e3, h.max_micros / 1e3);
-  };
-  latency("hunt latency", m.hunt_latency);
-  latency("queue wait  ", m.queue_wait);
-  std::printf("tenants: %zu distinct, %zu tracked\n", m.distinct_tenants,
-              m.tracked_tenants);
-  for (const service::HuntService::TenantMetrics& t : m.tenants) {
-    std::printf("  %-12s w=%d cap=%zu queued=%zu running=%zu "
-                "submitted=%zu completed=%zu rejected=%zu cancelled=%zu "
-                "timed_out=%zu failed=%zu qps=%.2f\n",
-                t.tenant.empty() ? "(default)" : t.tenant.c_str(), t.weight,
-                t.max_queued, t.queued, t.running, t.submitted, t.completed,
-                t.rejected, t.cancelled, t.timed_out, t.failed, t.qps);
-  }
 }
 
 /// Continuous hunting: tail a JSONL audit log, ingesting through the epoch
@@ -598,7 +559,6 @@ int FollowHunt(const HuntArgs& args) {
                   static_cast<unsigned long long>(
                       handles[i].delivered_epoch()));
     }
-    if (args.stats) PrintServiceMetrics(tr.service_metrics());
     emit_metrics();
     return close_durable(0);
   }
@@ -620,7 +580,6 @@ int FollowHunt(const HuntArgs& args) {
     PrintHuntReport(response.value().report);
     if (EmitProfile(args, response.value().profile.get()) != 0) rc = 1;
   }
-  if (args.stats) PrintServiceMetrics(tr.service_metrics());
   emit_metrics();
   return close_durable(rc);
 }
@@ -677,7 +636,6 @@ int Hunt(const HuntArgs& args) {
       std::printf("%zu rows in %.1f ms\n", rows,
                   response.value().seconds * 1e3);
     }
-    if (args.stats) PrintServiceMetrics(tr.value()->service_metrics());
     if (args.metrics_export) {
       std::printf("%s", tr.value()->ExportMetrics().c_str());
     }
@@ -698,7 +656,6 @@ int Hunt(const HuntArgs& args) {
     }
     int rc = PrintHuntReport(response.value().report);
     if (rc == 0) rc = EmitProfile(args, response.value().profile.get());
-    if (args.stats) PrintServiceMetrics(tr.value()->service_metrics());
     if (args.metrics_export) {
       std::printf("%s", tr.value()->ExportMetrics().c_str());
     }
@@ -732,7 +689,6 @@ int Hunt(const HuntArgs& args) {
     PrintHuntReport(tickets[i].response().report);
     if (EmitProfile(args, tickets[i].response().profile.get()) != 0) rc = 1;
   }
-  if (args.stats) PrintServiceMetrics(service.metrics());
   if (args.metrics_export) {
     // The hunts ran on this invocation-local service; export its series
     // (the facade's service only saw the ingest).
