@@ -22,28 +22,6 @@ size_t LevenshteinDistance(std::string_view a, std::string_view b) {
   return row[a.size()];
 }
 
-size_t LevenshteinDistanceBounded(std::string_view a, std::string_view b,
-                                  size_t max_distance) {
-  if (a.size() > b.size()) std::swap(a, b);
-  if (b.size() - a.size() > max_distance) return max_distance + 1;
-  std::vector<size_t> row(a.size() + 1);
-  for (size_t i = 0; i <= a.size(); ++i) row[i] = i;
-  for (size_t j = 1; j <= b.size(); ++j) {
-    size_t prev = row[0];
-    row[0] = j;
-    size_t row_min = row[0];
-    for (size_t i = 1; i <= a.size(); ++i) {
-      size_t cur = row[i];
-      size_t cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      row[i] = std::min({row[i] + 1, row[i - 1] + 1, prev + cost});
-      prev = cur;
-      row_min = std::min(row_min, row[i]);
-    }
-    if (row_min > max_distance) return max_distance + 1;
-  }
-  return row[a.size()];
-}
-
 double LevenshteinSimilarity(std::string_view a, std::string_view b) {
   size_t longest = std::max(a.size(), b.size());
   if (longest == 0) return 1.0;

@@ -10,12 +10,6 @@ namespace raptor {
 /// Classic Levenshtein edit distance (insert/delete/substitute, unit cost).
 size_t LevenshteinDistance(std::string_view a, std::string_view b);
 
-/// Banded variant: returns early with max_distance+1 once the distance is
-/// provably greater than `max_distance`. Useful for threshold checks on
-/// large candidate sets.
-size_t LevenshteinDistanceBounded(std::string_view a, std::string_view b,
-                                  size_t max_distance);
-
 /// Normalized similarity in [0,1]: 1 - distance / max(len(a), len(b)).
 /// Two empty strings are defined to have similarity 1.
 double LevenshteinSimilarity(std::string_view a, std::string_view b);

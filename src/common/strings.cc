@@ -50,8 +50,6 @@ std::string_view TrimView(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-std::string Trim(std::string_view s) { return std::string(TrimView(s)); }
-
 std::string ToLower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
@@ -65,22 +63,6 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
-}
-
-bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
-  if (needle.empty()) return true;
-  if (haystack.size() < needle.size()) return false;
-  for (size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
-    size_t j = 0;
-    for (; j < needle.size(); ++j) {
-      if (std::tolower(static_cast<unsigned char>(haystack[i + j])) !=
-          std::tolower(static_cast<unsigned char>(needle[j]))) {
-        break;
-      }
-    }
-    if (j == needle.size()) return true;
-  }
-  return false;
 }
 
 bool LikeMatch(std::string_view text, std::string_view pattern) {

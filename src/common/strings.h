@@ -19,13 +19,11 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// Strip leading/trailing ASCII whitespace.
 std::string_view TrimView(std::string_view s);
-std::string Trim(std::string_view s);
 
 std::string ToLower(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
-bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);
 
 /// SQL LIKE matching where '%' matches any character run and '_' matches
 /// one character. Matching is case-sensitive (PostgreSQL LIKE semantics).

@@ -1,12 +1,12 @@
 // Small fixed worker pool backing shard-parallel query execution.
 //
-// Both query executors fan seed/scan iteration out over storage shards with
-// ParallelFor: the calling thread always participates (it claims indices
-// from the same atomic counter as the helpers), so a busy or empty pool
-// degrades to inline execution instead of deadlocking — including nested
-// ParallelFor calls issued from inside a pool worker. Helper jobs hold the
-// loop state through a shared_ptr, so stragglers that wake up after every
-// index has been claimed exit without touching freed memory.
+// Its one client is the storage morsel driver (storage/shard_parallel.h),
+// which starts its morsel workers with ParallelFor: the calling thread
+// always participates (it claims indices from the same atomic counter as
+// the helpers), so a pool kept busy by concurrent hunts, or an empty one,
+// degrades to inline execution instead of deadlocking. Helper jobs hold
+// the loop state through a shared_ptr, so stragglers that wake up after
+// every index has been claimed exit without touching freed memory.
 //
 // The process-wide pool (ThreadPool::Shared()) is sized once from
 // std::thread::hardware_concurrency(), clamped to [2, 8] so that machines
@@ -77,11 +77,6 @@ class ThreadPool {
     state->cv.wait(lock, [&] { return state->done.load() == state->n; });
   }
 
-  /// ParallelFor with no worker cap beyond the pool size.
-  void ParallelFor(size_t n, std::function<void(size_t)> fn) {
-    ParallelFor(n, workers_.size() + 1, std::move(fn));
-  }
-
   /// Process-wide pool shared by all query executors.
   static ThreadPool& Shared() {
     static ThreadPool pool(DefaultThreadCount());
@@ -148,69 +143,6 @@ class ThreadPool {
   std::condition_variable cv_;
   std::deque<std::function<void()>> jobs_;
   bool stop_ = false;
-};
-
-/// Work-stealing deques for morsel-driven execution. The item domain is a
-/// dense index range [0, items); every index is placed up front, split into
-/// one contiguous interval per worker. A worker pops from the *front* of
-/// its own interval and, once drained, steals single items from the *back*
-/// of a victim's, scanning victims from a per-worker pseudo-random start so
-/// concurrent thieves spread out instead of convoying on one queue. Because
-/// nothing is ever re-enqueued, a full empty scan means global completion.
-///
-/// Consumers process item k in whatever order the deques produce, but merge
-/// per-item results by index — so the merged output is independent of the
-/// steal schedule.
-class WorkStealingQueues {
- public:
-  static constexpr size_t kDone = static_cast<size_t>(-1);
-
-  WorkStealingQueues(size_t items, size_t workers)
-      : queues_(std::max<size_t>(workers, 1)) {
-    size_t w = queues_.size();
-    for (size_t i = 0; i < w; ++i) {
-      queues_[i].lo = items * i / w;
-      queues_[i].hi = items * (i + 1) / w;
-    }
-  }
-
-  WorkStealingQueues(const WorkStealingQueues&) = delete;
-  WorkStealingQueues& operator=(const WorkStealingQueues&) = delete;
-
-  /// Next item index for worker `w` (kDone when every deque is empty).
-  /// `*stolen` reports whether the item came from a victim's deque.
-  size_t Next(size_t w, bool* stolen) {
-    {
-      std::lock_guard<std::mutex> lock(queues_[w].mu);
-      if (queues_[w].lo < queues_[w].hi) {
-        *stolen = false;
-        return queues_[w].lo++;
-      }
-    }
-    size_t n = queues_.size();
-    size_t start = (w * 0x9e3779b9u + 1) % n;  // deterministic mixed start
-    for (size_t k = 0; k < n; ++k) {
-      size_t v = (start + k) % n;
-      if (v == w) continue;
-      std::lock_guard<std::mutex> lock(queues_[v].mu);
-      if (queues_[v].lo < queues_[v].hi) {
-        *stolen = true;
-        return --queues_[v].hi;
-      }
-    }
-    return kDone;
-  }
-
- private:
-  // One mutex per deque: own pops and steals are both O(1) critical
-  // sections; padding keeps the hot lo/hi words off shared cache lines.
-  struct alignas(64) Queue {
-    std::mutex mu;
-    size_t lo = 0;
-    size_t hi = 0;
-  };
-
-  std::vector<Queue> queues_;
 };
 
 }  // namespace raptor

@@ -1,11 +1,8 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,7 +11,6 @@
 #include "common/interner.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "obs/trace.h"
 
 namespace raptor::engine {
@@ -203,8 +199,7 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
   }
   // Dirty-restricted passes force the restricted pattern to execute first,
   // so its (small) match set drives constraint propagation into every
-  // dependent pattern instead of the other way around. Applied before the
-  // DAG is derived — dependencies follow execution order.
+  // dependent pattern instead of the other way around.
   if (options.force_first_pattern >= 0 &&
       static_cast<size_t>(options.force_first_pattern) < n_patterns) {
     auto it = std::find(order.begin(), order.end(),
@@ -221,20 +216,14 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
   };
 
   // ---- Per-pattern execution with constraint propagation -------------------
-  // The constraint-propagation DAG chains every pattern pair sharing a
-  // joinable entity id in scheduler order; patterns with no edge are
-  // independent and may execute concurrently. Each pattern reads the
-  // shared domains when it starts (its DAG predecessors have all finished,
-  // so it sees exactly the serial schedule's domains) and intersects its
-  // own matched ids back in when it completes; the mutex only guards those
-  // two boundary touches, never a data query.
+  // Patterns run one at a time in scheduler order. Each reads the entity
+  // domains its predecessors narrowed when it starts and intersects its own
+  // matched ids back in when it completes.
   EntityConstraints constraints;
   if (options.initial_constraints != nullptr) {
     constraints = *options.initial_constraints;
   }
-  std::mutex constraints_mu;
   std::vector<std::vector<PatternMatch>> matches(n_patterns);
-  std::vector<std::string> query_texts(n_patterns);
   if (options.propagate_constraints) {
     report.pattern_deps = PatternDependencies(aq, order);
   } else {
@@ -253,9 +242,9 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     return Status::OK();
   };
 
-  // Intersect pattern `idx`'s matched subject/object ids into the shared
+  // Intersect pattern `idx`'s matched subject/object ids into the
   // constraint domains (the "adding filters" step of the scheduling
-  // algorithm); the mutex guards only this boundary touch.
+  // algorithm).
   auto propagate_ids = [&](size_t idx) {
     const std::vector<PatternMatch>& out = matches[idx];
     if (out.empty()) return;
@@ -267,7 +256,6 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
       EntitySet ids;
       ids.reserve(out.size());
       for (const PatternMatch& m : out) ids.insert(m.*pick);
-      std::lock_guard<std::mutex> lock(constraints_mu);
       auto it = constraints.find(id);
       if (it == constraints.end()) {
         constraints.emplace(id, std::move(ids));
@@ -298,7 +286,6 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     EntityConstraints relevant;
     if (options.propagate_constraints) {
       const Pattern& p = query.patterns[idx];
-      std::lock_guard<std::mutex> lock(constraints_mu);
       for (const std::string& id : {p.subject.id, p.object.id}) {
         if (!joinable(id)) continue;
         auto it = constraints.find(id);
@@ -315,7 +302,7 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     }
     auto dq = CompilePattern(aq, idx, relevant, now);
     if (!dq.ok()) return dq.status();
-    query_texts[idx] = dq.value().text;
+    report.executed_queries.push_back(dq.value().text);
 
     std::vector<PatternMatch>& out = matches[idx];
     if (dq.value().backend == Backend::kRelational) {
@@ -389,83 +376,17 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
     return Status::OK();
   };
 
-  if (n_patterns <= 1 || options.max_pattern_workers <= 1) {
-    for (size_t idx : order) RAPTOR_RETURN_NOT_OK(run_pattern(idx));
-  } else {
-    // Dataflow ready-queue over the DAG on the shared pool: workers claim
-    // ready patterns, and each completion unlocks its dependents. The
-    // caller participates (ThreadPool::ParallelFor), so the schedule makes
-    // progress even when every pool helper is busy elsewhere; a worker
-    // only blocks while some other worker is executing a pattern, so the
-    // wait always terminates.
-    std::vector<size_t> indegree(n_patterns, 0);
-    std::vector<std::vector<size_t>> dependents(n_patterns);
-    for (size_t i = 0; i < n_patterns; ++i) {
-      indegree[i] = report.pattern_deps[i].size();
-      for (size_t d : report.pattern_deps[i]) dependents[d].push_back(i);
-    }
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<size_t> ready;
-    for (size_t idx : order) {
-      if (indegree[idx] == 0) ready.push_back(idx);
-    }
-    size_t remaining = n_patterns;
-    bool failed = false;
-    Status first_error;
-    size_t workers = std::min<size_t>(
-        static_cast<size_t>(options.max_pattern_workers), n_patterns);
-    ThreadPool::Shared().ParallelFor(workers, workers, [&](size_t) {
-      for (;;) {
-        size_t idx;
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&] {
-            return failed || remaining == 0 || !ready.empty();
-          });
-          if (failed || remaining == 0) return;
-          idx = ready.front();
-          ready.pop_front();
-        }
-        Status st = run_pattern(idx);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          if (!st.ok()) {
-            if (!failed) {
-              failed = true;
-              first_error = st;
-            }
-          } else if (!failed) {
-            for (size_t dep : dependents[idx]) {
-              if (--indegree[dep] == 0) ready.push_back(dep);
-            }
-          }
-          --remaining;
-        }
-        cv.notify_all();
-      }
-    });
-    if (failed) return first_error;
-  }
-  for (size_t idx : order) {
-    report.executed_queries.push_back(std::move(query_texts[idx]));
-  }
+  for (size_t idx : order) RAPTOR_RETURN_NOT_OK(run_pattern(idx));
 
   // Re-filter earlier pattern matches with the final entity domains (later
   // patterns may have narrowed entities that earlier executions bound).
-  // Patterns are independent here — each task reads the shared (now
-  // frozen) constraint domains and rewrites only its own match list — so
-  // the pass fans out over the shared worker pool once there is enough
-  // work to amortize dispatch (typical hunts filter a few dozen matches,
-  // which stay on the inline path).
   if (options.propagate_constraints) {
     obs::ScopedSpan refilter_span(options.trace, "refilter");
     size_t total_matches = 0;
     for (const auto& m : matches) total_matches += m.size();
     obs::Set(refilter_span.get(), "input_matches",
              static_cast<int64_t>(total_matches));
-    constexpr size_t kParallelRefilterMinMatches = 4096;
-    auto refilter = [&](size_t i) {
+    for (size_t i = 0; i < n_patterns; ++i) {
       const Pattern& p = query.patterns[i];
       auto sit = joinable(p.subject.id) ? constraints.find(p.subject.id)
                                         : constraints.end();
@@ -485,11 +406,6 @@ Result<ExecReport> TbqlExecutor::Execute(const tbql::TbqlQuery& query,
         kept.push_back(m);
       }
       matches[i] = std::move(kept);
-    };
-    if (n_patterns > 1 && total_matches >= kParallelRefilterMinMatches) {
-      ThreadPool::Shared().ParallelFor(n_patterns, refilter);
-    } else {
-      for (size_t i = 0; i < n_patterns; ++i) refilter(i);
     }
   }
 

@@ -13,13 +13,9 @@
 // weaving many joins and non-equi temporal constraints together, which is
 // what Table VIII measures.
 //
-// Pattern execution is DAG-scheduled: patterns that share a joinable
-// entity id are chained in scheduler order (constraint propagation needs
-// the predecessor's matched ids), while independent patterns carry no edge
-// and execute concurrently on the shared worker pool through a dataflow
-// ready queue. Because dependencies serialize exactly the pattern pairs
-// that interact through the constraint domains, the concurrent schedule
-// produces byte-identical reports to the serial one. Cooperative
+// Patterns execute one at a time, in scheduler order, on the calling
+// thread; the only intra-query parallelism is the storage morsel driver
+// under each data query (storage/shard_parallel.h). Cooperative
 // cancellation and deadlines (HuntService tickets) are polled at pattern
 // boundaries and inside the storage executors' scan loops.
 #pragma once
@@ -47,12 +43,6 @@ struct ExecOptions {
   bool use_scheduler = true;
   /// Propagate matched entity ids into dependent data queries.
   bool propagate_constraints = true;
-  /// Concurrency cap for the pattern dataflow: independent patterns (no
-  /// constraint-propagation edge between them) execute concurrently on
-  /// the shared worker pool. The effective width is also bounded by the
-  /// pattern count and the pool size; 1 runs strictly sequentially in
-  /// scheduler order.
-  int max_pattern_workers = 4;
   /// Cooperative cancellation: polled at pattern boundaries, join levels,
   /// and inside the storage executors' scan loops. When set mid-query the
   /// hunt returns Status::Cancelled. Must outlive the call.
@@ -111,10 +101,11 @@ struct ExecReport {
   double seconds = 0;
   /// All events matched by event patterns (deduplicated, for evaluation).
   std::vector<long long> matched_event_ids;
-  /// Constraint-propagation DAG the scheduler ran: pattern_deps[i] lists
-  /// the pattern indices that had to execute before pattern i (empty lists
-  /// throughout when constraint propagation is off — every pattern is
-  /// independent then).
+  /// Constraint-propagation DAG of the executed order: pattern_deps[i]
+  /// lists the earlier patterns whose matched ids narrowed pattern i's
+  /// data query (empty lists throughout when constraint propagation is
+  /// off). Patterns still run one at a time; the DAG only says which of
+  /// them fed which (perfbench's critical path reads it).
   std::vector<std::vector<size_t>> pattern_deps;
 };
 
@@ -127,7 +118,8 @@ double PruningScore(const tbql::AnalyzedQuery& aq, size_t idx);
 /// indices, most selective first): deps[i] lists every pattern ordered
 /// before i that shares a joinable (non-network) entity id with i. Those
 /// are exactly the pairs whose execution order affects the propagated
-/// entity domains; patterns with no edge may run concurrently.
+/// entity domains; a pattern with no edge reads none of its
+/// predecessors' ids.
 std::vector<std::vector<size_t>> PatternDependencies(
     const tbql::AnalyzedQuery& aq, const std::vector<size_t>& order);
 

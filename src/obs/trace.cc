@@ -12,12 +12,6 @@ TraceSpan* TraceSpan::AddChild(std::string name) {
   return raw;
 }
 
-void TraceSpan::Adopt(std::shared_ptr<TraceSpan> subtree) {
-  if (subtree == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  children_.push_back(std::move(subtree));
-}
-
 void TraceSpan::Add(std::string_view counter, int64_t delta) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, value] : counters_) {

@@ -54,10 +54,6 @@ class TraceSpan {
   /// stays valid while this span (transitively, the root) is alive.
   TraceSpan* AddChild(std::string name);
 
-  /// Graft an independently built (sub)tree under this span — used to
-  /// attach an executor-owned tree to the service's hunt span.
-  void Adopt(std::shared_ptr<TraceSpan> subtree);
-
   /// Accumulate `delta` into the named counter (created at zero).
   void Add(std::string_view counter, int64_t delta);
   /// Overwrite the named counter.

@@ -113,14 +113,16 @@ struct StandingState {
 /// leader: it executes the query and fills the entry — always, even on
 /// error or cancellation, so followers can never wait forever. Followers
 /// block on the entry (never on a service lock) and derive their own
-/// per-subscription deltas from the shared response. No deadlock at any
-/// worker count: a leader is always already running when a follower waits.
+/// per-subscription deltas from the shared response. The leader ran under
+/// its own cancel flag and deadline, so a follower reuses only a
+/// successful response; when the leader failed, the follower executes the
+/// query itself under its own. No deadlock at any worker count: a leader
+/// is always already running when a follower waits.
 struct SharedRefresh {
   std::mutex mu;
   std::condition_variable cv;
   bool ready = false;
-  Status status = Status::OK();
-  std::shared_ptr<const HuntResponse> response;  // null when !status.ok()
+  std::shared_ptr<const HuntResponse> response;  // null when the leader failed
 };
 
 // ---- StandingHandle --------------------------------------------------------
@@ -1396,7 +1398,8 @@ void HuntService::RunStanding(const StandingPtr& sub) {
 
   // Full refresh, deduplicated across structural twins (MQO layer 1): the
   // first subscription to claim the (canonical key, epoch) entry executes;
-  // the rest reuse its response and pay only their own delta computation.
+  // the rest reuse its successful response and pay only their own delta
+  // computation.
   std::shared_ptr<const HuntResponse> shared;
   if (!incremental && failure.ok()) {
     std::shared_ptr<SharedRefresh> entry;
@@ -1409,9 +1412,28 @@ void HuntService::RunStanding(const StandingPtr& sub) {
       leader = fresh;
       entry = it->second;
     }
-    if (leader) {
+    if (!leader) {
+      // Follower: the leader is already running on another worker (it
+      // claimed the entry while admitted), so this wait is bounded by one
+      // query execution and holds no service lock.
+      obs::Note(root.get(), "mqo", "follower");
+      {
+        obs::ScopedSpan wait_span(root.get(), "dedup_wait");
+        std::unique_lock<std::mutex> lock(entry->mu);
+        entry->cv.wait(lock, [&] { return entry->ready; });
+        shared = entry->response;
+      }
+      if (shared != nullptr) {
+        std::lock_guard<std::mutex> service_lock(mu_);
+        ++stats_.standing_dedup_hits;
+      }
+    } else {
       obs::Note(root.get(), "mqo",
                 entry != nullptr ? "leader" : "no_dedup");
+    }
+    // The leader, and a follower whose leader failed: the leader's timeout
+    // or cancellation is its own, not this subscription's.
+    if (shared == nullptr) {
       auto result = ExecuteQuery(sub->request, &sub->cancelled, deadline,
                                  nullptr, root.get());
       if (result.ok()) {
@@ -1420,32 +1442,16 @@ void HuntService::RunStanding(const StandingPtr& sub) {
       } else {
         failure = result.status();
       }
-      if (entry != nullptr) {
-        // Fill unconditionally — even on error or cancellation — so a
-        // follower can never wait forever.
-        {
-          std::lock_guard<std::mutex> lock(entry->mu);
-          entry->status = failure;
-          entry->response = shared;
-          entry->ready = true;
-        }
-        entry->cv.notify_all();
+    }
+    if (leader && entry != nullptr) {
+      // Fill unconditionally — even on error or cancellation — so a
+      // follower can never wait forever.
+      {
+        std::lock_guard<std::mutex> lock(entry->mu);
+        entry->response = shared;
+        entry->ready = true;
       }
-    } else {
-      // Follower: the leader is already running on another worker (it
-      // claimed the entry while admitted), so this wait is bounded by one
-      // query execution and holds no service lock.
-      obs::ScopedSpan wait_span(root.get(), "dedup_wait");
-      obs::Note(root.get(), "mqo", "follower");
-      std::unique_lock<std::mutex> lock(entry->mu);
-      entry->cv.wait(lock, [&] { return entry->ready; });
-      failure = entry->status;
-      shared = entry->response;
-      lock.unlock();
-      if (shared != nullptr) {
-        std::lock_guard<std::mutex> service_lock(mu_);
-        ++stats_.standing_dedup_hits;
-      }
+      entry->cv.notify_all();
     }
   }
 

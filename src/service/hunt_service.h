@@ -22,10 +22,10 @@
 // seed cardinalities × pattern radius, pure index statistics), normalized
 // by store size, and a hunt only starts while the sum of running weights
 // fits kAdmissionCostBudget (one full-store-scan-heavy hunt runs alone;
-// cheap point hunts pack the full worker width). Each hunt's intra-query
-// shard fan-out still runs on the shared common/thread_pool.h pool, as
-// does the TBQL engine's pattern DAG, so total parallelism is bounded by
-// the pool, not multiplied by it.
+// cheap point hunts pack the full worker width). A hunt's one level of
+// intra-query parallelism, the storage morsel fan-out, runs on the shared
+// common/thread_pool.h pool, so total parallelism is bounded by the pool,
+// not multiplied by it.
 //
 // Tickets are future-like handles: Wait()/WaitFor(), Cancel()
 // (cooperative — polled by the engine at pattern boundaries and by both

@@ -882,7 +882,7 @@ class Matcher {
 
   /// Restrict top-level (part 0) seed iteration to the half-open sub-range
   /// [lo, hi) of one shard's seed list (seed-list positions, not node
-  /// ids): one work-stealing morsel.
+  /// ids): one morsel.
   void RestrictTopSeedsToMorsel(int shard, size_t lo, size_t hi) {
     seed_shard_ = shard;
     morsel_lo_ = lo;
@@ -1345,7 +1345,6 @@ void MatchStats::Add(const MatchStats& other) {
   bindings_emitted += other.bindings_emitted;
   rows_emitted += other.rows_emitted;
   morsels_executed += other.morsels_executed;
-  morsels_stolen += other.morsels_stolen;
 }
 
 void MatchStats::WriteSpan(obs::TraceSpan* span) const {
@@ -1354,7 +1353,6 @@ void MatchStats::WriteSpan(obs::TraceSpan* span) const {
   span->Set("edges_traversed", static_cast<int64_t>(edges_traversed));
   span->Set("rows_emitted", static_cast<int64_t>(rows_emitted));
   span->Set("morsels_executed", static_cast<int64_t>(morsels_executed));
-  span->Set("morsels_stolen", static_cast<int64_t>(morsels_stolen));
 }
 
 Result<GraphBlockResult> ExecuteCypherBlocks(const CypherQuery& query,

@@ -29,8 +29,9 @@
 // Shard-parallel matching: when the graph is sharded and the top-level
 // seed set is large enough (storage::FanOut), the shared morsel driver
 // (storage::RunMorsels, storage/shard_parallel.h) carves each shard's seed
-// list into MatchOptions::morsel_size work-stealing morsels; each morsel
-// runs its own matcher and row sink, and results merge in morsel order.
+// list into MatchOptions::morsel_size morsels that workers claim from one
+// counter; each morsel runs its own matcher and row sink, and results
+// merge in morsel order.
 // Queries that stay serial (parallel_shards = 1, tiny seed sets, small
 // pushed limits) run one matcher over every shard in order.
 //
@@ -99,12 +100,11 @@ struct MatchStats {
   size_t bindings_emitted = 0;  // complete query bindings before WHERE
   size_t rows_emitted = 0;      // result rows produced (after WHERE/DISTINCT)
   size_t morsels_executed = 0;  // seed morsels run by the parallel driver
-  size_t morsels_stolen = 0;    // of those, taken from another worker's deque
 
   /// Accumulate `other` (a morsel worker's counters) into this.
   void Add(const MatchStats& other);
   /// Set the traversal counters on `span` (nullable): seeds_visited,
-  /// edges_traversed, rows_emitted, morsels_executed and morsels_stolen.
+  /// edges_traversed, rows_emitted and morsels_executed.
   void WriteSpan(obs::TraceSpan* span) const;
 };
 
@@ -113,7 +113,7 @@ struct MatchOptions {
   /// bound (Neo4j discourages unbounded expansion for the same reason).
   int unbounded_varlen_cap = 8;
   /// Seeds per morsel. Small enough that a skewed shard yields many
-  /// stealable units, large enough to amortize per-morsel sink setup.
+  /// claimable units, large enough to amortize per-morsel sink setup.
   int morsel_size = 2048;
   /// Maximum parallel workers for whole-graph matching; the effective
   /// worker count is min(parallel_shards, morsel count). 1 = always
@@ -143,7 +143,7 @@ struct MatchOptions {
   /// Must outlive the call.
   storage::QueryResultCache<GraphBlockResult>* result_cache = nullptr;
   /// EXPLAIN ANALYZE hook: when non-null, the parallel driver hangs one
-  /// timed child span per morsel worker under it (seed, row, and steal
+  /// timed child span per morsel worker under it (seed, row, and morsel
   /// counters included), a serial query one `morsel_worker[0]` span over
   /// its planning and matching (storage::WorkerSpan), and QueryBlocks
   /// records subresult cache hits. Null (the default) costs one pointer test per query.

@@ -772,7 +772,6 @@ void ExecStats::Add(const ExecStats& other) {
   columnar_filter_rows += other.columnar_filter_rows;
   like_dict_evals += other.like_dict_evals;
   morsels_executed += other.morsels_executed;
-  morsels_stolen += other.morsels_stolen;
 }
 
 void ExecStats::WriteSpan(obs::TraceSpan* span) const {
@@ -783,7 +782,6 @@ void ExecStats::WriteSpan(obs::TraceSpan* span) const {
   span->Set("columnar_filter_rows",
             static_cast<int64_t>(columnar_filter_rows));
   span->Set("morsels_executed", static_cast<int64_t>(morsels_executed));
-  span->Set("morsels_stolen", static_cast<int64_t>(morsels_stolen));
 }
 
 Result<BlockResultSet> ExecuteSelectBlocks(const SelectStmt& stmt,

@@ -27,9 +27,10 @@
 //    join/probe pipeline — runs on the shared morsel driver
 //    (storage::RunMorsels, storage/shard_parallel.h): each shard's scan
 //    (or index seed list) is carved into SelectOptions::morsel_size
-//    work-stealing morsels, each emitting into its own result set, merged
-//    in morsel order. ORDER BY sorts after the merge, so rows comparing
-//    equal on every key may order differently than a serial run;
+//    morsels that workers claim from one counter, each emitting into its
+//    own result set, merged in morsel order. ORDER BY sorts after the
+//    merge, so rows comparing equal on every key may order differently
+//    than a serial run;
 //    key-unique sorts are unaffected;
 //  * single-table filters of the shape `col op literal` / `col IN (...)`
 //    / `col [NOT] LIKE literal` compile into storage::ColumnFilters over
@@ -99,13 +100,12 @@ struct ExecStats {
   size_t columnar_filter_rows = 0;  // predicate checks served by frozen columns
   size_t like_dict_evals = 0;       // dictionary entries matched by LIKE
   size_t morsels_executed = 0;      // scan morsels run by the parallel driver
-  size_t morsels_stolen = 0;        // of those, taken from another worker
 
   /// Accumulate `other` (a morsel worker's counters) into this.
   void Add(const ExecStats& other);
   /// Set the scan counters on `span` (nullable): base_rows_scanned,
-  /// index_probe_rows, rows_emitted, columnar_filter_rows,
-  /// morsels_executed and morsels_stolen.
+  /// index_probe_rows, rows_emitted, columnar_filter_rows and
+  /// morsels_executed.
   void WriteSpan(obs::TraceSpan* span) const;
 };
 
@@ -113,7 +113,7 @@ struct ExecStats {
 /// deadline, result caching and tracing.
 struct SelectOptions {
   /// Rows per morsel. Small enough that a skewed shard yields many
-  /// stealable units, large enough to amortize per-morsel pipeline setup.
+  /// claimable units, large enough to amortize per-morsel pipeline setup.
   int morsel_size = 2048;
   /// Maximum parallel workers for the base scan / probe pipeline; the
   /// effective worker count is min(parallel_shards, morsel count). 1 =
@@ -138,7 +138,7 @@ struct SelectOptions {
   /// mutation. Must outlive the call.
   storage::QueryResultCache<BlockResultSet>* result_cache = nullptr;
   /// EXPLAIN ANALYZE hook: when non-null, the parallel driver hangs one
-  /// timed child span per morsel worker under it (scan, probe, and steal
+  /// timed child span per morsel worker under it (scan, probe, and morsel
   /// counters included) and a serial statement one `morsel_worker[0]`
   /// span over its whole execution (storage::WorkerSpan), the executor adds the statement's
   /// index_probe_rows / base_rows_scanned / columnar_filter_rows /

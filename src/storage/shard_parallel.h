@@ -1,7 +1,7 @@
 // Shared execution policy of the shard-parallel query drivers (the Cypher
 // matcher and the SQL pipeline): when a query fans out, how its input is
-// carved into work-stealing morsels and run on the common thread pool,
-// LIMIT row-budget selection, and the deterministic morsel-order merge.
+// carved into morsels and run on the common thread pool, LIMIT row-budget
+// selection, and the deterministic morsel-order merge.
 // Both executors hand RunMorsels their per-shard input counts and a
 // callback that runs one morsel through their own pipeline; the subtle
 // parts — how a pushed-down LIMIT is enforced across workers and how
@@ -9,15 +9,13 @@
 // cannot drift apart.
 //
 // Morsels: each shard's input (seed list, scan range or candidate list)
-// is carved into fixed-size positional chunks laid out shard-major and
-// dealt onto per-worker work-stealing deques (common/thread_pool.h
-// WorkStealingQueues). A worker pops its own deque front-first and steals
-// from the back of a victim when it drains, so a skewed shard's input
-// spreads over the whole fleet. Every morsel streams into its own
-// WorkerRows and the merge walks morsels in carve order: the output is
-// deterministic for a fixed storage layout and morsel size, independent of
-// the steal schedule — but shard-major, so it need not equal a serial
-// run's order.
+// is carved into fixed-size positional chunks laid out shard-major. Workers
+// claim the next morsel from one shared atomic counter until none is left,
+// so a skewed shard's input spreads over the whole fleet. Every morsel
+// streams into its own WorkerRows and the merge walks morsels in carve
+// order: the output is deterministic for a fixed storage layout and morsel
+// size, independent of which worker ran which morsel — but shard-major, so
+// it need not equal a serial run's order.
 //
 // Budget policy: without DISTINCT every emitted row counts globally, so
 // workers claim emission slots from one atomic counter (exactly `limit`
@@ -118,7 +116,7 @@ bool FanOut(int parallel_shards, size_t shard_count, long long limit,
          input_size() >= static_cast<size_t>(std::max(0, min_input));
 }
 
-/// Positions [lo, hi) of shard `shard`'s input: one unit of stealable work.
+/// Positions [lo, hi) of shard `shard`'s input: one unit of claimable work.
 struct Morsel {
   size_t shard;
   size_t lo;
@@ -181,15 +179,16 @@ void WorkerSpan(obs::TraceSpan* trace, size_t w,
 
 /// The morsel driver: carve each shard's `shard_counts[s]` input positions
 /// into shard-major morsels of `morsel_size`, run them on
-/// min(parallel_shards, morsels) workers of ThreadPool::Shared(), fold the
-/// workers' stats into `stats` (nullable) and merge the rows into `out`
-/// in morsel order. Each worker calls `make_worker()` once for a callable
+/// min(parallel_shards, morsels) workers of ThreadPool::Shared(), which
+/// claim morsels from one shared counter; fold the workers' stats into
+/// `stats` (nullable) and merge the rows into `out` in morsel order. Each
+/// worker calls `make_worker()` once for a callable
 /// `Status(const Morsel&, Stats*, WorkerRows*)` that runs one morsel
 /// through the executor's own pipeline (owning any per-worker state, such
 /// as an evaluator's caches) and returns the error that stopped it; a
 /// failed morsel stops its worker and fails the merge. With `trace` set,
 /// every worker hangs its WorkerSpan.
-/// `Stats` provides morsels_executed / morsels_stolen, Add and WriteSpan.
+/// `Stats` provides morsels_executed, Add and WriteSpan.
 template <class Stats, class MakeWorker>
 Status RunMorsels(const std::vector<size_t>& shard_counts, int morsel_size,
                   int parallel_shards, bool distinct, obs::TraceSpan* trace,
@@ -206,17 +205,15 @@ Status RunMorsels(const std::vector<size_t>& shard_counts, int morsel_size,
   std::vector<MorselRun> runs(morsels.size());
   size_t workers = std::min(
       static_cast<size_t>(std::max(1, parallel_shards)), morsels.size());
-  WorkStealingQueues queues(morsels.size(), workers);
+  std::atomic<size_t> next{0};
   std::vector<Stats> worker_stats(workers);
   ThreadPool::Shared().ParallelFor(workers, workers, [&](size_t w) {
     auto start = obs::TraceSpan::Clock::now();
     Stats* ws = &worker_stats[w];
     auto run_morsel = make_worker();
-    bool stolen = false;
-    for (size_t m = queues.Next(w, &stolen); m != WorkStealingQueues::kDone;
-         m = queues.Next(w, &stolen)) {
+    for (size_t m = next.fetch_add(1); m < morsels.size();
+         m = next.fetch_add(1)) {
       ++ws->morsels_executed;
-      if (stolen) ++ws->morsels_stolen;
       runs[m].error = run_morsel(morsels[m], ws, &runs[m].rs);
       if (!runs[m].error.ok()) break;  // the merge surfaces it
     }

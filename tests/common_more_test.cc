@@ -20,11 +20,9 @@ TEST(StringsTest, SplitAndJoin) {
 }
 
 TEST(StringsTest, TrimAndCase) {
-  EXPECT_EQ(Trim("  x  "), "x");
-  EXPECT_EQ(Trim("\t\n"), "");
+  EXPECT_EQ(TrimView("  x  "), "x");
+  EXPECT_EQ(TrimView("\t\n"), "");
   EXPECT_EQ(ToLower("AbC/9"), "abc/9");
-  EXPECT_TRUE(ContainsIgnoreCase("ThreatRaptor", "raptor"));
-  EXPECT_FALSE(ContainsIgnoreCase("ThreatRaptor", "falcon"));
 }
 
 TEST(StringsTest, ReplaceAllAndParse) {

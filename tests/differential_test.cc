@@ -5,7 +5,7 @@
 // row and property map it inserted (oracle::GraphCopy / oracle::SqlCopy),
 // never the frozen columns the executors read. The checks run on
 // randomized small graphs/tables under three
-// execution schedules (serial, morsel work-stealing with tiny morsels, and
+// execution schedules (serial, morsel fan-out with tiny morsels, and
 // the default morsel size; the fan-out thresholds are zeroed so even these
 // tiny fixtures exercise the parallel drivers).
 //
@@ -109,8 +109,8 @@ std::vector<std::string> ExpectedRows(
 }
 
 // Number of execution schedules each query runs under: 0 = serial,
-// 1 = morsel work-stealing with morsels of 3 seeds/rows (so even these
-// fixtures split into several stealable chunks), 2 = the default morsel
+// 1 = morsel fan-out with morsels of 3 seeds/rows (so even these
+// fixtures split into several claimable chunks), 2 = the default morsel
 // size.
 constexpr int kSchedules = 3;
 

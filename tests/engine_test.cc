@@ -277,24 +277,20 @@ TEST_F(EngineTest, AllOptionsCombinationsAgree) {
     auto baseline = Run(query);
     for (bool sched : {false, true}) {
       for (bool prop : {false, true}) {
-        for (int workers : {1, 4}) {
-          ExecOptions opts;
-          opts.use_scheduler = sched;
-          opts.propagate_constraints = prop;
-          opts.max_pattern_workers = workers;
-          auto report = Run(query, opts);
-          EXPECT_EQ(report.results.rows, baseline.results.rows)
-              << query << " sched=" << sched << " prop=" << prop
-              << " workers=" << workers;
-        }
+        ExecOptions opts;
+        opts.use_scheduler = sched;
+        opts.propagate_constraints = prop;
+        auto report = Run(query, opts);
+        EXPECT_EQ(report.results.rows, baseline.results.rows)
+            << query << " sched=" << sched << " prop=" << prop;
       }
     }
   }
 }
 
 TEST_F(EngineTest, PatternDependenciesChainSharedEntities) {
-  // p links patterns 0 and 1; pattern 2 (distinct process q) is
-  // independent of both and may execute concurrently.
+  // p links patterns 0 and 1; pattern 2 (distinct process q) reads
+  // neither one's matched ids.
   auto q = tbql::ParseTbql(
       "proc p read file f as e1 "
       "proc p write file g as e2 "

@@ -55,7 +55,7 @@ struct SyntheticGraphSpec {
   /// uniformly. Because the store shards entities round-robin on the low
   /// id bits, setting skew_modulus to the store's shard count collapses
   /// the hot subset — and the expansion work its out-edges represent —
-  /// onto a single shard, the straggler workload morsel stealing exists
+  /// onto a single shard, the straggler workload morsel fan-out exists
   /// for. 0 (default) disables the extra rng draws entirely, so
   /// historical specs reproduce byte-for-byte. Note a plain Zipf over
   /// node ids would NOT skew shards: round-robin sharding spreads any

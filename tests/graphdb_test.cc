@@ -13,6 +13,7 @@
 #include "storage/column_filter.h"
 #include "storage/graphdb/cypher_executor.h"
 #include "storage/graphdb/cypher_parser.h"
+#include "storage/shard_parallel.h"
 #include "tests/fixtures/synthetic_graph.h"
 
 namespace raptor::graphdb {
@@ -876,6 +877,89 @@ TEST(BlockResultTest, PreSplitOwnedSeedsMatchSkipScan) {
     return out;
   };
   EXPECT_EQ(normalize(parallel.value()), normalize(serial.value()));
+}
+
+
+// The morsel driver directly: shards of 5, 0 and 7 positions in morsels of
+// 2 make seven morsels, each emitting one (shard, position) row per
+// position it covers.
+struct MorselTestStats {
+  size_t morsels_executed = 0;
+  void Add(const MorselTestStats& other) {
+    morsels_executed += other.morsels_executed;
+  }
+  void WriteSpan(obs::TraceSpan*) const {}
+};
+
+struct MorselDriverRun {
+  Status status;
+  std::vector<std::vector<int64_t>> rows;  // merged rows, in merge order
+  std::vector<int> visits;                 // per position: times visited
+  MorselTestStats stats;
+  int workers_made = 0;
+};
+
+MorselDriverRun DriveMorsels(int workers, size_t fail_shard = ~size_t{0},
+                             size_t fail_lo = 0) {
+  const std::vector<size_t> counts = {5, 0, 7};
+  std::vector<std::atomic<int>> visits(counts[0] + counts[1] + counts[2]);
+  std::atomic<int> workers_made{0};
+  storage::RowBlocks<std::vector<Value>> out;
+  MorselDriverRun run;
+  run.status = storage::RunMorsels(
+      counts, /*morsel_size=*/2, workers, /*distinct=*/false, nullptr,
+      &run.stats, &out, [&] {
+        workers_made.fetch_add(1);
+        return [&](const storage::Morsel& m, MorselTestStats*,
+                   storage::WorkerRows* rs) -> Status {
+          if (m.shard == fail_shard && m.lo == fail_lo) {
+            return Status::Internal("morsel failed");
+          }
+          size_t base = m.shard == 0 ? 0 : counts[0] + counts[1];
+          for (size_t i = m.lo; i < m.hi; ++i) {
+            visits[base + i].fetch_add(1);
+            rs->rows.push_back({Value(static_cast<int64_t>(m.shard)),
+                                Value(static_cast<int64_t>(i))});
+          }
+          return Status::OK();
+        };
+      });
+  storage::RowCursor<std::vector<Value>> cursor(&out);
+  while (const std::vector<Value>* row = cursor.Next()) {
+    run.rows.push_back({(*row)[0].AsInt(), (*row)[1].AsInt()});
+  }
+  for (const auto& v : visits) run.visits.push_back(v.load());
+  run.workers_made = workers_made.load();
+  return run;
+}
+
+TEST(MorselDriverTest, EveryMorselRunsOnceAndMergesInMorselOrder) {
+  std::vector<std::vector<int64_t>> serial;
+  for (int64_t i = 0; i < 5; ++i) serial.push_back({0, i});
+  for (int64_t i = 0; i < 7; ++i) serial.push_back({2, i});
+  // One worker, a few workers, and more workers than the seven morsels.
+  for (int workers : {1, 3, 16}) {
+    MorselDriverRun run = DriveMorsels(workers);
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    EXPECT_EQ(run.visits, std::vector<int>(12, 1)) << workers;
+    EXPECT_EQ(run.rows, serial) << workers;
+    EXPECT_EQ(run.stats.morsels_executed, 7u) << workers;
+    EXPECT_EQ(run.workers_made, std::min(workers, 7)) << workers;
+  }
+}
+
+TEST(MorselDriverTest, FailedMorselSurfacesItsError) {
+  for (int workers : {1, 3, 16}) {
+    // Shard 2's second morsel, positions [2, 4), fails.
+    MorselDriverRun run = DriveMorsels(workers, 2, 2);
+    ASSERT_FALSE(run.status.ok()) << workers;
+    EXPECT_EQ(run.status.message(), "morsel failed") << workers;
+    EXPECT_TRUE(run.rows.empty()) << workers;
+    // No position runs twice, and the failed morsel's never run.
+    for (int v : run.visits) EXPECT_LE(v, 1) << workers;
+    EXPECT_EQ(run.visits[7], 0) << workers;
+    EXPECT_EQ(run.visits[8], 0) << workers;
+  }
 }
 
 }  // namespace

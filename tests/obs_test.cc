@@ -180,18 +180,6 @@ TEST(TraceSpanTest, NullTolerantHelpersNoOp) {
   EXPECT_TRUE(root->children()[0]->finished());
 }
 
-TEST(TraceSpanTest, AdoptGraftsSubtree) {
-  auto root = TraceSpan::Root("hunt");
-  auto sub = TraceSpan::Root("execute");
-  sub->AddChild("pattern[0]");
-  sub->Finish();
-  root->Adopt(sub);
-  root->Finish();
-  ASSERT_EQ(root->children().size(), 1u);
-  EXPECT_EQ(root->children()[0]->name(), "execute");
-  EXPECT_EQ(root->children()[0]->children().size(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Profile rendering.
 

@@ -92,13 +92,6 @@ TEST_P(LevenshteinPropertyTest, MetricLaws) {
     size_t diff = a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
     EXPECT_GE(ab, diff);
     EXPECT_LE(ab, std::max(a.size(), b.size()));
-    // The bounded variant agrees when within bounds.
-    size_t bounded = LevenshteinDistanceBounded(a, b, 64);
-    EXPECT_EQ(bounded, ab);
-    // ...and saturates when the cap is tight.
-    if (ab > 1) {
-      EXPECT_GT(LevenshteinDistanceBounded(a, b, 1), 1u);
-    }
   }
 }
 

@@ -1,15 +1,20 @@
 // HuntService behavior: concurrent execution equals serial execution
 // byte-for-byte, cancellation (queued and mid-query), deadlines, admission
-// control, tenant fairness, the zero-copy row-block plumbing, and the
-// epoch gate that lets the facade ingest while hunts are in flight
-// (standing hunts and the stream sources live in stream_test.cc). Runs
+// control, tenant fairness, the zero-copy row-block plumbing, the epoch
+// gate that lets the facade ingest while hunts are in flight, and the
+// isolation of standing twins that share one refresh (the rest of the
+// standing-hunt and stream-source tests live in stream_test.cc). Runs
 // under the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -337,38 +342,6 @@ TEST(HuntServiceTest, CypherAndSqlBlocksAdoptedZeroCopy) {
   ASSERT_TRUE(sq.ok()) << sq.status().ToString();
   EXPECT_GT(sq.value().rows.row_count(), 0u);
   EXPECT_EQ(sq.value().rows.pushed_rows(), 0u);
-}
-
-TEST(HuntServiceTest, DagSchedulingMatchesSequentialPatternOrder) {
-  auto tr = BuildWideStore(24, 24);
-  const char* queries[] = {
-      // Chain through a shared process entity.
-      "proc p read file f[\"%_3%\"] as e1 proc p read file g[\"%_8%\"] as e2 "
-      "with e1 before e2 return distinct p, f, g",
-      // Two fully independent pattern pairs plus a dependent third.
-      "proc a read file x[\"%d2_%\"] as e1 proc b read file y[\"%d5_%\"] as "
-      "e2 proc a read file z[\"%_9%\"] as e3 return distinct a, b, z",
-  };
-  for (const char* q : queries) {
-    engine::TbqlExecutor executor(tr->store());
-    engine::ExecOptions sequential;
-    sequential.max_pattern_workers = 1;
-    auto base = executor.ExecuteText(q, sequential);
-    ASSERT_TRUE(base.ok()) << base.status().ToString();
-
-    engine::ExecOptions dag;
-    auto par = executor.ExecuteText(q, dag);
-    ASSERT_TRUE(par.ok()) << par.status().ToString();
-
-    EXPECT_EQ(par.value().results.rows, base.value().results.rows) << q;
-    EXPECT_EQ(par.value().executed_queries, base.value().executed_queries)
-        << q;
-    EXPECT_EQ(par.value().pattern_match_counts,
-              base.value().pattern_match_counts)
-        << q;
-    EXPECT_EQ(par.value().matched_event_ids, base.value().matched_event_ids)
-        << q;
-  }
 }
 
 TEST(HuntServiceTest, FacadeIngestsWhileHuntsInFlight) {
@@ -804,6 +777,87 @@ TEST(HuntServiceTest, MixedLoadDifferentialMatchesSerial) {
   EXPECT_GE(stats.ingests, static_cast<size_t>(kBatches));
   EXPECT_EQ(service->metrics().epoch_lag, 0u);
   EXPECT_GE(service->metrics().gate_acquires, static_cast<size_t>(kBatches));
+}
+
+/// One standing subscription's deliveries: delta rows (rendered) and
+/// errors, with a wait for the first `n` refreshes to settle.
+struct StandingCollector {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::string> rows;
+  std::vector<Status> errors;
+  size_t updates = 0;
+
+  service::StandingSink Sink() {
+    service::StandingSink sink;
+    sink.on_update = [this](const service::StandingUpdate& update) {
+      std::lock_guard<std::mutex> lock(mu);
+      auto cursor = update.cursor();
+      while (const std::vector<sql::Value>* row = cursor.Next()) {
+        std::string r;
+        for (const sql::Value& v : *row) r += v.ToString() + "|";
+        rows.push_back(std::move(r));
+      }
+      ++updates;
+      cv.notify_all();
+    };
+    sink.on_error = [this](const Status& status) {
+      std::lock_guard<std::mutex> lock(mu);
+      errors.push_back(status);
+      cv.notify_all();
+    };
+    return sink;
+  }
+
+  bool WaitSettled(size_t n) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(30),
+                       [&] { return updates + errors.size() >= n; });
+  }
+};
+
+TEST(HuntServiceTest, StandingTwinDoesNotInheritLeaderTimeout) {
+  auto tr = BuildWideStore(10, 10);
+  const char* q = "proc p[\"%svc2%\"] read file f return p, f";
+  HuntServiceOptions opts;
+  opts.max_concurrent = 1;
+
+  StandingCollector solo;
+  {
+    HuntService service(tr->store(), opts);
+    service::StandingHandle h =
+        service.SubmitStanding(Req(q, QueryDialect::kTbql, "solo"),
+                               solo.Sink());
+    ASSERT_TRUE(solo.WaitSettled(1));
+    h.Cancel();
+  }
+  ASSERT_TRUE(solo.errors.empty()) << solo.errors.front().ToString();
+  ASSERT_EQ(solo.rows.size(), 10u);
+  std::sort(solo.rows.begin(), solo.rows.end());
+
+  // Twins from two tenants share one full refresh. A subscribes first, so
+  // on the one admission worker it leads, and its zero timeout fails the
+  // shared execution; B has no deadline and must not inherit A's timeout.
+  HuntService service(tr->store(), opts);
+  StandingCollector a, b;
+  service::StandingHandle ha = service.SubmitStanding(
+      Req(q, QueryDialect::kTbql, "tenant-a", 0), a.Sink());
+  service::StandingHandle hb =
+      service.SubmitStanding(Req(q, QueryDialect::kTbql, "tenant-b"),
+                             b.Sink());
+  ASSERT_TRUE(a.WaitSettled(1));
+  ASSERT_TRUE(b.WaitSettled(1));
+  ha.Cancel();
+  hb.Cancel();
+  {
+    std::lock_guard<std::mutex> lock(a.mu);
+    ASSERT_EQ(a.errors.size(), 1u);
+    EXPECT_EQ(a.errors[0].code(), StatusCode::kTimeout);
+  }
+  std::lock_guard<std::mutex> lock(b.mu);
+  EXPECT_TRUE(b.errors.empty()) << b.errors.front().ToString();
+  std::sort(b.rows.begin(), b.rows.end());
+  EXPECT_EQ(b.rows, solo.rows);
 }
 
 TEST(HuntServiceTest, FacadeHuntRoutesThroughService) {

@@ -12,7 +12,7 @@
 //   threatraptor hunt (--log <log.jsonl> | --case <case-id>) --query <tbql>
 //       [--query <tbql> ...] [--jobs N]
 //       Execute TBQL queries against a log in exact search mode. Multiple
-//       --query arguments submit through the concurrent HuntService with
+//       --query arguments submit through the facade's HuntService with
 //       up to N hunts in flight (default 1).
 //   threatraptor hunt --follow <log.jsonl> --query <tbql> [--query ...]
 //       [--standing] [--idle-ms N]
@@ -110,20 +110,22 @@ int ListCases() {
   return 0;
 }
 
-Result<std::unique_ptr<ThreatRaptor>> LoadFromCase(const std::string& id) {
+Result<std::unique_ptr<ThreatRaptor>> LoadFromCase(
+    const std::string& id, ThreatRaptorOptions options = {}) {
   const cases::AttackCase* c = cases::FindCase(id);
   if (c == nullptr) return Status::NotFound("unknown case: " + id);
-  auto tr = std::make_unique<ThreatRaptor>();
+  auto tr = std::make_unique<ThreatRaptor>(std::move(options));
   RAPTOR_RETURN_NOT_OK(tr->IngestSyscalls(cases::BuildCaseLog(*c)));
   return tr;
 }
 
-Result<std::unique_ptr<ThreatRaptor>> LoadFromJsonl(const std::string& path) {
+Result<std::unique_ptr<ThreatRaptor>> LoadFromJsonl(
+    const std::string& path, ThreatRaptorOptions options) {
   auto content = ReadFile(path);
   if (!content.ok()) return content.status();
   auto records = audit::ParseJsonlRecords(content.value());
   if (!records.ok()) return records.status();
-  auto tr = std::make_unique<ThreatRaptor>();
+  auto tr = std::make_unique<ThreatRaptor>(std::move(options));
   RAPTOR_RETURN_NOT_OK(tr->IngestSyscalls(records.value()));
   return tr;
 }
@@ -266,6 +268,13 @@ struct HuntArgs {
     }
     return d;
   }
+
+  /// Facade options: its hunt service admits up to `jobs` hunts at once.
+  ThreatRaptorOptions Facade() const {
+    ThreatRaptorOptions options;
+    options.service.max_concurrent = static_cast<size_t>(jobs);
+    return options;
+  }
 };
 
 bool ParseHuntArgs(int argc, char** argv, int start, HuntArgs* out) {
@@ -361,7 +370,8 @@ bool ParseHuntArgs(int argc, char** argv, int start, HuntArgs* out) {
 Result<std::unique_ptr<ThreatRaptor>> LoadForHunt(const HuntArgs& args) {
   if (!args.data_dir.empty()) {
     RAPTOR_ASSIGN_OR_RETURN(std::unique_ptr<ThreatRaptor> tr,
-                            ThreatRaptor::Open(args.Durability()));
+                            ThreatRaptor::Open(args.Durability(),
+                                               args.Facade()));
     if (!args.log_path.empty()) {
       auto content = ReadFile(args.log_path);
       if (!content.ok()) return content.status();
@@ -379,8 +389,8 @@ Result<std::unique_ptr<ThreatRaptor>> LoadForHunt(const HuntArgs& args) {
     }
     return tr;
   }
-  return args.log_path.empty() ? LoadFromCase(args.case_id)
-                               : LoadFromJsonl(args.log_path);
+  return args.log_path.empty() ? LoadFromCase(args.case_id, args.Facade())
+                               : LoadFromJsonl(args.log_path, args.Facade());
 }
 
 int PrintHuntReport(const engine::ExecReport& report) {
@@ -662,19 +672,16 @@ int Hunt(const HuntArgs& args) {
     return close_durable(rc);
   }
   // Multiple queries (or an explicit --jobs): submit everything through
-  // the hunt service and let up to `jobs` hunts run concurrently; results
-  // print in submission order regardless of completion order.
-  service::HuntServiceOptions opts;
-  opts.max_concurrent = static_cast<size_t>(args.jobs);
-  service::HuntService service(tr.value()->store(), opts);
-  MaybeAttachSlowLog(&service, args);
+  // the facade's service, which runs up to `jobs` hunts concurrently;
+  // results print in submission order regardless of completion order.
+  service::HuntService* service = tr.value()->hunt_service();
   std::vector<service::HuntTicket> tickets;
   tickets.reserve(args.queries.size());
   for (const std::string& q : args.queries) {
     service::HuntRequest request;
     request.text = q;
     request.profile = args.WantProfile();
-    tickets.push_back(service.Submit(std::move(request)));
+    tickets.push_back(service->Submit(std::move(request)));
   }
   int rc = 0;
   for (size_t i = 0; i < tickets.size(); ++i) {
@@ -690,11 +697,7 @@ int Hunt(const HuntArgs& args) {
     if (EmitProfile(args, tickets[i].response().profile.get()) != 0) rc = 1;
   }
   if (args.metrics_export) {
-    // The hunts ran on this invocation-local service; export its series
-    // (the facade's service only saw the ingest).
-    obs::MetricsRegistry registry;
-    service.CollectMetrics(&registry);
-    std::printf("%s", registry.Render(obs::MetricsFormat::kPrometheus).c_str());
+    std::printf("%s", tr.value()->ExportMetrics().c_str());
   }
   return close_durable(rc);
 }
